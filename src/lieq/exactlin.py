@@ -432,6 +432,7 @@ class Submodule:
             if len(g) != ambient.ambient_rank:
                 raise ValueError("generator length does not match ambient rank")
         self._quot = None
+        self._hermite = None
         self._abstract = None
         self._basis = None
         self._solver = None
@@ -475,12 +476,32 @@ class Submodule:
 
     # -- abstract structure --------------------------------------------------
 
+    def hermite_rows(self) -> list:
+        """Reduced row Hermite form of the sub-lattice plus the ambient lattice.
+
+        Unique for the submodule: echelon rows with positive pivots, every
+        entry above a pivot reduced into [0, pivot).
+        """
+        if self._hermite is None:
+            n = self.ambient.ambient_rank
+            rows = hnf_rows(list(self.gens) + list(self.ambient.lattice_rows), n)
+            for i, row in enumerate(rows):
+                c = next(k for k, x in enumerate(row) if x)
+                for above in rows[:i]:
+                    f = above[c] // row[c]
+                    if f:
+                        for k in range(c, n):
+                            above[k] -= f * row[k]
+            self._hermite = [tuple(r) for r in rows]
+        return self._hermite
+
     @property
     def abstract(self) -> FpModule:
-        """Presentation of the submodule on its given generators."""
+        """Presentation of the submodule on its Hermite rows."""
         if self._abstract is None:
-            p = len(self.gens)
-            stacked = [list(g) for g in self.gens]
+            rows = self.hermite_rows()
+            p = len(rows)
+            stacked = [list(r) for r in rows]
             stacked += [list(r) for r in self.ambient.lattice_rows]
             ker = row_kernel(stacked, self.ambient.ambient_rank)
             rels = [k[:p] for k in ker]
@@ -494,15 +515,23 @@ class Submodule:
         return self.abstract.invariant_factors
 
     def basis(self) -> list:
-        """Ambient vectors forming a canonical generating basis."""
+        """Ambient vectors forming a canonical generating basis.
+
+        A function of the submodule alone, not of its generators: the
+        invariant-factor generators of the presentation on the Hermite rows,
+        each negated if its first nonzero entry is negative.
+        """
         if self._basis is None:
             ab = self.abstract
+            hermite = self.hermite_rows()
             k = ab.rank
             rows = []
             for t in range(k):
                 alpha = ab.lift_pruned(unit_vec(k, t))
-                rows.append(apply_matrix(alpha, self.gens,
-                                         self.ambient.ambient_rank))
+                v = apply_matrix(alpha, hermite, self.ambient.ambient_rank)
+                if next((x for x in v if x), 0) < 0:
+                    v = vec_neg(v)
+                rows.append(v)
             self._basis = rows
         return self._basis
 

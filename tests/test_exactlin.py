@@ -169,6 +169,59 @@ def test_submodule_solve_and_embedding():
     assert s.solve((0, 1)) is None or s.contains_vec((0, 1))
 
 
+def _divisors_or_free(m):
+    """Orders a diagonal summand may take over Z (m = 0) or Z/m."""
+    return [0, 1, 2, 3, 4, 6] if m == 0 else [d for d in range(1, m + 1) if m % d == 0]
+
+
+@st.composite
+def diagonal_modules(draw, base_modulus, min_rank=0, max_rank=4):
+    """Random diagonal module, orders 1 (zero summands) included."""
+    n = draw(st.integers(min_rank, max_rank))
+    orders = draw(st.lists(st.sampled_from(_divisors_or_free(base_modulus)),
+                           min_size=n, max_size=n))
+    return FpModule.diagonal(orders, base_modulus)
+
+
+vectors = st.integers(-6, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_basis_is_a_function_of_the_submodule(data):
+    m = data.draw(st.sampled_from([0, 2, 4, 6]))
+    ambient = data.draw(diagonal_modules(m, min_rank=1))
+    n = ambient.ambient_rank
+    gens = data.draw(st.lists(st.lists(vectors, min_size=n, max_size=n),
+                              max_size=4))
+    # Same sub-lattice, other generators: permute, negate, add multiples of
+    # the other generators and of ambient relations, append a combination.
+    other = [list(g) for g in data.draw(st.permutations(gens))]
+    lattice = list(ambient.lattice_rows)
+    for i, g in enumerate(other):
+        if data.draw(st.booleans()):
+            other[i] = g = [-x for x in g]
+        for j in range(len(other)):
+            if j != i:
+                c = data.draw(st.integers(-3, 3))
+                g[:] = [x + c * y for x, y in zip(g, other[j])]
+        for r in lattice:
+            c = data.draw(st.integers(-2, 2))
+            g[:] = [x + c * y for x, y in zip(g, r)]
+    if other:
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(other),
+                                    max_size=len(other)))
+        other.append([sum(c * g[k] for c, g in zip(coeffs, other))
+                      for k in range(n)])
+    a, b = Submodule(ambient, gens), Submodule(ambient, other)
+    assert a.same(b)
+    assert a.basis() == b.basis()
+    assert a.invariant_factors == b.invariant_factors
+    for v in a.basis():
+        assert next(x for x in v if x) > 0
+    assert Submodule(ambient, a.basis()).same(a)
+
+
 # -- kernels -------------------------------------------------------------------
 
 def test_kernel_examples():
