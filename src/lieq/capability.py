@@ -15,10 +15,8 @@ from math import gcd
 from typing import Optional
 
 from lieq.exactlin import (
-    IntMatrix,
-    ModuleHom,
     Submodule,
-    direct_sum,
+    block_kernel,
     is_free_over,
     lambda_q_modulus,
     quotient,
@@ -51,45 +49,37 @@ def _annihilator_kernel(prod: QProduct, include_brace: bool) -> Submodule:
     """Kernel of x -> (x*e_1, ..., x*e_n [, {x}]) through a product."""
     g = prod.algebra
     n = g.rank
-    blocks = n + (1 if include_brace and prod.has_braces else 0)
-    if blocks == 0:
-        return Submodule(g.module, [])
-    target, offsets = direct_sum([prod.module] * blocks)
-    rows = []
-    for a in range(n):
-        coords = prod.ideal.coords(unit_vec(n, a))
-        row = [0] * target.ambient_rank
-        for j in range(n):
-            vec = prod.tensor_of(coords, unit_vec(n, j))
-            for k, x in enumerate(vec):
-                if x:
-                    row[offsets[j] + k] += x
-        if include_brace and prod.has_braces:
-            vec = prod.brace_of(coords)
-            for k, x in enumerate(vec):
-                if x:
-                    row[offsets[n] + k] += x
-        rows.append(row)
-    hom = ModuleHom(g.module, target, IntMatrix(rows, ncols=target.ambient_rank),
-                    check=False)
-    return hom.kernel()
+    coords = [prod.ideal.coords(unit_vec(n, a)) for a in range(n)]
+    blocks = [(prod.module, [prod.tensor_of(c, unit_vec(n, j)) for c in coords])
+              for j in range(n)]
+    if include_brace and prod.has_braces:
+        blocks.append((prod.module, [prod.brace_of(c) for c in coords]))
+    return block_kernel(g.module, blocks)
+
+
+def _center(g: LieAlgebra, q: int, kind: str, brace: bool) -> Submodule:
+    """The (kind, brace) center of the whole-algebra product, memoized on g."""
+    key = (kind, q, brace)
+    sub = g._memo.get(key)
+    if sub is None:
+        build = q_tensor_product if kind == "tensor" else q_exterior_product
+        sub = g._memo[key] = _annihilator_kernel(build(g, None, q), brace)
+    return sub
 
 
 def tensor_center(g: LieAlgebra, q: int) -> Submodule:
     """Elements with vanishing brace and vanishing tensors with everything."""
-    return _annihilator_kernel(q_tensor_product(g, None, q), include_brace=True)
+    return _center(g, q, "tensor", True)
 
 
 def exterior_center(g: LieAlgebra, q: int) -> Submodule:
     """Elements with vanishing brace and vanishing wedges with everything."""
-    return _annihilator_kernel(q_exterior_product(g, None, q), include_brace=True)
+    return _center(g, q, "exterior", True)
 
 
 def ellis_centers(g: LieAlgebra, q: int):
     """The brace-free variants: (tensor-sense, exterior-sense)."""
-    zt = _annihilator_kernel(q_tensor_product(g, None, q), include_brace=False)
-    ze = _annihilator_kernel(q_exterior_product(g, None, q), include_brace=False)
-    return zt, ze
+    return _center(g, q, "tensor", False), _center(g, q, "exterior", False)
 
 
 @dataclass
@@ -103,6 +93,16 @@ class Verdict:
                 "theorem_backed": self.theorem_backed}
 
 
+def _verdict(g: LieAlgebra, q: int, brace: bool) -> Verdict:
+    """Whether the (brace or brace-free) exterior center vanishes."""
+    return Verdict(
+        value=_center(g, q, "exterior", brace).is_zero(),
+        criterion=("exterior-center-trivial" if brace
+                   else "ellis-exterior-center-trivial"),
+        theorem_backed=capability_theorem_applicable(g.base_modulus, q),
+    )
+
+
 def is_q_capable(g: LieAlgebra, q: int) -> Verdict:
     """Criterion: the q-exterior center vanishes.
 
@@ -110,21 +110,12 @@ def is_q_capable(g: LieAlgebra, q: int) -> Verdict:
     when the base ring has no q-torsion (or q = 0); otherwise the verdict
     reports the criterion value only.
     """
-    return Verdict(
-        value=exterior_center(g, q).is_zero(),
-        criterion="exterior-center-trivial",
-        theorem_backed=capability_theorem_applicable(g.base_modulus, q),
-    )
+    return _verdict(g, q, brace=True)
 
 
 def is_strongly_q_capable(g: LieAlgebra, q: int) -> Verdict:
     """Criterion: the brace-free exterior center vanishes."""
-    _, ze = ellis_centers(g, q)
-    return Verdict(
-        value=ze.is_zero(),
-        criterion="ellis-exterior-center-trivial",
-        theorem_backed=capability_theorem_applicable(g.base_modulus, q),
-    )
+    return _verdict(g, q, brace=False)
 
 
 @dataclass
@@ -248,11 +239,8 @@ def center_report(g: LieAlgebra, q: int) -> CenterReport:
         exterior_center=zw,
         ellis_tensor_center=zt,
         ellis_exterior_center=ze_ellis,
-        q_capable=Verdict(zw.is_zero(), "exterior-center-trivial",
-                          capability_theorem_applicable(g.base_modulus, q)),
-        strongly_q_capable=Verdict(ze_ellis.is_zero(),
-                                   "ellis-exterior-center-trivial",
-                                   capability_theorem_applicable(g.base_modulus, q)),
+        q_capable=_verdict(g, q, brace=True),
+        strongly_q_capable=_verdict(g, q, brace=False),
         flags={
             "lambda_q_torsion_free": torsion_free,
             "capability_theorem_backed": capability_theorem_applicable(

@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
         pairs = single_algebra_pairs(g.name, g)
         oracle = args.oracle
     results = run_suite(entries, qs=tuple(args.q), include_oracle=oracle,
-                        right_exact_pairs=pairs, threads=args.threads)
+                        right_exact_pairs=pairs)
     suite = SuiteReport(results)
     lines = [r.line() for r in results]
     lines.append(f"{'ALL CHECKS PASSED' if suite.ok else 'CHECKS FAILED'}: "
@@ -235,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_parse_q_list, default=_parse_q_list("0,1,2,3,4,6"))
     p.add_argument("--oracle", action="store_true",
                    help="include the brute-force oracle cross-checks")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: LIEQ_THREADS or 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)

@@ -377,18 +377,7 @@ class ModuleHom:
 
     def kernel(self) -> "Submodule":
         """Preimage of the target relation lattice, as a source submodule."""
-        src, tgt = self.source, self.target
-        ns = src.ambient_rank
-        k = len(tgt._w_orders)
-        # Congruence form: x in kernel iff x @ B vanishes modulo the diagonal
-        # target orders; one auxiliary multiplier per finite-order column.
-        rows = [list(apply_matrix(row, tgt._w_cols, k)) for row in self.matrix.rows]
-        for idx, dcol in enumerate(tgt._w_orders):
-            if dcol:
-                rows.append([dcol if j == idx else 0 for j in range(k)])
-        sols = row_kernel(rows, k)
-        gens = [s[:ns] for s in sols]
-        return Submodule(src, gens)
+        return block_kernel(self.source, [(self.target, self.matrix.rows)])
 
     def preimage(self, w: Sequence[int]) -> Optional[tuple]:
         """Some x with h(x) == w in the target, or None."""
@@ -412,6 +401,36 @@ class ModuleHom:
 
 def kernel(h: ModuleHom) -> "Submodule":
     return h.kernel()
+
+
+def block_kernel(source: FpModule, blocks) -> "Submodule":
+    """Kernel of x -> (x @ M_1, ..., x @ M_b) into the sum T_1 + ... + T_b.
+
+    ``blocks`` lists pairs (T_i, rows of M_i), one row per source generator.
+    Each block goes through the known Smith columns of its own summand, so
+    the sum is never presented or reduced: x is in the kernel iff every
+    x @ M_i @ W_i vanishes modulo the orders of T_i, which is one row kernel
+    with an auxiliary multiplier per finite order.
+    """
+    ns = source.ambient_rank
+    width = sum(len(tgt._w_orders) for tgt, _ in blocks)
+    rows = [[] for _ in range(ns)]
+    moduli = []
+    offset = 0
+    for tgt, matrix in blocks:
+        if len(matrix) != ns:
+            raise ValueError("block map needs one row per source generator")
+        k = len(tgt._w_orders)
+        for row, img in zip(rows, matrix):
+            row.extend(apply_matrix(img, tgt._w_cols, k))
+        for idx, d in enumerate(tgt._w_orders):
+            if d:
+                mod = [0] * width
+                mod[offset + idx] = d
+                moduli.append(mod)
+        offset += k
+    sols = row_kernel(rows + moduli, width)
+    return Submodule(source, [s[:ns] for s in sols])
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +495,7 @@ class Submodule:
 
     # -- abstract structure --------------------------------------------------
 
-    def hermite_rows(self) -> list:
+    def _hermite_rows(self) -> list:
         """Reduced row Hermite form of the sub-lattice plus the ambient lattice.
 
         Unique for the submodule: echelon rows with positive pivots, every
@@ -499,7 +518,7 @@ class Submodule:
     def abstract(self) -> FpModule:
         """Presentation of the submodule on its Hermite rows."""
         if self._abstract is None:
-            rows = self.hermite_rows()
+            rows = self._hermite_rows()
             p = len(rows)
             stacked = [list(r) for r in rows]
             stacked += [list(r) for r in self.ambient.lattice_rows]
@@ -523,7 +542,7 @@ class Submodule:
         """
         if self._basis is None:
             ab = self.abstract
-            hermite = self.hermite_rows()
+            hermite = self._hermite_rows()
             k = ab.rank
             rows = []
             for t in range(k):

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 from lieq.errors import NotAnIdeal, ValidationError
 from lieq.exactlin import (
     FpModule,
-    IntMatrix,
     ModuleHom,
     Submodule,
     apply_matrix,
+    block_kernel,
     direct_sum,
     unit_vec,
     vec_add,
@@ -129,6 +129,9 @@ class LieAlgebra:
                 if full[j][i] != vec_neg(full[i][j]):
                     raise ValueError("bracket table is not antisymmetric")
         self.table = tuple(tuple(r) for r in full)
+        # Whole-algebra products keyed (kind, q) and their centers keyed
+        # (kind, q, brace); products over proper ideals are not kept.
+        self._memo = {}
         if check:
             report = _validate_table(module, self.table, name)
             if not report.ok:
@@ -224,32 +227,23 @@ def validate(g: LieAlgebra) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # centers
 
-def _adjoint_stack(g: LieAlgebra, q: Optional[int] = None):
-    """The map x -> ([x, e_1], ..., [x, e_n] [, q x]) with its target."""
+def _adjoint_kernel(g: LieAlgebra, q: Optional[int] = None) -> Submodule:
+    """Kernel of x -> ([x, e_1], ..., [x, e_n] [, q x])."""
     n = g.rank
-    copies = [g.module] * (n + (1 if q is not None else 0))
-    target, offsets = direct_sum(copies)
-    rows = []
-    for a in range(n):
-        row = [0] * target.ambient_rank
-        for j in range(n):
-            for kk, x in enumerate(g.table[a][j]):
-                row[offsets[j] + kk] = x
-        if q is not None:
-            row[offsets[n] + a] = q
-        rows.append(row)
-    return ModuleHom(g.module, target, IntMatrix(rows, ncols=target.ambient_rank),
-                     check=False)
+    blocks = [(g.module, [g.table[a][j] for a in range(n)]) for j in range(n)]
+    if q is not None:
+        blocks.append((g.module, [vec_scale(q, unit_vec(n, a)) for a in range(n)]))
+    return block_kernel(g.module, blocks)
 
 
 def center(g: LieAlgebra) -> Submodule:
     """Elements bracketing to zero with the whole algebra."""
-    return _adjoint_stack(g).kernel()
+    return _adjoint_kernel(g)
 
 
 def q_center(g: LieAlgebra, q: int) -> Submodule:
     """Central elements additionally annihilated by q."""
-    return _adjoint_stack(g, q).kernel()
+    return _adjoint_kernel(g, q)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +563,7 @@ def derivations(m: LieAlgebra) -> DerivationAlgebra:
     n = m.rank
     npairs = n * (n - 1) // 2
     endo, endo_off = direct_sum([m.module] * n) if n else (FpModule(0, []), [])
-    blocks = n + npairs
-    target, toff = direct_sum([m.module] * blocks) if blocks else (FpModule(0, []), [])
+    nblocks = n + npairs
     pair_index = {}
     idx = n
     for a in range(n):
@@ -580,12 +573,12 @@ def derivations(m: LieAlgebra) -> DerivationAlgebra:
     rows = []
     for i in range(n):
         for j in range(n):
-            row = [0] * target.ambient_rank
+            row = [0] * (nblocks * n)
             d_i = m.orders[i]
             if d_i:
-                row[toff[i] + j] += d_i
+                row[i * n + j] += d_i
             for (a, b), blk in pair_index.items():
-                off = toff[blk]
+                off = blk * n
                 # c_ab_i * e_j term
                 cab = m.table[a][b]
                 if cab[i]:
@@ -600,9 +593,8 @@ def derivations(m: LieAlgebra) -> DerivationAlgebra:
                         if x:
                             row[off + k] -= x
             rows.append(row)
-    hom = ModuleHom(endo, target, IntMatrix(rows, ncols=target.ambient_rank),
-                    check=False)
-    sub = hom.kernel()
+    sub = block_kernel(endo, [(m.module, [r[b * n:(b + 1) * n] for r in rows])
+                              for b in range(nblocks)])
     basis = sub.basis()
     mats = [tuple(tuple(b[endo_off[i] + j] for j in range(n)) for i in range(n))
             for b in basis]

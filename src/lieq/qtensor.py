@@ -391,32 +391,24 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
     raise BracketNotWellDefined("relation closure did not stabilize")
 
 
+def _product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QProduct:
+    """Build a product; the whole-algebra ones (h None) are memoized on g."""
+    if h is not None:
+        return _build_product(g, h, q, kind)
+    prod = g._memo.get((kind, q))
+    if prod is None:
+        prod = g._memo[(kind, q)] = _build_product(g, None, q, kind)
+    return prod
+
+
 def q_tensor_product(g: LieAlgebra, h: Optional[Ideal] = None, q: int = 0) -> QProduct:
     """The non-abelian q-tensor product of g and an ideal (default: g itself)."""
-    key = ("tensor", q, id(h))
-    cache = getattr(g, "_product_cache", None)
-    if cache is None:
-        cache = g._product_cache = {}
-    if h is None and key in cache:
-        return cache[key]
-    prod = _build_product(g, h, q, "tensor")
-    if h is None:
-        cache[key] = prod
-    return prod
+    return _product(g, h, q, "tensor")
 
 
 def q_exterior_product(g: LieAlgebra, h: Optional[Ideal] = None, q: int = 0) -> QProduct:
     """The non-abelian q-exterior product: the tensor product with b^b = 0."""
-    key = ("exterior", q, id(h))
-    cache = getattr(g, "_product_cache", None)
-    if cache is None:
-        cache = g._product_cache = {}
-    if h is None and key in cache:
-        return cache[key]
-    prod = _build_product(g, h, q, "exterior")
-    if h is None:
-        cache[key] = prod
-    return prod
+    return _product(g, h, q, "exterior")
 
 
 def xi(prod: QProduct) -> LieHom:

@@ -7,11 +7,8 @@ both run these. Failures are data, not exceptions.
 
 from __future__ import annotations
 
-import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from lieq import capability, qtensor, testkit
 from lieq.exactlin import FpModule
@@ -318,37 +315,28 @@ def check_negative_control() -> list:
 # -- suite ---------------------------------------------------------------------
 
 def run_suite(entries: Sequence, qs=DEFAULT_QS, include_oracle: bool = False,
-              right_exact_pairs=None, threads: Optional[int] = None) -> list:
+              right_exact_pairs=None) -> list:
     """Run every theorem check on the given (name, algebra) entries.
 
-    Results are merged deterministically by (criterion, instance) regardless
-    of the worker count (``LIEQ_THREADS`` caps parallelism by default).
+    Results are sorted by (criterion, instance).
     """
-    if threads is None:
-        threads = int(os.environ.get("LIEQ_THREADS", "1") or 1)
-    tasks = [
-        lambda: check_abelian_decomposition(entries, qs),
-        lambda: check_brace_identity(entries),
-        lambda: check_crossed_modules(entries),
-        lambda: check_gamma_sequence(entries),
-        lambda: check_right_exactness(right_exact_pairs),
-        lambda: check_center_coincidence(entries, qs),
-        lambda: check_perfect_algebras(entries),
-        lambda: check_inclusion_chains(entries, qs),
-        lambda: check_inner_derivations(entries),
-        lambda: check_negative_control(),
+    results = [
+        *check_abelian_decomposition(entries, qs),
+        *check_brace_identity(entries),
+        *check_crossed_modules(entries),
+        *check_gamma_sequence(entries),
+        *check_right_exactness(right_exact_pairs),
+        *check_center_coincidence(entries, qs),
+        *check_perfect_algebras(entries),
+        *check_inclusion_chains(entries, qs),
+        *check_inner_derivations(entries),
+        *check_negative_control(),
     ]
     if any(name == "Z" for name, _ in entries):
-        tasks.append(lambda: check_free_rank_one_example())
+        results += check_free_rank_one_example()
     if include_oracle:
-        tasks.append(lambda: check_oracle_products())
-        tasks.append(lambda: check_oracle_gamma())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(lambda f: f(), tasks))
-    else:
-        chunks = [f() for f in tasks]
-    results = list(itertools.chain.from_iterable(chunks))
+        results += check_oracle_products()
+        results += check_oracle_gamma()
     results.sort(key=lambda r: (r.criterion, r.instance))
     return results
 

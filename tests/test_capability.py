@@ -11,8 +11,9 @@ from lieq.capability import (
     lambda_q_torsion_free,
     tensor_center,
 )
-from lieq.io_catalog import Catalog
-from lieq.liealg import lie_algebra
+from lieq.io_catalog import Catalog, heisenberg
+from lieq.liealg import derived_ideal, lie_algebra
+from lieq.qtensor import q_exterior_product, q_tensor_product
 
 
 def test_torsion_flags():
@@ -106,3 +107,21 @@ def test_center_report_json_shape():
     assert d["centers"]["ellis_exterior_center"]["invariant_factors"] == [0]
     assert d["verdicts"]["q_capable"]["value"] is True
     assert d["verdicts"]["strongly_q_capable"]["value"] is False
+
+
+def test_products_and_centers_are_memoized_per_algebra():
+    g = heisenberg()
+    zt = tensor_center(g, 2)
+    assert tensor_center(g, 2) is zt
+    assert ellis_centers(g, 2)[1] is ellis_centers(g, 2)[1]
+    assert exterior_center(g, 2) is not exterior_center(g, 3)
+    assert q_tensor_product(g, None, 2) is q_tensor_product(g, None, 2)
+    assert q_exterior_product(g, None, 2) is not q_tensor_product(g, None, 2)
+    h = derived_ideal(g)
+    assert q_tensor_product(g, h, 2) is not q_tensor_product(g, h, 2)
+    # a fresh algebra object starts with an empty memo
+    assert tensor_center(heisenberg(), 2) is not zt
+    rep = center_report(g, 2)
+    assert rep.tensor_center is zt
+    assert rep.q_capable == is_q_capable(g, 2)
+    assert rep.strongly_q_capable == is_strongly_q_capable(g, 2)

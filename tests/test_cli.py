@@ -102,18 +102,3 @@ def test_output_file(capsys, tmp_path):
     payload = json.loads(target.read_text())
     assert payload["kind"] == "centers-sweep"
 
-
-def test_verify_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("LIEQ_THREADS", "2")
-    code, out, _ = run(capsys, "verify", "catalog:Z/2", "--q", "0,2")
-    assert code == 0
-    assert "ALL CHECKS PASSED" in out
-
-
-def test_verify_output_independent_of_worker_count(capsys):
-    code1, out1, _ = run(capsys, "verify", "catalog:Z/3", "--q", "0,2",
-                         "--threads", "1", "--format", "json")
-    code4, out4, _ = run(capsys, "verify", "catalog:Z/3", "--q", "0,2",
-                         "--threads", "4", "--format", "json")
-    assert code1 == code4 == 0
-    assert out1 == out4

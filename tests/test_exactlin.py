@@ -11,6 +11,7 @@ from lieq.exactlin import (
     IntMatrix,
     ModuleHom,
     Submodule,
+    block_kernel,
     canonicalize,
     det,
     describe_factors,
@@ -20,6 +21,7 @@ from lieq.exactlin import (
     lambda_q_modulus,
     merged_factors,
     quotient,
+    row_kernel,
     snf,
     submodule,
     tensor_square_ab,
@@ -235,6 +237,60 @@ def test_kernel_examples():
     assert k.contains_vec((3,)) and not k.contains_vec((1,))
     brute = [x for x in range(6) if (2 * x) % 6 == 0]
     assert brute == [0, 3]
+
+
+def _stacked_kernels(source, blocks):
+    """Kernel of a block map through the direct sum presented by hand.
+
+    Returned twice: through a ModuleHom into the stacked module, reduced from
+    scratch, and as the row kernel of the images stacked over its lattice.
+    """
+    ns = source.ambient_rank
+    total = sum(t.ambient_rank for t, _ in blocks)
+    rels, rows, off = [], [[] for _ in range(ns)], 0
+    for t, mat in blocks:
+        for r in t.relations:
+            rels.append([0] * off + list(r) + [0] * (total - off - t.ambient_rank))
+        for row, img in zip(rows, mat):
+            row.extend(img)
+        off += t.ambient_rank
+    stacked = FpModule(total, rels, source.base_modulus)
+    via_hom = ModuleHom(source, stacked, IntMatrix(rows, ncols=total),
+                        check=False).kernel()
+    sols = row_kernel(rows + [list(r) for r in stacked.lattice_rows], total)
+    return via_hom, Submodule(source, [x[:ns] for x in sols])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_block_kernel_matches_stacked_module(data):
+    m = data.draw(st.sampled_from([0, 0, 2, 4, 6]))
+    source = data.draw(diagonal_modules(m))
+    ns = source.ambient_rank
+    blocks = []
+    for t in data.draw(st.lists(diagonal_modules(m), max_size=4)):
+        nt = t.ambient_rank
+        blocks.append((t, data.draw(st.lists(
+            st.lists(vectors, min_size=nt, max_size=nt), min_size=ns, max_size=ns))))
+    got = block_kernel(source, blocks)
+    for want in _stacked_kernels(source, blocks):
+        assert got.same(want)
+        assert got.basis() == want.basis()
+
+
+def test_block_kernel_zero_rank_and_zero_module_blocks():
+    src = FpModule.diagonal([0, 4])
+    empty = FpModule.diagonal([])
+    trivial = FpModule.diagonal([1, 1])
+    z2 = FpModule.diagonal([2])
+    blocks = [(empty, [(), ()]), (trivial, [(1, 5), (3, 0)]), (z2, [(1,), (1,)])]
+    got = block_kernel(src, blocks)
+    for want in _stacked_kernels(src, blocks):
+        assert got.same(want)
+    assert got.contains_vec((1, 1)) and not got.contains_vec((1, 0))
+    # nothing to map into: the kernel is everything
+    assert block_kernel(src, [(empty, [(), ()])]).same(Submodule.full(src))
+    assert block_kernel(src, []).same(Submodule.full(src))
 
 
 def test_hom_validation_rejects_bad_maps():
