@@ -242,8 +242,8 @@ def test_kernel_examples():
 def _stacked_kernels(source, blocks):
     """Kernel of a block map through the direct sum presented by hand.
 
-    Returned twice: through a ModuleHom into the stacked module, reduced from
-    scratch, and as the row kernel of the images stacked over its lattice.
+    Returned twice: through a ModuleHom into the stacked module, reduced anew,
+    and as the row kernel of the images stacked over its lattice.
     """
     ns = source.ambient_rank
     total = sum(t.ambient_rank for t, _ in blocks)
