@@ -3,11 +3,6 @@
 These loops are where the package spends its time: module canonicalization,
 kernels, quotients and product presentations all reduce to repeated Smith
 normal form and row-echelon passes over arbitrary-precision integer rows.
-
-The same source is compiled with Cython at build time (setup.py copies it to
-``_compiled.pyx``); ``lieq._kernel`` picks the compiled module when present.
-Keep this file plain -- list-of-list matrices, no decorators, no dataclasses --
-so the two backends stay behaviourally identical.
 """
 
 

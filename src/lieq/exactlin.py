@@ -96,10 +96,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(identity_matrix(n), ncols=n)
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
@@ -116,14 +112,6 @@ class IntMatrix:
 
     def __hash__(self):
         return hash((self.rows, self.ncols))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows) if self.rows else [],
-                         ncols=self.nrows)
-
-    def is_diagonal(self) -> bool:
-        return all(x == 0 for i, r in enumerate(self.rows)
-                   for j, x in enumerate(r) if i != j)
 
     def __repr__(self):
         return f"IntMatrix({list(map(list, self.rows))!r})"
@@ -314,9 +302,6 @@ class FpModule:
         k = len(self._pruned_pos)
         return [self.lift_pruned(unit_vec(k, t)) for t in range(k)]
 
-    def annihilated_by(self, c: int) -> bool:
-        return all(d and c % d == 0 for d in self.invariant_factors)
-
     def __repr__(self):
         ring = "Z" if not self.base_modulus else f"Z/{self.base_modulus}"
         return (f"FpModule(rank={self.ambient_rank}, over {ring}, "
@@ -365,12 +350,6 @@ class ModuleHom:
 
     def __call__(self, v: Sequence[int]) -> tuple:
         return apply_matrix(v, self.matrix.rows, self.target.ambient_rank)
-
-    def then(self, other: "ModuleHom") -> "ModuleHom":
-        if other.source is not self.target:
-            raise ValueError("composition endpoint mismatch")
-        return ModuleHom(self.source, other.target, self.matrix * other.matrix,
-                         check=False)
 
     def image(self) -> "Submodule":
         return Submodule(self.target, self.matrix.rows)
@@ -615,29 +594,7 @@ def lattice_intersection(module: FpModule,
 
 
 # ---------------------------------------------------------------------------
-# direct sums and closed forms for abelian squares
-
-def direct_sum(modules: Sequence[FpModule]):
-    """Direct sum; returns (module, offsets) with one offset per summand."""
-    if modules:
-        m = modules[0].base_modulus
-        if any(x.base_modulus != m for x in modules):
-            raise ValueError("mixed base rings in a direct sum")
-    else:
-        m = 0
-    offsets = []
-    total = 0
-    for x in modules:
-        offsets.append(total)
-        total += x.ambient_rank
-    rels = []
-    for x, off in zip(modules, offsets):
-        for r in x.relations:
-            row = [0] * total
-            row[off:off + x.ambient_rank] = list(r)
-            rels.append(row)
-    return FpModule(total, rels, m), offsets
-
+# closed forms for abelian squares
 
 def merged_factors(factor_lists: Iterable[Sequence[int]]) -> tuple:
     """Invariant factors of the direct sum of diagonal modules."""

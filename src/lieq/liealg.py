@@ -20,7 +20,6 @@ from lieq.exactlin import (
     Submodule,
     apply_matrix,
     block_kernel,
-    direct_sum,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -113,7 +112,12 @@ class LieAlgebra:
     def __init__(self, module: FpModule, table, name: str = "g",
                  check: bool = True):
         n = module.ambient_rank
-        if module.orders != module.invariant_factors:
+        # Downstream code reads ambient coordinates as canonical ones: orders[i]
+        # must kill e_i, so the lattice must be spanned by the rows d_i * e_i.
+        diagonal_rows = tuple(vec_scale(d, unit_vec(n, i))
+                              for i, d in enumerate(module.orders) if d)
+        if module.orders != module.invariant_factors \
+                or module.lattice_rows != diagonal_rows:
             raise ValueError("LieAlgebra module must be in pruned diagonal form")
         self.module = module
         self.name = name
@@ -562,7 +566,7 @@ def derivations(m: LieAlgebra) -> DerivationAlgebra:
     """
     n = m.rank
     npairs = n * (n - 1) // 2
-    endo, endo_off = direct_sum([m.module] * n) if n else (FpModule(0, []), [])
+    endo = FpModule.diagonal(list(m.orders) * n, m.base_modulus)
     nblocks = n + npairs
     pair_index = {}
     idx = n
@@ -596,7 +600,7 @@ def derivations(m: LieAlgebra) -> DerivationAlgebra:
     sub = block_kernel(endo, [(m.module, [r[b * n:(b + 1) * n] for r in rows])
                               for b in range(nblocks)])
     basis = sub.basis()
-    mats = [tuple(tuple(b[endo_off[i] + j] for j in range(n)) for i in range(n))
+    mats = [tuple(tuple(b[i * n + j] for j in range(n)) for i in range(n))
             for b in basis]
     k = len(basis)
     table = [[vec_zero(k) for _ in range(k)] for _ in range(k)]

@@ -3,11 +3,12 @@
 import pytest
 
 from lieq.errors import NotAnIdeal, ValidationError
-from lieq.exactlin import unit_vec
+from lieq.exactlin import FpModule, unit_vec
 from lieq.io_catalog import Catalog
 from lieq.liealg import (
     Ideal,
     LieAction,
+    LieAlgebra,
     LieHom,
     QCrossedModule,
     adjoint_matrix,
@@ -25,6 +26,7 @@ from lieq.liealg import (
     validate,
     validate_q_crossed,
 )
+from lieq.qtensor import q_tensor_product
 
 
 def h3():
@@ -49,6 +51,19 @@ def test_validate_rejects_torsion_incompatibility():
     with pytest.raises(ValidationError) as err:
         lie_algebra([2, 0], {(0, 1): (0, 1)})
     assert any(i.kind == "torsion" for i in err.value.report.issues)
+
+
+def test_constructor_rejects_non_diagonal_module():
+    # Z/4 + Z/2 presented as 4e1, 2e2: its Smith form is (2, 4), so orders[0]
+    # does not kill e1 and downstream code would read the wrong coordinates
+    # (the q=0 tensor square came out as (2, 2, 2, 2)).
+    module = FpModule(2, [(4, 0), (0, 2)])
+    with pytest.raises(ValueError, match="pruned diagonal form"):
+        LieAlgebra(module, [[(0, 0), (2, 0)], [(-2, 0), (0, 0)]])
+    # the same Lie ring built on its canonical basis
+    g = lie_algebra([4, 2], {(0, 1): (2, 0)})
+    assert g.orders == (2, 4)
+    assert q_tensor_product(g, None, 0).invariant_factors() == (2, 2, 2, 4)
 
 
 def test_torsion_compatible_solvable_over_z2():
