@@ -1,10 +1,14 @@
-"""Pinned bytes of `lieq centers --format json`: reported generators are
-canonical, so a change of algorithm must leave these files unchanged.
+"""Pinned bytes of `lieq centers` and `lieq product` in `--format json`.
+
+Reported generators are canonical and product brackets are listed as dense
+symbol vectors, so a change of algorithm must leave these files unchanged.
 
 Regenerate a file only for an intended change of the report format:
 
     PYTHONPATH=src python3 -m lieq.cli centers catalog:NAME --q 0,2 \
         --format json > tests/golden/centers_SLUG.json
+    PYTHONPATH=src python3 -m lieq.cli product catalog:NAME --q 0,2 \
+        --kind KIND --format json > tests/golden/product_SLUG_KIND.json
 """
 
 from pathlib import Path
@@ -24,10 +28,27 @@ CASES = {
     "n4": "n4",
 }
 
+# (catalog name, product kind) -> file slug
+PRODUCT_CASES = {
+    ("heisenberg", "tensor"): "heisenberg_tensor",
+    ("heisenberg", "exterior"): "heisenberg_exterior",
+    ("heisenberg@Z/2", "tensor"): "heisenberg_mod2_tensor",
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_centers_json_golden(capsys, name):
     code = main(["centers", f"catalog:{name}", "--q", "0,2", "--format", "json"])
     assert code == 0
     want = (GOLDEN / f"centers_{CASES[name]}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("name,kind", sorted(PRODUCT_CASES))
+def test_product_json_golden(capsys, name, kind):
+    code = main(["product", f"catalog:{name}", "--q", "0,2", "--kind", kind,
+                 "--format", "json"])
+    assert code == 0
+    slug = PRODUCT_CASES[(name, kind)]
+    want = (GOLDEN / f"product_{slug}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
