@@ -76,11 +76,11 @@ def cmd_product(args) -> int:
             "brackets:",
         ]
         table = []
-        for (s, t), vec in sorted(prod._br.items()):
-            combo = " + ".join(f"{c}*{names[k]}" for k, c in enumerate(vec) if c)
+        for (s, t), row in sorted(prod._br.items()):
+            combo = " + ".join(f"{c}*{names[k]}" for k, c in row)
             lines.append(f"  [{names[s]}, {names[t]}] = {combo}")
             table.append({"left": names[s], "right": names[t],
-                          "value": list(vec)})
+                          "value": list(prod.dense_vec(row))})
         if not table:
             lines.append("  (all zero)")
         results_text.append("\n".join(lines))

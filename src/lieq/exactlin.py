@@ -269,23 +269,31 @@ class FpModule:
     def zero(self) -> tuple:
         return vec_zero(self.ambient_rank)
 
+    def _smith_coords(self, terms: Iterable) -> list:
+        """Sum of c * (row i of W) over the (i, c) terms, W the Smith columns."""
+        acc = [0] * len(self._pruned_pos)
+        cols = self._w_cols
+        for i, c in terms:
+            if c:
+                vec_addmul(acc, c, cols[i])
+        return acc
+
     def canon(self, v: Sequence[int]) -> tuple:
         """Canonical reduced coordinates (one per invariant factor)."""
-        k = len(self._pruned_pos)
-        acc = [0] * k
-        for i, c in enumerate(v):
-            if c:
-                vec_addmul(acc, c, self._w_cols[i])
+        acc = self._smith_coords(enumerate(v))
         return tuple(x % d if d else x for x, d in zip(acc, self._w_orders))
 
     def is_lattice_member(self, v: Sequence[int]) -> bool:
-        k = len(self._pruned_pos)
-        acc = [0] * k
-        for i, c in enumerate(v):
-            if c:
-                vec_addmul(acc, c, self._w_cols[i])
+        return self.is_lattice_sum(enumerate(v))
+
+    def is_lattice_sum(self, terms: Iterable) -> bool:
+        """Whether the sum of c * e_i over the (i, c) terms is in the lattice.
+
+        The sparse form of ``is_lattice_member``: a term may repeat an index,
+        and only the listed generators are visited.
+        """
         return all((x % d == 0) if d else (x == 0)
-                   for x, d in zip(acc, self._w_orders))
+                   for x, d in zip(self._smith_coords(terms), self._w_orders))
 
     def same_element(self, a: Sequence[int], b: Sequence[int]) -> bool:
         return self.is_lattice_member(vec_sub(a, b))

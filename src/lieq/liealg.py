@@ -21,6 +21,7 @@ from lieq.exactlin import (
     apply_matrix,
     block_kernel,
     unit_vec,
+    vec_addmul,
     vec_add,
     vec_is_zero,
     vec_neg,
@@ -114,12 +115,17 @@ class LieAlgebra:
         n = module.ambient_rank
         # Downstream code reads ambient coordinates as canonical ones: orders[i]
         # must kill e_i, so the lattice must be spanned by the rows d_i * e_i.
+        # Any presentation of that lattice is accepted and stored as the
+        # diagonal one.
         diagonal_rows = tuple(vec_scale(d, unit_vec(n, i))
                               for i, d in enumerate(module.orders) if d)
+        diag = module if module.lattice_rows == diagonal_rows else \
+            FpModule.diagonal(module.orders, module.base_modulus)
         if module.orders != module.invariant_factors \
-                or module.lattice_rows != diagonal_rows:
+                or not all(module.is_lattice_member(r) for r in diag.lattice_rows) \
+                or not all(diag.is_lattice_member(r) for r in module.lattice_rows):
             raise ValueError("LieAlgebra module must be in pruned diagonal form")
-        self.module = module
+        self.module = diag
         self.name = name
         full = [[vec_zero(n) for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -137,7 +143,7 @@ class LieAlgebra:
         # (kind, q, brace); products over proper ideals are not kept.
         self._memo = {}
         if check:
-            report = _validate_table(module, self.table, name)
+            report = _validate_table(self.module, self.table, name)
             if not report.ok:
                 raise ValidationError(report)
 
@@ -160,6 +166,10 @@ class LieAlgebra:
 
     # qtensor and the action machinery treat any bracketed object uniformly
     bracket_vec = bracket
+
+    def bracket_sym(self, i: int, j: int) -> tuple:
+        """[e_i, e_j] as sparse (k, c) terms, like ``QProduct.bracket_sym``."""
+        return tuple((k, c) for k, c in enumerate(self.table[i][j]) if c)
 
     def is_abelian(self) -> bool:
         return all(self.module.is_lattice_member(self.table[i][j])
@@ -387,16 +397,20 @@ class LieHom:
         return self.hom(v)
 
     def bracket_defects(self, stop_early: bool = False) -> list:
-        """Pairs where hom([x,y]) differs from [hom x, hom y]."""
+        """Generator pairs where hom([x,y]) differs from [hom x, hom y]."""
         n = self.source.module.ambient_rank
+        m = self.target.module.ambient_rank
+        images = self.hom.matrix.rows
         out = []
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = self.hom(self.source.bracket_vec(unit_vec(n, i), unit_vec(n, j)))
-                rhs = self.target.bracket_vec(self.hom(unit_vec(n, i)),
-                                              self.hom(unit_vec(n, j)))
-                if not self.target.module.is_lattice_member(vec_sub(lhs, rhs)):
-                    out.append(((i, j), vec_sub(lhs, rhs)))
+                lhs = [0] * m
+                for k, c in self.source.bracket_sym(i, j):
+                    vec_addmul(lhs, c, images[k])
+                rhs = self.target.bracket_vec(images[i], images[j])
+                diff = vec_sub(lhs, rhs)
+                if not self.target.module.is_lattice_member(diff):
+                    out.append(((i, j), diff))
                     if stop_early:
                         return out
         return out

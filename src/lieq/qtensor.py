@@ -18,6 +18,14 @@ finite instantiation spans the whole lattice; the brute-force oracle in
 The Lie bracket on symbols follows the product formulas (pure*pure,
 brace*pure, brace*brace), expanded bilinearly through structure constants;
 consistency against the lattice is checked, not assumed, and failure raises.
+
+The bracket constants are stored once, as sparse rows: each symbol pair with
+a nonzero bracket maps to its nonzero (symbol, coefficient) terms. The
+certification walks only those rows: bracket closure pairs each lattice row
+with the neighbours of its support, Jacobi visits only the triples that
+contain a bracketing pair, and sums are tested for lattice membership term
+by term (``FpModule.is_lattice_sum``), so no check builds a dense vector
+until it has a witness to report.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from lieq.exactlin import (
     tensor_square_ab,
     unit_vec,
     vec_add,
-    vec_is_zero,
     vec_neg,
     vec_scale,
     vec_sub,
@@ -58,7 +65,13 @@ from lieq.liealg import (
 
 
 class QProduct:
-    """A q-tensor or q-exterior product with its symbol bookkeeping."""
+    """A q-tensor or q-exterior product with its symbol bookkeeping.
+
+    The bracket is kept as sparse rows ``{(s, t): ((k, c), ...)}`` for
+    symbols s < t with a nonzero bracket, each row listing the nonzero
+    coefficients c of [s, t] by increasing symbol k. It is the only copy of
+    the bracket constants; the checks walk these rows, never dense vectors.
+    """
 
     def __init__(self, kind, q, algebra, ideal, module, brackets):
         self.kind = kind
@@ -70,7 +83,7 @@ class QProduct:
         self.n = algebra.rank
         self.has_braces = q >= 1
         self.nsym = module.ambient_rank
-        self._br = brackets  # {(s, t): vec} for s < t, nonzero values only
+        self._br = brackets
         self._xi = None
 
     # -- symbols --------------------------------------------------------
@@ -118,28 +131,47 @@ class QProduct:
 
     # -- bracket ------------------------------------------------------------
 
-    def bracket_sym(self, s: int, t: int) -> Optional[tuple]:
-        if s == t:
-            return None
+    def bracket_sym(self, s: int, t: int) -> tuple:
+        """[s, t] of two symbols as sparse (k, c) terms; () when zero."""
         if s < t:
-            return self._br.get((s, t))
-        w = self._br.get((t, s))
-        return vec_neg(w) if w is not None else None
+            return self._br.get((s, t), ())
+        return tuple((k, -c) for k, c in self._br.get((t, s), ()))
 
     def bracket_vec(self, u: Sequence[int], v: Sequence[int]) -> tuple:
+        br = self._br
         acc = [0] * self.nsym
+        vterms = [(t, ct) for t, ct in enumerate(v) if ct]
         for s, cs in enumerate(u):
             if not cs:
                 continue
-            for t, ct in enumerate(v):
-                if ct and s != t:
-                    w = self.bracket_sym(s, t)
-                    if w is not None:
-                        c = cs * ct
-                        for k, x in enumerate(w):
-                            if x:
-                                acc[k] += c * x
+            for t, ct in vterms:
+                if s < t:
+                    row, c = br.get((s, t)), cs * ct
+                elif s > t:
+                    row, c = br.get((t, s)), -cs * ct
+                else:
+                    continue
+                if row:
+                    for k, x in row:
+                        acc[k] += c * x
         return tuple(acc)
+
+    def _neighbours(self) -> list:
+        """Per symbol, the sorted symbols it has a nonzero bracket with."""
+        nbrs = [[] for _ in range(self.nsym)]
+        for s, t in self._br:
+            nbrs[s].append(t)
+            nbrs[t].append(s)
+        for nb in nbrs:
+            nb.sort()
+        return nbrs
+
+    def dense_vec(self, terms) -> tuple:
+        """The symbol vector of sparse (k, c) terms with distinct k."""
+        vec = [0] * self.nsym
+        for k, c in terms:
+            vec[k] = c
+        return tuple(vec)
 
     def invariant_factors(self) -> tuple:
         return self.module.invariant_factors
@@ -163,13 +195,23 @@ class QProduct:
     # -- validation ----------------------------------------------------------
 
     def bracket_closure_defects(self) -> list:
-        """Brackets of lattice generators with symbols that escape the lattice."""
+        """Brackets of lattice generators with symbols that escape the lattice.
+
+        [r, s] can be nonzero only for symbols s bracketing nontrivially with
+        some symbol in the support of r; those are visited in increasing order.
+        """
+        nbrs = self._neighbours()
+        member = self.module.is_lattice_sum
         out = []
         for r in self.module.lattice_rows:
-            for s in range(self.nsym):
-                w = self.bracket_vec(r, unit_vec(self.nsym, s))
-                if not vec_is_zero(w) and not self.module.is_lattice_member(w):
-                    out.append(w)
+            support = [(u, c) for u, c in enumerate(r) if c]
+            for s in sorted({s for u, _ in support for s in nbrs[u]}):
+                acc = {}
+                for u, cu in support:
+                    for k, x in self.bracket_sym(u, s):
+                        acc[k] = acc.get(k, 0) + cu * x
+                if any(acc.values()) and not member(acc.items()):
+                    out.append(self.dense_vec(acc.items()))
         return out
 
     def validate_bracket_well_defined(self):
@@ -180,36 +222,50 @@ class QProduct:
                 f"bracket does not preserve the relation lattice: {defects[0]}")
 
     def jacobi_defects(self, stop_early: bool = False) -> list:
-        """Witnesses of Jacobi failures modulo the lattice (expected: none)."""
+        """Witnesses of Jacobi failures modulo the lattice (expected: none).
+
+        Only triples s < t < r containing a nonzero pair can fail, since every
+        term of the Jacobi sum has an inner bracket of two of them. They are
+        streamed in lexicographic order: all r > t when [s, t] is nonzero,
+        else the neighbours of s or t beyond t.
+        """
+        br = self._br
+        nsym = self.nsym
+        nbrs = self._neighbours()
+        member = self.module.is_lattice_sum
         out = []
-        touched = set()
-        for (s, t) in self._br:
-            touched.add(s)
-            touched.add(t)
-        for s in range(self.nsym):
-            for t in range(s + 1, self.nsym):
-                for r in range(t + 1, self.nsym):
-                    # an inner bracket is nonzero only between touched symbols
-                    if len(touched.intersection((s, t, r))) < 2:
-                        continue
-                    acc = [0] * self.nsym
-                    for (x, y, z) in ((s, t, r), (t, r, s), (r, s, t)):
-                        inner = self.bracket_sym(x, y)
+        for s in range(nsym):
+            nb_s = nbrs[s]
+            for t in range(s + 1, nsym):
+                if (s, t) in br:
+                    third = range(t + 1, nsym)
+                else:
+                    third = sorted({r for r in nb_s if r > t}.union(
+                        r for r in nbrs[t] if r > t))
+                for r in third:
+                    acc = {}
+                    # [[s,t],r] + [[t,r],s] + [[r,s],t]; each inner row is
+                    # signed by the order of its pair
+                    for x, y, z, sign in ((s, t, r, 1), (t, r, s, 1),
+                                          (s, r, t, -1)):
+                        inner = br.get((x, y))
                         if inner is None:
                             continue
-                        for u, cu in enumerate(inner):
-                            if cu:
-                                w = self.bracket_sym(u, z)
-                                if w is not None:
-                                    for k, xx in enumerate(w):
-                                        if xx:
-                                            acc[k] += cu * xx
-                    if vec_is_zero(acc):
+                        for u, cu in inner:
+                            if u < z:
+                                row, c = br.get((u, z)), sign * cu
+                            elif u > z:
+                                row, c = br.get((z, u)), -sign * cu
+                            else:
+                                continue
+                            if row:
+                                for k, xx in row:
+                                    acc[k] = acc.get(k, 0) + c * xx
+                    if not any(acc.values()) or member(acc.items()):
                         continue
-                    if not self.module.is_lattice_member(acc):
-                        out.append(((s, t, r), tuple(acc)))
-                        if stop_early:
-                            return out
+                    out.append(((s, t, r), self.dense_vec(acc.items())))
+                    if stop_early:
+                        return out
         return out
 
     def __repr__(self):
@@ -234,14 +290,15 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
     def brace(i):
         return p * n + i
 
+    def tensor_terms(hcoords, gvec, scale=1):
+        """Sparse symbol terms of (ideal coordinates)(x)(parent vector)."""
+        return [(i * n + j, scale * a * b) for i, a in enumerate(hcoords) if a
+                for j, b in enumerate(gvec) if b]
+
     def tensor_vec(hcoords, gvec, scale=1):
         acc = [0] * nsym
-        for i, a in enumerate(hcoords):
-            if a:
-                base = i * n
-                for j, b in enumerate(gvec):
-                    if b:
-                        acc[base + j] += scale * a * b
+        for k, c in tensor_terms(hcoords, gvec, scale):
+            acc[k] = c
         return acc
 
     # [b_i, e_j] once, in both parent and ideal coordinates
@@ -331,47 +388,42 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
 
     module = FpModule(nsym, rels, g.base_modulus)
 
-    # bracket constants on symbols
+    # bracket constants on symbols, as sparse rows
     brackets = {}
 
-    def set_bracket(s, t, vec):
-        if s == t:
-            return
-        if s > t:
-            s, t = t, s
-            vec = vec_neg(vec)
-        if not vec_is_zero(vec):
-            brackets[(s, t)] = tuple(vec)
+    def set_bracket(s, t, terms):
+        acc = {}
+        for k, c in terms:
+            acc[k] = acc.get(k, 0) + c
+        sign = 1 if s < t else -1
+        row = tuple((k, sign * c) for k, c in sorted(acc.items()) if c)
+        if row:
+            brackets[(min(s, t), max(s, t))] = row
 
     for i in range(p):
         for j in range(n):
             left = br_ideal[i][j]
-            if all(x == 0 for x in left):
+            if not any(left):
                 continue
             s = pure(i, j)
             for k in range(p):
                 for l in range(n):
                     t = pure(k, l)
-                    if t <= s:
-                        continue
-                    right = br_big[k][l]
-                    if all(x == 0 for x in right):
-                        continue
-                    set_bracket(s, t, tensor_vec(left, right))
+                    if t > s and any(br_big[k][l]):
+                        set_bracket(s, t, tensor_terms(left, br_big[k][l]))
     if braces:
         q2 = q * q
         for i in range(p):
             for k in range(p):
                 for l in range(n):
                     # [{b_i}, b_k(x)e_l] = q[b_i,b_k](x)e_l + b_k(x)q[b_i,e_l]
-                    row = tensor_vec(h.bb[i][k], unit_vec(n, l), q)
-                    acc2 = tensor_vec(unit_vec(p, k), br_big[i][l], q)
-                    vec = [a + b for a, b in zip(row, acc2)]
-                    set_bracket(brace(i), pure(k, l), vec)
+                    set_bracket(brace(i), pure(k, l),
+                                tensor_terms(h.bb[i][k], unit_vec(n, l), q)
+                                + tensor_terms(unit_vec(p, k), br_big[i][l], q))
             for k in range(i + 1, p):
                 # [{b_i}, {b_k}] = q b_i (x) q b_k
                 set_bracket(brace(i), brace(k),
-                            tensor_vec(unit_vec(p, i), h.basis[k], q2))
+                            tensor_terms(unit_vec(p, i), h.basis[k], q2))
 
     # Ideal closure: the module of a Lie-algebra presentation is the symbol
     # span modulo the whole Lie ideal of the relations, so brackets of
@@ -474,11 +526,11 @@ def product_action(prod: QProduct):
 
 def curly_image(prod: QProduct) -> Submodule:
     """The brace-free part: the subalgebra spanned by the pure symbols."""
-    for (s, t), w in prod._br.items():
-        for k in range(prod.p * prod.n, prod.nsym):
-            if w[k]:
-                raise BracketNotWellDefined(
-                    "pure bracket produced a brace component")
+    first_brace = prod.p * prod.n
+    for row in prod._br.values():
+        if any(k >= first_brace for k, _ in row):
+            raise BracketNotWellDefined(
+                "pure bracket produced a brace component")
     return Submodule(prod.module, prod.pure_units())
 
 
@@ -759,8 +811,8 @@ def abelian_square_check(g: LieAlgebra, q: int) -> AbelianSquareReport:
         raise NotAbelianInput(f"{g.name} has a nonzero bracket")
     pt = q_tensor_product(g, None, q)
     pe = q_exterior_product(g, None, q)
-    abelian = all(pt.module.is_lattice_member(w) for w in pt._br.values()) and \
-        all(pe.module.is_lattice_member(w) for w in pe._br.values())
+    abelian = all(pt.module.is_lattice_sum(w) for w in pt._br.values()) and \
+        all(pe.module.is_lattice_sum(w) for w in pe._br.values())
     if q >= 1:
         gq, _ = quotient(g.module, Submodule(
             g.module, [vec_scale(q, unit_vec(g.rank, i)) for i in range(g.rank)]))

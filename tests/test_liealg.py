@@ -66,6 +66,15 @@ def test_constructor_rejects_non_diagonal_module():
     assert q_tensor_product(g, None, 0).invariant_factors() == (2, 2, 2, 4)
 
 
+def test_constructor_accepts_any_presentation_of_a_diagonal_lattice():
+    # 2Z x 4Z given as 2e1 + 4e2, 4e2: the Hermite rows are not the d_i * e_i
+    module = FpModule(2, [(2, 4), (0, 4)])
+    assert module.lattice_rows == ((2, 4), (0, 4))
+    g = LieAlgebra(module, [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
+    assert g.module.lattice_rows == ((2, 0), (0, 4))
+    assert q_tensor_product(g, None, 0).invariant_factors() == (2, 2, 2, 4)
+
+
 def test_torsion_compatible_solvable_over_z2():
     g = lie_algebra([2, 2], {(0, 1): (0, 1)}, 2, "solv")
     assert validate(g).ok

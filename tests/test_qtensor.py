@@ -1,12 +1,15 @@
 """Products, xi maps, actions, the quadratic functor, and the sequence checks."""
 
+import random
+
 import pytest
 
-from lieq.errors import NotAbelianInput
+from lieq.errors import BracketNotWellDefined, NotAbelianInput
 from lieq.exactlin import FpModule, unit_vec
 from lieq.io_catalog import Catalog
 from lieq.liealg import Ideal, center, hash_product, ideal_from_gens, lie_algebra, validate_q_crossed
 from lieq.qtensor import (
+    QProduct,
     abelian_square_check,
     check_brace_identity,
     curly_image,
@@ -259,3 +262,113 @@ def test_projection_kernel_is_generated_by_alternating_instances():
                     gens.append(tuple(row))
             from lieq.exactlin import Submodule
             assert proj.kernel().same(Submodule(pt.module, gens)), (name, q)
+
+
+# -- sparse bracket checks against a dense reference ---------------------------
+
+def _dense_brackets(prod):
+    """The bracket rows of a product as dense vectors, keyed (s, t), s < t."""
+    out = {}
+    for key, row in prod._br.items():
+        vec = [0] * prod.nsym
+        for k, c in row:
+            vec[k] = c
+        out[key] = vec
+    return out
+
+
+def _dense_bracket(br, s, t):
+    """[s, t] of two symbols as a dense vector, or None when zero."""
+    if s < t:
+        return br.get((s, t))
+    w = br.get((t, s))
+    return None if w is None else [-x for x in w]
+
+
+def dense_closure_defects(prod):
+    br = _dense_brackets(prod)
+    n = prod.nsym
+    out = []
+    for r in prod.module.lattice_rows:
+        for s in range(n):
+            acc = [0] * n
+            for u, cu in enumerate(r):
+                w = _dense_bracket(br, u, s) if cu and u != s else None
+                for k, x in enumerate(w or ()):
+                    acc[k] += cu * x
+            if any(acc) and not prod.module.is_lattice_member(acc):
+                out.append(tuple(acc))
+    return out
+
+
+def dense_jacobi_defects(prod):
+    """Every triple s < t < r with two symbols in some bracket (the rest sum to 0)."""
+    br = _dense_brackets(prod)
+    n = prod.nsym
+    touched = {s for pair in br for s in pair}
+    out = []
+    for s in range(n):
+        for t in range(s + 1, n):
+            for r in range(t + 1, n):
+                if len(touched.intersection((s, t, r))) < 2:
+                    continue
+                acc = [0] * n
+                for x, y, z in ((s, t, r), (t, r, s), (r, s, t)):
+                    for u, cu in enumerate(_dense_bracket(br, x, y) or ()):
+                        w = _dense_bracket(br, u, z) if cu and u != z else None
+                        for k, xx in enumerate(w or ()):
+                            acc[k] += cu * xx
+                if any(acc) and not prod.module.is_lattice_member(acc):
+                    out.append(((s, t, r), tuple(acc)))
+    return out
+
+
+def _corrupted(prod, rng):
+    """The product with 1-3 random bracket coefficients shifted."""
+    br = dict(prod._br)
+    for _ in range(rng.randint(1, 3)):
+        s, t = sorted(rng.sample(range(prod.nsym), 2))
+        row = dict(br.get((s, t), ()))
+        k = rng.randrange(prod.nsym)
+        row[k] = row.get(k, 0) + rng.choice((-2, -1, 1, 2))
+        row = tuple((k, c) for k, c in sorted(row.items()) if c)
+        if row:
+            br[(s, t)] = row
+        else:
+            br.pop((s, t), None)
+    return QProduct(prod.kind, prod.q, prod.algebra, prod.ideal, prod.module, br)
+
+
+def test_sparse_checks_match_dense_reference():
+    rng = random.Random(20230601)
+    nonempty = 0
+    for name in ("n4", "heisenberg", "heisenberg@Z/2"):
+        g = Catalog.get(name)
+        for q in (0, 2):
+            for build in (q_tensor_product, q_exterior_product):
+                prod = build(g, None, q)
+                assert prod.bracket_closure_defects() == []
+                assert prod.jacobi_defects() == []
+                for _ in range(2):
+                    bad = _corrupted(prod, rng)
+                    closure = bad.bracket_closure_defects()
+                    jacobi = bad.jacobi_defects()
+                    assert closure == dense_closure_defects(bad), (name, q)
+                    assert jacobi == dense_jacobi_defects(bad), (name, q)
+                    assert bad.jacobi_defects(stop_early=True) == jacobi[:1]
+                    nonempty += bool(closure) + bool(jacobi)
+    assert nonempty >= 10
+
+
+def test_corrupted_bracket_trips_closure_and_jacobi():
+    g = Catalog.get("heisenberg")
+    prod = q_tensor_product(g, None, 0)
+    # [b1(x)e1, b3(x)e3] := b1(x)e1, while b3(x)e3 lies in the lattice
+    assert prod.module.is_lattice_member(unit_vec(9, 8))
+    br = dict(prod._br)
+    br[(0, 8)] = ((0, 1),)
+    bad = QProduct("tensor", 0, g, prod.ideal, prod.module, br)
+    with pytest.raises(BracketNotWellDefined):
+        bad.validate_bracket_well_defined()
+    assert bad.jacobi_defects(stop_early=True) == [
+        ((0, 1, 3), (1, 0, 0, 0, 0, 0, 0, 0, 0))]
