@@ -222,7 +222,7 @@ class FpModule:
             raise ValueError("negative ambient rank")
         if m < 0 or m == 1:
             raise ValueError("base modulus must be 0 (ring Z) or >= 2 (ring Z/m)")
-        rels = [tuple(int(x) for x in r) for r in relations]
+        rels = [tuple(map(int, r)) for r in relations]
         for r in rels:
             if len(r) != n:
                 raise ValueError("relation length does not match ambient rank")

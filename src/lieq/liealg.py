@@ -64,6 +64,11 @@ class ValidationReport:
         return f"{self.subject}: {head}{more}"
 
 
+def _terms(vec: Sequence[int]) -> tuple:
+    """The nonzero (k, c) terms of a dense vector."""
+    return tuple((k, c) for k, c in enumerate(vec) if c)
+
+
 def _bracket_of_vectors(table, u, v, n):
     """Bilinear expansion of [u, v] through an antisymmetric table."""
     acc = [0] * n
@@ -169,7 +174,7 @@ class LieAlgebra:
 
     def bracket_sym(self, i: int, j: int) -> tuple:
         """[e_i, e_j] as sparse (k, c) terms, like ``QProduct.bracket_sym``."""
-        return tuple((k, c) for k, c in enumerate(self.table[i][j]) if c)
+        return _terms(self.table[i][j])
 
     def is_abelian(self) -> bool:
         return all(self.module.is_lattice_member(self.table[i][j])
@@ -425,76 +430,152 @@ class LieHom:
 # ---------------------------------------------------------------------------
 # actions and crossed modules
 
+def _sparse_constant(entry, n: int) -> tuple:
+    """An action constant as nonzero (k, c) terms by increasing k.
+
+    ``entry`` is a dense length-n vector or (k, c) terms, repeats summed.
+    """
+    entry = tuple(entry)
+    if entry and isinstance(entry[0], int):
+        if len(entry) != n:
+            raise ValueError("action constant has the wrong length")
+        return tuple((k, int(c)) for k, c in enumerate(entry) if c)
+    acc = {}
+    for k, c in entry:
+        if not 0 <= k < n:
+            raise ValueError("action constant index out of range")
+        acc[k] = acc.get(k, 0) + int(c)
+    return tuple((k, c) for k, c in sorted(acc.items()) if c)
+
+
+def _add_terms(acc: dict, c: int, terms) -> None:
+    """acc += c * terms, accumulating sparse (k, x) terms by index."""
+    for k, x in terms:
+        acc[k] = acc.get(k, 0) + c * x
+
+
+def _witness(module: FpModule, acc: dict) -> Optional[tuple]:
+    """The dense vector of ``acc`` if it escapes the lattice, else None."""
+    if not any(acc.values()) or module.is_lattice_sum(acc.items()):
+        return None
+    vec = [0] * module.ambient_rank
+    for k, c in acc.items():
+        vec[k] = c
+    return tuple(vec)
+
+
 class LieAction:
     """A left action of an algebra on a bracketed module object.
 
-    ``constants[i][j]`` is the acted-coordinate vector of e_i acting on the
-    j-th generator of the acted object.
+    ``constants[i][j]`` is e_i acting on the j-th generator of the acted
+    object, stored as sparse rows ((k, c), ...): the nonzero acted
+    coordinates c by increasing k. Callers may pass each entry either as such
+    terms (a repeated k is summed) or as a dense coordinate vector. The acted
+    object needs ``.module`` and ``.bracket_sym``, like ``LieHom``'s source.
+
+    The constants are immutable, so the validation report is computed once,
+    by the first ``validate`` call (``check=True`` makes it at construction);
+    later calls return copies of it. The checks walk only nonzero constants
+    and brackets and build a dense witness only for a defect.
     """
 
     def __init__(self, actor: LieAlgebra, acted, constants, check: bool = True):
         self.actor = actor
         self.acted = acted
-        self.constants = tuple(tuple(tuple(int(x) for x in c) for c in row)
-                               for row in constants)
+        nh = acted.module.ambient_rank
+        rows = [list(row) for row in constants]
+        if len(rows) != actor.rank or any(len(row) != nh for row in rows):
+            raise ValueError("action constants must be actor rank by acted rank")
+        self.constants = tuple(tuple(_sparse_constant(c, nh) for c in row)
+                               for row in rows)
+        self._report = None
         if check:
             report = self.validate()
             if not report.ok:
                 raise ValidationError(report)
 
     def act(self, gvec: Sequence[int], hvec: Sequence[int]) -> tuple:
-        nh = self.acted.module.ambient_rank
-        acc = [0] * nh
+        acc = [0] * self.acted.module.ambient_rank
+        hterms = _terms(hvec)
         for i, ci in enumerate(gvec):
             if not ci:
                 continue
             row = self.constants[i]
-            for j, cj in enumerate(hvec):
-                if cj:
-                    c = ci * cj
-                    for k, x in enumerate(row[j]):
-                        if x:
-                            acc[k] += c * x
+            for j, cj in hterms:
+                c = ci * cj
+                for k, x in row[j]:
+                    acc[k] += c * x
         return tuple(acc)
 
     def validate(self) -> ValidationReport:
+        """The action's report, computed on the first call only."""
+        if self._report is None:
+            self._report = self._check()
+        return ValidationReport(self._report.subject, list(self._report.issues))
+
+    def _check(self) -> ValidationReport:
+        """Both relation lattices are respected, and the two action axioms."""
         report = ValidationReport("LieAction")
         g, hmod = self.actor, self.acted.module
         n = g.rank
         nh = hmod.ambient_rank
+        C = self.constants
         for r in g.module.lattice_rows:
+            support = _terms(r)
             for j in range(nh):
-                w = self.act(r, unit_vec(nh, j))
-                if not hmod.is_lattice_member(w):
+                acc = {}
+                for i, ci in support:
+                    _add_terms(acc, ci, C[i][j])
+                w = _witness(hmod, acc)
+                if w is not None:
                     report.add("action-actor-relations", (tuple(r), j), w)
         for s in hmod.lattice_rows:
+            support = _terms(s)
             for i in range(n):
-                w = self.act(unit_vec(n, i), s)
-                if not hmod.is_lattice_member(w):
+                acc = {}
+                for j, cj in support:
+                    _add_terms(acc, cj, C[i][j])
+                w = _witness(hmod, acc)
+                if w is not None:
                     report.add("action-acted-relations", (i, tuple(s)), w)
+        # [e_i, e_k].h_j - e_i.(e_k.h_j) + e_k.(e_i.h_j)
         for i in range(n):
-            ei = unit_vec(n, i)
             for k in range(i + 1, n):
-                ek = unit_vec(n, k)
+                bik = g.bracket_sym(i, k)
                 for j in range(nh):
-                    ej = unit_vec(nh, j)
-                    lhs = self.act(g.table[i][k], ej)
-                    rhs = vec_sub(self.act(ei, self.act(ek, ej)),
-                                  self.act(ek, self.act(ei, ej)))
-                    if not hmod.is_lattice_member(vec_sub(lhs, rhs)):
-                        report.add("action-axiom-1", (i, k, j), vec_sub(lhs, rhs))
+                    cij, ckj = C[i][j], C[k][j]
+                    if not (bik or cij or ckj):
+                        continue
+                    acc = {}
+                    for m, c in bik:
+                        _add_terms(acc, c, C[m][j])
+                    for l, c in ckj:
+                        _add_terms(acc, -c, C[i][l])
+                    for l, c in cij:
+                        _add_terms(acc, c, C[k][l])
+                    w = _witness(hmod, acc)
+                    if w is not None:
+                        report.add("action-axiom-1", (i, k, j), w)
+        # e_i.[h_j, h_l] - [e_i.h_j, h_l] - [h_j, e_i.h_l]
+        br = [[self.acted.bracket_sym(j, l) for l in range(nh)] for j in range(nh)]
         for i in range(n):
-            ei = unit_vec(n, i)
+            ci = C[i]
             for j in range(nh):
-                ej = unit_vec(nh, j)
-                aij = self.act(ei, ej)
+                cij = ci[j]
                 for l in range(j + 1, nh):
-                    el = unit_vec(nh, l)
-                    lhs = self.act(ei, self.acted.bracket_vec(ej, el))
-                    rhs = vec_add(self.acted.bracket_vec(aij, el),
-                                  self.acted.bracket_vec(ej, self.act(ei, el)))
-                    if not hmod.is_lattice_member(vec_sub(lhs, rhs)):
-                        report.add("action-axiom-2", (i, j, l), vec_sub(lhs, rhs))
+                    bjl, cil = br[j][l], ci[l]
+                    if not (bjl or cij or cil):
+                        continue
+                    acc = {}
+                    for m, c in bjl:
+                        _add_terms(acc, c, ci[m])
+                    for m, c in cij:
+                        _add_terms(acc, -c, br[m][l])
+                    for m, c in cil:
+                        _add_terms(acc, -c, br[j][m])
+                    w = _witness(hmod, acc)
+                    if w is not None:
+                        report.add("action-axiom-2", (i, j, l), w)
         return report
 
 
@@ -511,34 +592,43 @@ class QCrossedModule:
 
 
 def validate_q_crossed(xm: QCrossedModule) -> ValidationReport:
-    """Equivariance, Peiffer identity and q-torsion of the kernel."""
+    """Equivariance, Peiffer identity and q-torsion of the kernel.
+
+    The action's own issues come first, from its report computed once.
+    """
     report = ValidationReport("QCrossedModule")
-    act_report = xm.action.validate()
-    report.issues.extend(act_report.issues)
+    report.issues.extend(xm.action.validate().issues)
     mu, action, q = xm.mu, xm.action, xm.q
     g = action.actor
     acted = action.acted
+    C = action.constants
     n = g.rank
     nh = acted.module.ambient_rank
+    images = [_terms(row) for row in mu.hom.matrix.rows]  # mu(h_j), sparse
+    # mu(e_i.h_j) - [e_i, mu(h_j)]
     for i in range(n):
-        ei = unit_vec(n, i)
         for j in range(nh):
-            ej = unit_vec(nh, j)
-            lhs = mu(action.act(ei, ej))
-            rhs = g.bracket(ei, mu(ej))
-            if not g.module.is_lattice_member(vec_sub(lhs, rhs)):
-                report.add("crossed-i", (i, j), vec_sub(lhs, rhs))
+            acc = {}
+            for k, c in C[i][j]:
+                _add_terms(acc, c, images[k])
+            for m, c in images[j]:
+                _add_terms(acc, -c, g.bracket_sym(i, m))
+            w = _witness(g.module, acc)
+            if w is not None:
+                report.add("crossed-i", (i, j), w)
+    # mu(h_j).h_l - [h_j, h_l]
     for j in range(nh):
-        ej = unit_vec(nh, j)
-        mj = mu(ej)
+        mj = images[j]
         for l in range(nh):
             if l == j:
                 continue
-            el = unit_vec(nh, l)
-            lhs = action.act(mj, el)
-            rhs = acted.bracket_vec(ej, el)
-            if not acted.module.is_lattice_member(vec_sub(lhs, rhs)):
-                report.add("crossed-ii", (j, l), vec_sub(lhs, rhs))
+            acc = {}
+            for m, c in mj:
+                _add_terms(acc, c, C[m][l])
+            _add_terms(acc, -1, acted.bracket_sym(j, l))
+            w = _witness(acted.module, acc)
+            if w is not None:
+                report.add("crossed-ii", (j, l), w)
     for kgen in mu.kernel().gens:
         w = vec_scale(q, kgen)
         if not acted.module.is_lattice_member(w):
@@ -652,7 +742,9 @@ def inner_q_derivations(m: LieAlgebra, q: int):
     ider.name = f"IDer({m.name},{q})"
     lifts = proj.section_vectors
     n = m.rank
-    constants = [[m.bracket(lift, unit_vec(n, j)) for j in range(n)]
+    # [lift, e_j] as sparse terms, straight from the bracket rows
+    constants = [[[(k, c * x) for i, c in enumerate(lift) if c
+                   for k, x in m.bracket_sym(i, j)] for j in range(n)]
                  for lift in lifts]
     action = LieAction(ider, m, constants, check=True)
     xm = QCrossedModule(proj, action, q)

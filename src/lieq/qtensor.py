@@ -51,7 +51,6 @@ from lieq.exactlin import (
     vec_add,
     vec_neg,
     vec_scale,
-    vec_sub,
 )
 from lieq.liealg import (
     Ideal,
@@ -481,43 +480,41 @@ def check_brace_identity(prod: QProduct):
     """{xi(x)} == q x for every ambient generator; returns (ok, witnesses)."""
     if not prod.has_braces:
         raise ValueError("brace identity needs q >= 1")
-    ximap = prod.xi()
+    member = prod.module.is_lattice_sum
     witnesses = []
-    for s in range(prod.nsym):
-        x = unit_vec(prod.nsym, s)
-        img = ximap(x)
+    for s, img in enumerate(prod.xi().hom.matrix.rows):
         coords = prod.ideal.coords(img)
         if coords is None:
             witnesses.append((s, img))
             continue
-        lhs = prod.brace_of(coords)
-        if not prod.module.is_lattice_member(vec_sub(lhs, vec_scale(prod.q, x))):
-            witnesses.append((s, vec_sub(lhs, vec_scale(prod.q, x))))
+        # {xi(s)} - q s as sparse symbol terms
+        terms = [(prod.sym_brace(i), a) for i, a in enumerate(coords) if a]
+        terms.append((s, -prod.q))
+        if not member(terms):
+            w = list(prod.brace_of(coords))
+            w[s] -= prod.q
+            witnesses.append((s, tuple(w)))
     return not witnesses, witnesses
 
 
 def product_action(prod: QProduct):
-    """The parent action on the product, packaged with xi as a crossed module."""
+    """The parent action on the product, packaged with xi as a crossed module.
+
+    e_a acts on b_i(x)e_j as [e_a, b_i](x)e_j + b_i(x)[e_a, e_j], and on {b_i}
+    as {[e_a, b_i]}; the constants are written as sparse symbol terms.
+    """
     g = prod.algebra
     h = prod.ideal
     n, p = prod.n, prod.p
     constants = []
     for a in range(n):
-        ea = unit_vec(n, a)
-        row = []
-        for i in range(p):
-            ai = h.gb[a][i]  # [e_a, b_i] in ideal coordinates
-            for j in range(n):
-                vec = list(prod.tensor_of(ai, unit_vec(n, j)))
-                cj = g.table[a][j]
-                base = i * n
-                for k, x in enumerate(cj):
-                    if x:
-                        vec[base + k] += x
-                row.append(tuple(vec))
+        # [e_a, b_i] in ideal coordinates, as sparse terms
+        ab = [[(m, c) for m, c in enumerate(h.gb[a][i]) if c] for i in range(p)]
+        row = [[(prod.sym_pure(m, j), c) for m, c in ab[i]]
+               + [(prod.sym_pure(i, k), x) for k, x in g.bracket_sym(a, j)]
+               for i in range(p) for j in range(n)]
         if prod.has_braces:
-            for i in range(p):
-                row.append(prod.brace_of(h.gb[a][i]))
+            row += [[(prod.sym_brace(m), c) for m, c in ab[i]] for i in range(p)]
         constants.append(row)
     action = LieAction(g, prod, constants, check=True)
     xm = QCrossedModule(prod.xi(), action, prod.q)

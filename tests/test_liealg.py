@@ -239,6 +239,68 @@ def test_crossed_module_condition_iii_fails():
     assert any(i.kind == "crossed-iii" for i in rep.issues)
 
 
+# Each action and crossed-module safety net fires on one pinned input; the
+# issue lists are pinned whole, so no other check fires alongside.
+
+def _issues(report):
+    return [(i.kind, i.where, i.witness) for i in report.issues]
+
+
+def test_action_actor_relations_fire():
+    # Z/2 acting on Z by the identity: 2 e1 acts as 2, not 0
+    z2, z = lie_algebra([2], {}, 0, "Z/2"), lie_algebra([0], {}, 0, "Z")
+    action = LieAction(z2, z, [[(1,)]], check=False)
+    assert _issues(action.validate()) == [
+        ("action-actor-relations", ((2,), 0), (2,))]
+    with pytest.raises(ValidationError):
+        LieAction(z2, z, [[(1,)]])
+
+
+def test_action_acted_relations_fire():
+    # Z sending the order-2 generator of Z/2 + Z to the free one
+    z = lie_algebra([0], {}, 0, "Z")
+    mixed = lie_algebra([0, 2], {}, 0, "Z/2+Z")
+    assert mixed.orders == (2, 0)
+    action = LieAction(z, mixed, [[((1, 1),), ()]], check=False)
+    assert _issues(action.validate()) == [
+        ("action-acted-relations", (0, (2, 0)), (0, 2))]
+
+
+def test_action_axiom_1_fires():
+    # heisenberg acting on Z with only the central e3 acting nontrivially
+    z = lie_algebra([0], {}, 0, "Z")
+    action = LieAction(h3(), z, [[(0,)], [(0,)], [(1,)]], check=False)
+    assert _issues(action.validate()) == [("action-axiom-1", (0, 1, 0), (1,))]
+
+
+def test_action_axiom_2_fires():
+    # Z acting on heisenberg by the identity map, which is no derivation
+    g = h3()
+    z = lie_algebra([0], {}, 0, "Z")
+    action = LieAction(z, g, [[unit_vec(3, j) for j in range(3)]], check=False)
+    assert _issues(action.validate()) == [
+        ("action-axiom-2", (0, 0, 1), (0, 0, -1))]
+
+
+def test_crossed_module_condition_i_fails():
+    # Z acting on Z by the identity, mu the identity: mu is not equivariant
+    z = lie_algebra([0], {}, 0, "Z")
+    action = LieAction(z, z, [[(1,)]])
+    mu = LieHom(z, z, [[1]])
+    assert _issues(validate_q_crossed(QCrossedModule(mu, action, 0))) == [
+        ("crossed-i", (0, 0), (1,))]
+
+
+def test_crossed_module_condition_ii_fails():
+    # the adjoint action of heisenberg on itself with mu zero: no Peiffer identity
+    g = h3()
+    constants = [[g.bracket_sym(i, j) for j in range(3)] for i in range(3)]
+    action = LieAction(g, g, constants)
+    mu = LieHom(g, g, [[0, 0, 0]] * 3)
+    assert _issues(validate_q_crossed(QCrossedModule(mu, action, 0))) == [
+        ("crossed-ii", (0, 1), (0, 0, -1)), ("crossed-ii", (1, 0), (0, 0, 1))]
+
+
 def test_direct_sum_algebras():
     g = direct_sum_algebras(Catalog.get("Z/2"), h3())
     assert g.rank == 4
@@ -255,3 +317,14 @@ def test_quotient_factors_split_for_abelian_summands():
         h = ideal_from_gens(g, gens)
         q, _ = quotient_algebra(g, h)
         assert merged_factors([h.orders, q.orders]) == g.orders, keep
+
+
+def test_action_rejects_misshapen_constants():
+    z = lie_algebra([0], {}, 0, "Z")
+    g = h3()
+    with pytest.raises(ValueError):
+        LieAction(z, g, [[(0, 0, 0)] * 2])  # one constant short
+    with pytest.raises(ValueError):
+        LieAction(z, g, [[(0, 0)] * 3])  # dense constants of the wrong length
+    with pytest.raises(ValueError):
+        LieAction(z, g, [[((3, 1),), (), ()]])  # sparse index out of range

@@ -5,9 +5,20 @@ import random
 import pytest
 
 from lieq.errors import BracketNotWellDefined, NotAbelianInput
-from lieq.exactlin import FpModule, unit_vec
+from lieq.exactlin import FpModule, unit_vec, vec_add, vec_sub
 from lieq.io_catalog import Catalog
-from lieq.liealg import Ideal, center, hash_product, ideal_from_gens, lie_algebra, validate_q_crossed
+from lieq.liealg import (
+    Ideal,
+    LieAction,
+    QCrossedModule,
+    ValidationReport,
+    center,
+    hash_product,
+    ideal_from_gens,
+    inner_q_derivations,
+    lie_algebra,
+    validate_q_crossed,
+)
 from lieq.qtensor import (
     QProduct,
     abelian_square_check,
@@ -372,3 +383,121 @@ def test_corrupted_bracket_trips_closure_and_jacobi():
         bad.validate_bracket_well_defined()
     assert bad.jacobi_defects(stop_early=True) == [
         ((0, 1, 3), (1, 0, 0, 0, 0, 0, 0, 0, 0))]
+
+
+def dense_action_report(action):
+    """The action checks on dense unit vectors, through ``act`` and ``bracket_vec``."""
+    report = ValidationReport("LieAction")
+    act = action.act
+    g, acted, hmod = action.actor, action.acted, action.acted.module
+    n, nh = g.rank, hmod.ambient_rank
+    for r in g.module.lattice_rows:
+        for j in range(nh):
+            w = act(r, unit_vec(nh, j))
+            if not hmod.is_lattice_member(w):
+                report.add("action-actor-relations", (tuple(r), j), w)
+    for s in hmod.lattice_rows:
+        for i in range(n):
+            w = act(unit_vec(n, i), s)
+            if not hmod.is_lattice_member(w):
+                report.add("action-acted-relations", (i, tuple(s)), w)
+    for i in range(n):
+        ei = unit_vec(n, i)
+        for k in range(i + 1, n):
+            ek = unit_vec(n, k)
+            for j in range(nh):
+                ej = unit_vec(nh, j)
+                w = vec_sub(act(g.table[i][k], ej),
+                            vec_sub(act(ei, act(ek, ej)), act(ek, act(ei, ej))))
+                if not hmod.is_lattice_member(w):
+                    report.add("action-axiom-1", (i, k, j), w)
+    for i in range(n):
+        ei = unit_vec(n, i)
+        for j in range(nh):
+            ej = unit_vec(nh, j)
+            for l in range(j + 1, nh):
+                el = unit_vec(nh, l)
+                w = vec_sub(act(ei, acted.bracket_vec(ej, el)),
+                            vec_add(acted.bracket_vec(act(ei, ej), el),
+                                    acted.bracket_vec(ej, act(ei, el))))
+                if not hmod.is_lattice_member(w):
+                    report.add("action-axiom-2", (i, j, l), w)
+    return report
+
+
+def dense_crossed_report(xm):
+    """The crossed-module checks on dense unit vectors, after the action's."""
+    report = ValidationReport("QCrossedModule")
+    report.issues.extend(dense_action_report(xm.action).issues)
+    mu, action, acted = xm.mu, xm.action, xm.action.acted
+    g = action.actor
+    n, nh = g.rank, acted.module.ambient_rank
+    for i in range(n):
+        ei = unit_vec(n, i)
+        for j in range(nh):
+            ej = unit_vec(nh, j)
+            w = vec_sub(mu(action.act(ei, ej)), g.bracket(ei, mu(ej)))
+            if not g.module.is_lattice_member(w):
+                report.add("crossed-i", (i, j), w)
+    for j in range(nh):
+        ej = unit_vec(nh, j)
+        for l in range(nh):
+            if l != j:
+                el = unit_vec(nh, l)
+                w = vec_sub(action.act(mu(ej), el),
+                            acted.bracket_vec(ej, el))
+                if not acted.module.is_lattice_member(w):
+                    report.add("crossed-ii", (j, l), w)
+    for kgen in mu.kernel().gens:
+        w = tuple(xm.q * x for x in kgen)
+        if not acted.module.is_lattice_member(w):
+            report.add("crossed-iii", (tuple(kgen),), w)
+    return report
+
+
+def _corrupted_crossed(xm, rng):
+    """The crossed module with 1-3 random action constants shifted."""
+    action = xm.action
+    nh = action.acted.module.ambient_rank
+    constants = [list(row) for row in action.constants]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(constants)), rng.randrange(nh)
+        constants[i][j] += ((rng.randrange(nh), rng.choice((-2, -1, 1, 2))),)
+    bad = LieAction(action.actor, action.acted, constants, check=False)
+    return QCrossedModule(xm.mu, bad, xm.q)
+
+
+def test_sparse_action_checks_match_dense_reference():
+    rng = random.Random(20230602)
+    nonempty = 0
+    kinds = set()
+    for name in ("heisenberg", "heisenberg@Z/2", "n4", "sl2@Z/5"):
+        g = Catalog.get(name)
+        for q in (0, 2):
+            crossed = [product_action(build(g, None, q))[1]
+                       for build in (q_tensor_product, q_exterior_product)]
+            crossed.append(inner_q_derivations(g, q)[1])
+            for xm in crossed:
+                assert validate_q_crossed(xm).ok
+                bad = _corrupted_crossed(xm, rng)
+                issues = validate_q_crossed(bad).issues
+                assert issues == dense_crossed_report(bad).issues, (name, q)
+                nonempty += bool(issues)
+                kinds.update(i.kind for i in issues)
+    assert nonempty >= 16
+    assert {"action-axiom-1", "action-axiom-2", "crossed-i", "crossed-ii"} <= kinds
+
+
+def test_crossed_module_validates_its_action_once(monkeypatch):
+    calls = []
+    check = LieAction._check
+
+    def counting_check(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(LieAction, "_check", counting_check)
+    _, xm = product_action(q_tensor_product(Catalog.get("n4"), None, 2))
+    assert validate_q_crossed(xm).ok
+    assert validate_q_crossed(xm).ok
+    assert calls == [xm.action]
