@@ -15,7 +15,7 @@ from lieq.capability import center_report, coincidence_check
 from lieq.errors import LieqError, ValidationError
 from lieq.exactlin import describe_factors
 from lieq.io_catalog import Catalog, report_json, resolve_input, serialize
-from lieq.liealg import validate as validate_algebra
+from lieq.liealg import dense, validate as validate_algebra
 from lieq.qtensor import q_exterior_product, q_tensor_product
 from lieq.verify import SuiteReport, run_suite, single_algebra_pairs
 
@@ -80,7 +80,7 @@ def cmd_product(args) -> int:
             combo = " + ".join(f"{c}*{names[k]}" for k, c in row)
             lines.append(f"  [{names[s]}, {names[t]}] = {combo}")
             table.append({"left": names[s], "right": names[t],
-                          "value": list(prod.dense_vec(row))})
+                          "value": list(dense(row, prod.nsym))})
         if not table:
             lines.append("  (all zero)")
         results_text.append("\n".join(lines))

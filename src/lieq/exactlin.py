@@ -263,9 +263,6 @@ class FpModule:
     def rank(self) -> int:
         return len(self.invariant_factors)
 
-    def is_zero_module(self) -> bool:
-        return not self.invariant_factors
-
     def zero(self) -> tuple:
         return vec_zero(self.ambient_rank)
 
@@ -350,11 +347,6 @@ class ModuleHom:
                 if not target.is_lattice_member(img):
                     raise NotWellDefined(
                         f"relation {r} maps to {img}, outside the target lattice")
-
-    @classmethod
-    def identity(cls, module: FpModule) -> "ModuleHom":
-        return cls(module, module, IntMatrix.identity(module.ambient_rank),
-                   check=False)
 
     def __call__(self, v: Sequence[int]) -> tuple:
         return apply_matrix(v, self.matrix.rows, self.target.ambient_rank)

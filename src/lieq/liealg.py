@@ -18,11 +18,9 @@ from lieq.exactlin import (
     FpModule,
     ModuleHom,
     Submodule,
-    apply_matrix,
     block_kernel,
     unit_vec,
     vec_addmul,
-    vec_add,
     vec_is_zero,
     vec_neg,
     vec_scale,
@@ -69,41 +67,155 @@ def _terms(vec: Sequence[int]) -> tuple:
     return tuple((k, c) for k, c in enumerate(vec) if c)
 
 
-def _bracket_of_vectors(table, u, v, n):
-    """Bilinear expansion of [u, v] through an antisymmetric table."""
+def _add_terms(acc: dict, c: int, terms) -> None:
+    """acc += c * terms, accumulating sparse (k, x) terms by index."""
+    for k, x in terms:
+        acc[k] = acc.get(k, 0) + c * x
+
+
+def dense(terms, n: int) -> tuple:
+    """The length-n vector of sparse (k, c) terms with distinct k."""
+    vec = [0] * n
+    for k, c in terms:
+        vec[k] = c
+    return tuple(vec)
+
+
+def _witness(module: FpModule, acc: dict) -> Optional[tuple]:
+    """The dense vector of ``acc`` if it escapes the lattice, else None."""
+    if not any(acc.values()) or module.is_lattice_sum(acc.items()):
+        return None
+    return dense(acc.items(), module.ambient_rank)
+
+
+# ---------------------------------------------------------------------------
+# sparse bracket rows
+#
+# A bracket on generators 0..n-1 is stored as ``{(s, t): ((k, c), ...)}`` for
+# s < t with [s, t] nonzero, each row listing the nonzero coefficients c of
+# [s, t] by increasing k. Algebras and products share this representation and
+# the expansion and certification below.
+
+def _checked_table(table, n: int) -> tuple:
+    """(int tuples, sparse rows) of a dense n by n table, checked alternating."""
+    full = tuple(tuple(tuple(int(x) for x in table[i][j]) for j in range(n))
+                 for i in range(n))
+    if any(not vec_is_zero(full[i][i]) for i in range(n)):
+        raise ValueError("diagonal bracket must vanish")
+    rows = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if full[j][i] != vec_neg(full[i][j]):
+                raise ValueError("bracket table is not antisymmetric")
+            if any(full[i][j]):
+                rows[(i, j)] = _terms(full[i][j])
+    return full, rows
+
+
+def bracket_terms(rows: dict, s: int, t: int) -> tuple:
+    """[s, t] as sparse (k, c) terms; () when zero."""
+    if s < t:
+        return rows.get((s, t), ())
+    return tuple((k, -c) for k, c in rows.get((t, s), ()))
+
+
+def bracket_vec(rows: dict, u: Sequence[int], v: Sequence[int], n: int) -> tuple:
+    """Bilinear expansion of [u, v] through sparse rows on n generators."""
     acc = [0] * n
-    for i, ci in enumerate(u):
-        if not ci:
+    vterms = _terms(v)
+    for s, cs in enumerate(u):
+        if not cs:
             continue
-        ti = table[i]
-        for j, cj in enumerate(v):
-            if cj and i != j:
-                row = ti[j]
-                c = ci * cj
-                for k, x in enumerate(row):
-                    if x:
-                        acc[k] += c * x
+        for t, ct in vterms:
+            if s < t:
+                row, c = rows.get((s, t)), cs * ct
+            elif s > t:
+                row, c = rows.get((t, s)), -cs * ct
+            else:
+                continue
+            if row:
+                for k, x in row:
+                    acc[k] += c * x
     return tuple(acc)
 
 
-def _validate_table(module: FpModule, table, subject: str) -> ValidationReport:
-    """Check torsion compatibility and Jacobi modulo the relation lattice."""
-    n = module.ambient_rank
-    report = ValidationReport(subject)
+def _neighbours(rows: dict, n: int) -> list:
+    """Per generator, the set of generators it has a nonzero bracket with."""
+    nbrs = [set() for _ in range(n)]
+    for s, t in rows:
+        nbrs[s].add(t)
+        nbrs[t].add(s)
+    return nbrs
+
+
+def closure_defects(module: FpModule, rows: dict) -> list:
+    """((r, s), witness) for lattice rows r and generators s with [r, s] outside.
+
+    [r, s] can be nonzero only for generators s bracketing nontrivially with
+    some generator in the support of r; those are visited in increasing order.
+    """
+    nbrs = _neighbours(rows, module.ambient_rank)
+    out = []
     for r in module.lattice_rows:
-        for j in range(n):
-            w = _bracket_of_vectors(table, r, unit_vec(n, j), n)
-            if not module.is_lattice_member(w):
-                report.add("torsion", (tuple(r), j), w)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                w = vec_add(
-                    vec_add(_bracket_of_vectors(table, table[i][j], unit_vec(n, k), n),
-                            _bracket_of_vectors(table, table[j][k], unit_vec(n, i), n)),
-                    _bracket_of_vectors(table, table[k][i], unit_vec(n, j), n))
-                if not module.is_lattice_member(w):
-                    report.add("jacobi", (i, j, k), w)
+        support = _terms(r)
+        for s in sorted({s for u, _ in support for s in nbrs[u]}):
+            acc = {}
+            for u, cu in support:
+                _add_terms(acc, cu, bracket_terms(rows, u, s))
+            w = _witness(module, acc)
+            if w is not None:
+                out.append(((tuple(r), s), w))
+    return out
+
+
+def jacobi_defects(module: FpModule, rows: dict, stop_early: bool = False) -> list:
+    """((s, t, r), witness) for Jacobi failures modulo the lattice.
+
+    Only triples s < t < r containing a nonzero pair can fail, since every
+    term of the Jacobi sum has an inner bracket of two of them. They are
+    streamed in lexicographic order: all r > t when [s, t] is nonzero, else
+    the neighbours of s or t beyond t.
+    """
+    n = module.ambient_rank
+    nbrs = _neighbours(rows, n)
+    out = []
+    for s in range(n):
+        for t in range(s + 1, n):
+            if (s, t) in rows:
+                third = range(t + 1, n)
+            else:
+                third = sorted(r for r in nbrs[s] | nbrs[t] if r > t)
+            for r in third:
+                acc = {}
+                # [[s,t],r] + [[t,r],s] + [[r,s],t]; each inner row is
+                # signed by the order of its pair
+                for x, y, z, sign in ((s, t, r, 1), (t, r, s, 1),
+                                      (s, r, t, -1)):
+                    for u, cu in rows.get((x, y), ()):
+                        if u < z:
+                            row, c = rows.get((u, z)), sign * cu
+                        elif u > z:
+                            row, c = rows.get((z, u)), -sign * cu
+                        else:
+                            continue
+                        if row:
+                            for k, xx in row:
+                                acc[k] = acc.get(k, 0) + c * xx
+                w = _witness(module, acc)
+                if w is not None:
+                    out.append(((s, t, r), w))
+                    if stop_early:
+                        return out
+    return out
+
+
+def _certify(module: FpModule, rows: dict, subject: str) -> ValidationReport:
+    """Torsion compatibility, then Jacobi, modulo the relation lattice."""
+    report = ValidationReport(subject)
+    for where, w in closure_defects(module, rows):
+        report.add("torsion", where, w)
+    for where, w in jacobi_defects(module, rows):
+        report.add("jacobi", where, w)
     return report
 
 
@@ -112,7 +224,10 @@ class LieAlgebra:
 
     ``table[i][j]`` is the coordinate vector of [e_i, e_j]; the table is
     antisymmetric with zero diagonal, so the bracket is alternating by
-    construction (as required over rings where 2 is not invertible).
+    construction (as required over rings where 2 is not invertible). The
+    bracket itself is read from sparse rows ``{(i, j): ((k, c), ...)}``,
+    i < j, built once from the table: the representation ``QProduct`` uses,
+    certified by the same closure and Jacobi walks.
     """
 
     def __init__(self, module: FpModule, table, name: str = "g",
@@ -132,23 +247,12 @@ class LieAlgebra:
             raise ValueError("LieAlgebra module must be in pruned diagonal form")
         self.module = diag
         self.name = name
-        full = [[vec_zero(n) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                entry = tuple(int(x) for x in table[i][j])
-                if i == j and not vec_is_zero(entry):
-                    raise ValueError("diagonal bracket must vanish")
-                full[i][j] = entry
-        for i in range(n):
-            for j in range(i + 1, n):
-                if full[j][i] != vec_neg(full[i][j]):
-                    raise ValueError("bracket table is not antisymmetric")
-        self.table = tuple(tuple(r) for r in full)
+        self.table, self._br = _checked_table(table, n)
         # Whole-algebra products keyed (kind, q) and their centers keyed
         # (kind, q, brace); products over proper ideals are not kept.
         self._memo = {}
         if check:
-            report = _validate_table(self.module, self.table, name)
+            report = _certify(self.module, self._br, name)
             if not report.ok:
                 raise ValidationError(report)
 
@@ -167,18 +271,17 @@ class LieAlgebra:
         return self.module.base_modulus
 
     def bracket(self, u: Sequence[int], v: Sequence[int]) -> tuple:
-        return _bracket_of_vectors(self.table, u, v, self.rank)
+        return bracket_vec(self._br, u, v, self.rank)
 
     # qtensor and the action machinery treat any bracketed object uniformly
     bracket_vec = bracket
 
     def bracket_sym(self, i: int, j: int) -> tuple:
         """[e_i, e_j] as sparse (k, c) terms, like ``QProduct.bracket_sym``."""
-        return _terms(self.table[i][j])
+        return bracket_terms(self._br, i, j)
 
     def is_abelian(self) -> bool:
-        return all(self.module.is_lattice_member(self.table[i][j])
-                   for i in range(self.rank) for j in range(i + 1, self.rank))
+        return all(self.module.is_lattice_sum(row) for row in self._br.values())
 
     def generator_names(self) -> list:
         return [f"e{i + 1}" for i in range(self.rank)]
@@ -188,8 +291,8 @@ class LieAlgebra:
         return f"LieAlgebra({self.name!r}, factors={list(self.orders)}, over {ring})"
 
 
-def _transport(module0: FpModule, table0, name: str):
-    """Re-express a bracket table on the pruned canonical basis.
+def _transport(module0: FpModule, rows0: dict, name: str):
+    """Re-express sparse bracket rows on the pruned canonical basis.
 
     Returns (algebra, projection_rows, lifts): projection_rows express the
     old ambient generators in new coordinates, lifts are ambient vectors
@@ -201,7 +304,7 @@ def _transport(module0: FpModule, table0, name: str):
     new_table = [[vec_zero(k) for _ in range(k)] for _ in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
-            w = module0.canon(_bracket_of_vectors(table0, lifts[a], lifts[b], n0))
+            w = module0.canon(bracket_vec(rows0, lifts[a], lifts[b], n0))
             new_table[a][b] = w
             new_table[b][a] = vec_neg(w)
     module = FpModule.diagonal(module0.invariant_factors, module0.base_modulus)
@@ -212,10 +315,11 @@ def _transport(module0: FpModule, table0, name: str):
 
 def from_module_data(module0: FpModule, table0, name: str = "g") -> LieAlgebra:
     """Validate a bracket table on an arbitrary presentation, then canonize."""
-    report = _validate_table(module0, table0, name)
+    _, rows0 = _checked_table(table0, module0.ambient_rank)
+    report = _certify(module0, rows0, name)
     if not report.ok:
         raise ValidationError(report)
-    alg, _, _ = _transport(module0, table0, name)
+    alg, _, _ = _transport(module0, rows0, name)
     return alg
 
 
@@ -240,7 +344,7 @@ def lie_algebra(orders: Sequence[int], brackets: Optional[dict] = None,
 
 def validate(g: LieAlgebra) -> ValidationReport:
     """Re-run the structure checks on a built algebra."""
-    return _validate_table(g.module, g.table, g.name)
+    return _certify(g.module, g._br, g.name)
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +420,8 @@ class Ideal:
     def p(self) -> int:
         return len(self.basis)
 
-    def embed(self, coords: Sequence[int]) -> tuple:
-        """Ideal coordinates -> ambient vector of the parent."""
-        return apply_matrix(coords, self.basis, self.parent.rank)
-
     def coords(self, v: Sequence[int]) -> Optional[tuple]:
         return self.sub.solve(v)
-
-    def is_whole(self) -> bool:
-        n = self.parent.rank
-        return all(self.sub.contains_vec(unit_vec(n, i)) for i in range(n))
 
     def __repr__(self):
         return f"Ideal(factors={list(self.orders)} of {self.parent.name!r})"
@@ -369,7 +465,7 @@ def quotient_algebra(g: LieAlgebra, h: Ideal):
         raise NotAnIdeal("ideal does not belong to this algebra")
     module0 = FpModule(g.rank, tuple(g.module.relations) + tuple(h.sub.gens),
                        g.base_modulus)
-    alg, proj_rows, lifts = _transport(module0, g.table, f"{g.name}/{'h'}")
+    alg, proj_rows, lifts = _transport(module0, g._br, f"{g.name}/{'h'}")
     hom = LieHom(g, alg, proj_rows)
     hom.section_vectors = lifts
     return alg, hom
@@ -446,22 +542,6 @@ def _sparse_constant(entry, n: int) -> tuple:
             raise ValueError("action constant index out of range")
         acc[k] = acc.get(k, 0) + int(c)
     return tuple((k, c) for k, c in sorted(acc.items()) if c)
-
-
-def _add_terms(acc: dict, c: int, terms) -> None:
-    """acc += c * terms, accumulating sparse (k, x) terms by index."""
-    for k, x in terms:
-        acc[k] = acc.get(k, 0) + c * x
-
-
-def _witness(module: FpModule, acc: dict) -> Optional[tuple]:
-    """The dense vector of ``acc`` if it escapes the lattice, else None."""
-    if not any(acc.values()) or module.is_lattice_sum(acc.items()):
-        return None
-    vec = [0] * module.ambient_rank
-    for k, c in acc.items():
-        vec[k] = c
-    return tuple(vec)
 
 
 class LieAction:
@@ -693,13 +773,11 @@ def derivations(m: LieAlgebra) -> DerivationAlgebra:
                     row[off + j] += cab[i]
                 # -[D(e_a), e_b] and -[e_a, D(e_b)] terms
                 if i == a:
-                    for k, x in enumerate(m.table[j][b]):
-                        if x:
-                            row[off + k] -= x
+                    for k, x in m.bracket_sym(j, b):
+                        row[off + k] -= x
                 if i == b:
-                    for k, x in enumerate(m.table[a][j]):
-                        if x:
-                            row[off + k] -= x
+                    for k, x in m.bracket_sym(a, j):
+                        row[off + k] -= x
             rows.append(row)
     sub = block_kernel(endo, [(m.module, [r[b * n:(b + 1) * n] for r in rows])
                               for b in range(nblocks)])
@@ -759,16 +837,8 @@ def direct_sum_algebras(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
         raise ValueError("mixed base rings")
     na, nb = a.rank, b.rank
     orders = list(a.orders) + list(b.orders)
-    brackets = {}
-    for i in range(na):
-        for j in range(i + 1, na):
-            vec = tuple(a.table[i][j]) + vec_zero(nb)
-            if not vec_is_zero(vec):
-                brackets[(i, j)] = vec
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            vec = vec_zero(na) + tuple(b.table[i][j])
-            if not vec_is_zero(vec):
-                brackets[(na + i, na + j)] = vec
+    brackets = {(i, j): a.table[i][j] + vec_zero(nb) for i, j in a._br}
+    brackets.update(((na + i, na + j), vec_zero(na) + b.table[i][j])
+                    for i, j in b._br)
     return lie_algebra(orders, brackets, a.base_modulus,
                        name or f"{a.name}+{b.name}")

@@ -20,12 +20,16 @@ brace*pure, brace*brace), expanded bilinearly through structure constants;
 consistency against the lattice is checked, not assumed, and failure raises.
 
 The bracket constants are stored once, as sparse rows: each symbol pair with
-a nonzero bracket maps to its nonzero (symbol, coefficient) terms. The
-certification walks only those rows: bracket closure pairs each lattice row
-with the neighbours of its support, Jacobi visits only the triples that
-contain a bracketing pair, and sums are tested for lattice membership term
-by term (``FpModule.is_lattice_sum``), so no check builds a dense vector
-until it has a witness to report.
+a nonzero bracket maps to its nonzero (symbol, coefficient) terms. This is
+the representation ``LieAlgebra`` keeps, and a product is certified by the
+same walks in ``liealg`` that certify an algebra: bracket closure pairs each
+lattice row with the neighbours of its support, Jacobi visits only the
+triples that contain a bracketing pair, and sums are tested for lattice
+membership term by term (``FpModule.is_lattice_sum``), so no check builds a
+dense vector until it has a witness to report. A product is certified once,
+when it is built, and a defect raises ``BracketNotWellDefined`` with its
+witness. On validated algebras the families above have always been found
+closed; the known defect comes from a non-Jacobi table built unchecked.
 """
 
 from __future__ import annotations
@@ -58,7 +62,11 @@ from lieq.liealg import (
     LieAlgebra,
     LieHom,
     QCrossedModule,
+    bracket_terms,
+    bracket_vec,
+    closure_defects,
     hash_product,
+    jacobi_defects,
     quotient_algebra,
 )
 
@@ -68,8 +76,10 @@ class QProduct:
 
     The bracket is kept as sparse rows ``{(s, t): ((k, c), ...)}`` for
     symbols s < t with a nonzero bracket, each row listing the nonzero
-    coefficients c of [s, t] by increasing symbol k. It is the only copy of
-    the bracket constants; the checks walk these rows, never dense vectors.
+    coefficients c of [s, t] by increasing symbol k, as ``LieAlgebra`` keeps
+    its own. It is the only copy of the bracket constants; the expansion and
+    the checks are the shared ones in ``liealg``, which walk these rows,
+    never dense vectors.
     """
 
     def __init__(self, kind, q, algebra, ideal, module, brackets):
@@ -132,45 +142,10 @@ class QProduct:
 
     def bracket_sym(self, s: int, t: int) -> tuple:
         """[s, t] of two symbols as sparse (k, c) terms; () when zero."""
-        if s < t:
-            return self._br.get((s, t), ())
-        return tuple((k, -c) for k, c in self._br.get((t, s), ()))
+        return bracket_terms(self._br, s, t)
 
     def bracket_vec(self, u: Sequence[int], v: Sequence[int]) -> tuple:
-        br = self._br
-        acc = [0] * self.nsym
-        vterms = [(t, ct) for t, ct in enumerate(v) if ct]
-        for s, cs in enumerate(u):
-            if not cs:
-                continue
-            for t, ct in vterms:
-                if s < t:
-                    row, c = br.get((s, t)), cs * ct
-                elif s > t:
-                    row, c = br.get((t, s)), -cs * ct
-                else:
-                    continue
-                if row:
-                    for k, x in row:
-                        acc[k] += c * x
-        return tuple(acc)
-
-    def _neighbours(self) -> list:
-        """Per symbol, the sorted symbols it has a nonzero bracket with."""
-        nbrs = [[] for _ in range(self.nsym)]
-        for s, t in self._br:
-            nbrs[s].append(t)
-            nbrs[t].append(s)
-        for nb in nbrs:
-            nb.sort()
-        return nbrs
-
-    def dense_vec(self, terms) -> tuple:
-        """The symbol vector of sparse (k, c) terms with distinct k."""
-        vec = [0] * self.nsym
-        for k, c in terms:
-            vec[k] = c
-        return tuple(vec)
+        return bracket_vec(self._br, u, v, self.nsym)
 
     def invariant_factors(self) -> tuple:
         return self.module.invariant_factors
@@ -194,24 +169,8 @@ class QProduct:
     # -- validation ----------------------------------------------------------
 
     def bracket_closure_defects(self) -> list:
-        """Brackets of lattice generators with symbols that escape the lattice.
-
-        [r, s] can be nonzero only for symbols s bracketing nontrivially with
-        some symbol in the support of r; those are visited in increasing order.
-        """
-        nbrs = self._neighbours()
-        member = self.module.is_lattice_sum
-        out = []
-        for r in self.module.lattice_rows:
-            support = [(u, c) for u, c in enumerate(r) if c]
-            for s in sorted({s for u, _ in support for s in nbrs[u]}):
-                acc = {}
-                for u, cu in support:
-                    for k, x in self.bracket_sym(u, s):
-                        acc[k] = acc.get(k, 0) + cu * x
-                if any(acc.values()) and not member(acc.items()):
-                    out.append(self.dense_vec(acc.items()))
-        return out
+        """Brackets of lattice generators with symbols that escape the lattice."""
+        return [w for _, w in closure_defects(self.module, self._br)]
 
     def validate_bracket_well_defined(self):
         """Raise unless the bracket descends to the presented quotient."""
@@ -221,51 +180,8 @@ class QProduct:
                 f"bracket does not preserve the relation lattice: {defects[0]}")
 
     def jacobi_defects(self, stop_early: bool = False) -> list:
-        """Witnesses of Jacobi failures modulo the lattice (expected: none).
-
-        Only triples s < t < r containing a nonzero pair can fail, since every
-        term of the Jacobi sum has an inner bracket of two of them. They are
-        streamed in lexicographic order: all r > t when [s, t] is nonzero,
-        else the neighbours of s or t beyond t.
-        """
-        br = self._br
-        nsym = self.nsym
-        nbrs = self._neighbours()
-        member = self.module.is_lattice_sum
-        out = []
-        for s in range(nsym):
-            nb_s = nbrs[s]
-            for t in range(s + 1, nsym):
-                if (s, t) in br:
-                    third = range(t + 1, nsym)
-                else:
-                    third = sorted({r for r in nb_s if r > t}.union(
-                        r for r in nbrs[t] if r > t))
-                for r in third:
-                    acc = {}
-                    # [[s,t],r] + [[t,r],s] + [[r,s],t]; each inner row is
-                    # signed by the order of its pair
-                    for x, y, z, sign in ((s, t, r, 1), (t, r, s, 1),
-                                          (s, r, t, -1)):
-                        inner = br.get((x, y))
-                        if inner is None:
-                            continue
-                        for u, cu in inner:
-                            if u < z:
-                                row, c = br.get((u, z)), sign * cu
-                            elif u > z:
-                                row, c = br.get((z, u)), -sign * cu
-                            else:
-                                continue
-                            if row:
-                                for k, xx in row:
-                                    acc[k] = acc.get(k, 0) + c * xx
-                    if not any(acc.values()) or member(acc.items()):
-                        continue
-                    out.append(((s, t, r), self.dense_vec(acc.items())))
-                    if stop_early:
-                        return out
-        return out
+        """((s, t, r), witness) for each Jacobi failure (expected: none)."""
+        return jacobi_defects(self.module, self._br, stop_early)
 
     def __repr__(self):
         return (f"QProduct({self.kind}, q={self.q}, of {self.algebra.name!r}, "
@@ -424,22 +340,14 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
                 set_bracket(brace(i), brace(k),
                             tensor_terms(unit_vec(p, i), h.basis[k], q2))
 
-    # Ideal closure: the module of a Lie-algebra presentation is the symbol
-    # span modulo the whole Lie ideal of the relations, so brackets of
-    # relations with symbols (and Jacobi defects of the symbol bracket)
-    # must be quotiented out too. On well-behaved inputs the families above
-    # are already closed and this loop exits on the first pass.
     prod = QProduct(kind, q, g, h, module, brackets)
-    for _ in range(32):
-        defects = prod.bracket_closure_defects()
-        if not defects:
-            defects = [w for _, w in prod.jacobi_defects()]
-        if not defects:
-            return prod
-        module = FpModule(nsym, list(module.lattice_rows) + defects,
-                          g.base_modulus)
-        prod = QProduct(kind, q, g, h, module, brackets)
-    raise BracketNotWellDefined("relation closure did not stabilize")
+    prod.validate_bracket_well_defined()
+    bad = prod.jacobi_defects(stop_early=True)
+    if bad:
+        triple, witness = bad[0]
+        raise BracketNotWellDefined(
+            f"bracket fails Jacobi at symbols {triple}: {witness}")
+    return prod
 
 
 def _product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QProduct:

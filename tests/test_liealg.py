@@ -1,9 +1,11 @@
 """Lie algebra layer: validation, centers, ideals, derivations, crossed modules."""
 
+import random
+
 import pytest
 
 from lieq.errors import NotAnIdeal, ValidationError
-from lieq.exactlin import FpModule, unit_vec
+from lieq.exactlin import FpModule, unit_vec, vec_add
 from lieq.io_catalog import Catalog
 from lieq.liealg import (
     Ideal,
@@ -11,11 +13,13 @@ from lieq.liealg import (
     LieAlgebra,
     LieHom,
     QCrossedModule,
+    ValidationReport,
     adjoint_matrix,
     center,
     derivations,
     derived_ideal,
     direct_sum_algebras,
+    from_module_data,
     hash_product,
     ideal_from_gens,
     inner_q_derivations,
@@ -79,6 +83,113 @@ def test_torsion_compatible_solvable_over_z2():
     g = lie_algebra([2, 2], {(0, 1): (0, 1)}, 2, "solv")
     assert validate(g).ok
     assert not g.is_abelian()
+
+
+def test_from_module_data_rejects_malformed_tables():
+    module = FpModule.diagonal([0, 0])
+    # [e1, e1] = e2 would otherwise be dropped
+    with pytest.raises(ValueError, match="diagonal bracket must vanish"):
+        from_module_data(module, [[(0, 1), (0, 0)], [(0, 0), (0, 0)]])
+    # [e1, e2] = e1 but [e2, e1] = e2: only the upper triangle would be kept
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        from_module_data(module, [[(0, 0), (1, 0)], [(0, 1), (0, 0)]])
+
+
+def dense_bracket_of_vectors(table, u, v, n):
+    """Bilinear expansion of [u, v] through an antisymmetric dense table."""
+    acc = [0] * n
+    for i, ci in enumerate(u):
+        if not ci:
+            continue
+        ti = table[i]
+        for j, cj in enumerate(v):
+            if cj and i != j:
+                row = ti[j]
+                c = ci * cj
+                for k, x in enumerate(row):
+                    if x:
+                        acc[k] += c * x
+    return tuple(acc)
+
+
+def dense_validate_table(module, table, subject):
+    """Torsion compatibility over every (row, generator) pair, Jacobi over every triple."""
+    n = module.ambient_rank
+    report = ValidationReport(subject)
+    for r in module.lattice_rows:
+        for j in range(n):
+            w = dense_bracket_of_vectors(table, r, unit_vec(n, j), n)
+            if not module.is_lattice_member(w):
+                report.add("torsion", (tuple(r), j), w)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                w = vec_add(
+                    vec_add(dense_bracket_of_vectors(table, table[i][j], unit_vec(n, k), n),
+                            dense_bracket_of_vectors(table, table[j][k], unit_vec(n, i), n)),
+                    dense_bracket_of_vectors(table, table[k][i], unit_vec(n, j), n))
+                if not module.is_lattice_member(w):
+                    report.add("jacobi", (i, j, k), w)
+    return report
+
+
+def _shifted_table(g, rng):
+    """g's table with 1-3 random coefficients shifted, kept antisymmetric."""
+    n = g.rank
+    table = [list(row) for row in g.table]
+    for _ in range(rng.randint(1, 3)):
+        i, j = sorted(rng.sample(range(n), 2))
+        vec = list(table[i][j])
+        vec[rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
+        table[i][j] = tuple(vec)
+        table[j][i] = tuple(-x for x in vec)
+    return table
+
+
+def _random_presentation(rng):
+    """A module with multi-term relation rows and an alternating table on it."""
+    n = rng.randint(2, 4)
+    relations = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+                 for _ in range(rng.randint(1, n))]
+    module = FpModule(n, relations, rng.choice((0, 2, 3, 4)))
+    table = [[(0,) * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            vec = tuple(rng.choice((0, 0, 0, 1, -1)) for _ in range(n))
+            table[i][j] = vec
+            table[j][i] = tuple(-x for x in vec)
+    return module, table
+
+
+def test_sparse_validation_matches_dense_reference():
+    rng = random.Random(20230601)
+    kinds = []
+    for name in Catalog.names():
+        g = Catalog.get(name)
+        tables = [g.table]
+        if g.rank >= 2:
+            tables += [_shifted_table(g, rng) for _ in range(6)]
+        for table in tables:
+            bad = LieAlgebra(g.module, table, name, check=False)
+            issues = validate(bad).issues
+            assert issues == dense_validate_table(g.module, bad.table, name).issues, name
+            kinds.append({i.kind for i in issues})
+            if issues:
+                with pytest.raises(ValidationError) as err:
+                    LieAlgebra(g.module, table, name)
+                assert err.value.report.issues == issues
+    # presentations whose lattice rows have several terms, through from_module_data
+    for _ in range(40):
+        module, table = _random_presentation(rng)
+        try:
+            from_module_data(module, table, "p")
+            issues = []
+        except ValidationError as err:
+            issues = err.report.issues
+        assert issues == dense_validate_table(module, table, "p").issues
+        kinds.append({i.kind for i in issues})
+    assert sum("torsion" in k for k in kinds) >= 5
+    assert sum("jacobi" in k for k in kinds) >= 5
 
 
 # -- centers ----------------------------------------------------------------------

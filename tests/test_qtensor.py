@@ -10,6 +10,7 @@ from lieq.io_catalog import Catalog
 from lieq.liealg import (
     Ideal,
     LieAction,
+    LieAlgebra,
     QCrossedModule,
     ValidationReport,
     center,
@@ -383,6 +384,18 @@ def test_corrupted_bracket_trips_closure_and_jacobi():
         bad.validate_bracket_well_defined()
     assert bad.jacobi_defects(stop_early=True) == [
         ((0, 1, 3), (1, 0, 0, 0, 0, 0, 0, 0, 0))]
+
+
+def test_product_of_unchecked_non_jacobi_table_raises():
+    # the negative-control table: the Jacobi sum on e1, e2, e3 is -e3
+    table = [[(0, 0, 0), (0, 0, 1), (1, 0, 0)],
+             [(0, 0, -1), (0, 0, 0), (0, 0, 0)],
+             [(-1, 0, 0), (0, 0, 0), (0, 0, 0)]]
+    g = LieAlgebra(FpModule.diagonal([0, 0, 0]), table, "bad", check=False)
+    for build in (q_tensor_product, q_exterior_product):
+        for q in (0, 2):
+            with pytest.raises(BracketNotWellDefined):
+                build(g, None, q)
 
 
 def dense_action_report(action):
