@@ -164,7 +164,7 @@ def snf_with_transforms(mat, nrows, ncols):
 def hnf_rows_with_kernel(rows, ncols):
     """Hermite reduction with companion tracking.
 
-    Returns (basis, kernel): ``basis`` spans the input row lattice, ``kernel``
+    Returns (basis, kernel): ``basis`` is ``hnf_rows(rows, ncols)``, ``kernel``
     is a lattice basis of { x : x @ rows == 0 }. Row-by-row reduction keeps
     intermediate entries far smaller than a full Smith reduction would on
     tall stacks, which is why kernels are computed this way.
@@ -208,22 +208,15 @@ def hnf_rows_with_kernel(rows, ncols):
                 pivots[c] = (p, cp)
         if not placed:
             kernel.append(tuple(cr))
-    basis = []
-    for c in sorted(pivots):
-        p, cp = pivots[c]
-        if p[c] < 0:
-            for k in range(c, ncols):
-                p[k] = -p[k]
-        basis.append(p)
-    return basis, kernel
+    return _reduced({c: p for c, (p, _) in pivots.items()}, ncols), kernel
 
 
 def hnf_rows(rows, ncols):
-    """Reduce integer rows to a small generating set of the same row lattice.
+    """Reduced row Hermite form of the row lattice: unique for the lattice.
 
-    Incremental Hermite-style echelon without transform tracking: returns at
-    most ``ncols`` rows, sorted by pivot column, spanning exactly the input
-    lattice. Used to compress large relation lists before running the SNF.
+    Incremental echelon without transform tracking: at most ``ncols`` rows,
+    sorted by pivot column, pivots positive, entries above a pivot in
+    [0, pivot). Used to compress large relation lists before running the SNF.
     """
     pivots = {}
     for row in rows:
@@ -251,11 +244,27 @@ def hnf_rows(rows, ncols):
                 p, r = r, p
                 pivots[c] = p
             # r is now zero at column c; keep scanning it.
+    return _reduced(pivots, ncols)
+
+
+def _reduced(pivots, ncols):
+    """Echelon rows ``{pivot column: row}`` in reduced form, top-down.
+
+    Reducing column c changes the rows above only right of c, in columns
+    reduced later; bottom-up would undo columns already reduced.
+    """
     out = []
     for c in sorted(pivots):
         p = pivots[c]
         if p[c] < 0:
             for k in range(c, ncols):
                 p[k] = -p[k]
+        d = p[c]
+        terms = [(k, p[k]) for k in range(c, ncols) if p[k]]
+        for above in out:
+            f = above[c] // d
+            if f:
+                for k, x in terms:
+                    above[k] -= f * x
         out.append(p)
     return out

@@ -2,10 +2,11 @@
 
 A finitely presented module is a quotient of Z^n (or (Z/m)^n, realized over Z
 by appending m*e_i relations) by the lattice spanned by its relation rows.
-The Smith normal form of that lattice yields canonical coordinates, invariant
-factors, exact membership tests, kernels and quotients -- which is everything
-the Lie-algebraic layers above need. All arithmetic is arbitrary-precision;
-nothing here ever rounds or overflows.
+Lattice rows are the reduced row Hermite form, unique for the lattice. Its
+Smith normal form yields canonical coordinates and invariant factors, and
+back-substitution on Hermite rows decides membership in submodules -- which
+is everything the Lie-algebraic layers above need. All arithmetic is
+arbitrary-precision; nothing here ever rounds or overflows.
 
 Row-vector convention throughout: vectors are tuples, matrices act on the
 right, ``h(v) = v @ matrix``.
@@ -163,35 +164,26 @@ def row_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list:
     pass: the row-by-row reduction avoids the coefficient explosion a Smith
     reduction suffers on tall stacks.
     """
-    if not rows:
-        return []
-    _, ker = hnf_rows_with_kernel(rows, ncols)
-    return [tuple(k) for k in ker]
+    return hnf_rows_with_kernel(rows, ncols)[1]
 
 
-class _Solver:
-    """Cached SNF of a row stack, for repeated ``x @ rows == b`` solves."""
+def hermite_coords(rows: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[tuple]:
+    """The alpha with ``alpha @ rows == v`` for Hermite ``rows``, or None.
 
-    def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
-        self.nrows = len(rows)
-        self.ncols = ncols
-        d, u, v, _ = snf_with_transforms([list(r) for r in rows], self.nrows, ncols)
-        self.diag = [d[i][i] if i < self.nrows else 0 for i in range(min(self.nrows, ncols))]
-        self.u = u
-        self.v = v
-
-    def solve(self, b: Sequence[int]) -> Optional[tuple]:
-        w = apply_matrix(b, self.v, self.ncols)
-        z = [0] * self.nrows
-        for i in range(self.ncols):
-            di = self.diag[i] if i < len(self.diag) else 0
-            if di:
-                if w[i] % di:
-                    return None
-                z[i] = w[i] // di
-            elif w[i]:
-                return None
-        return apply_matrix(z, self.u, self.nrows)
+    Back-substitution: divide exactly at each pivot; nothing may be left.
+    """
+    r = list(v)
+    alpha = []
+    for row in rows:
+        c = next(k for k, x in enumerate(row) if x)
+        a, rem = divmod(r[c], row[c])
+        if rem:
+            return None
+        if a:
+            for k in range(c, len(r)):
+                r[k] -= a * row[k]
+        alpha.append(a)
+    return None if any(r) else tuple(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +203,7 @@ class FpModule:
     """
 
     __slots__ = ("ambient_rank", "base_modulus", "relations", "lattice_rows",
-                 "orders", "invariant_factors", "_v", "_vinv",
+                 "orders", "invariant_factors", "_vinv",
                  "_pruned_pos", "_w_cols", "_w_orders")
 
     def __init__(self, ambient_rank: int, relations: Iterable[Sequence[int]],
@@ -240,7 +232,6 @@ class FpModule:
         orders = [d[i][i] if i < lim else 0 for i in range(n)]
         self.orders = tuple(orders)
         self.invariant_factors = tuple(o for o in orders if o != 1)
-        self._v = tuple(tuple(r) for r in v)
         self._vinv = tuple(tuple(r) for r in vinv)
         self._pruned_pos = tuple(i for i, o in enumerate(orders) if o != 1)
         # Columns of V at non-trivial positions: enough for membership/canon.
@@ -329,7 +320,7 @@ class ModuleHom:
     that the source relation lattice maps into the target lattice.
     """
 
-    __slots__ = ("source", "target", "matrix", "_solver")
+    __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: FpModule, target: FpModule,
                  matrix, check: bool = True):
@@ -340,7 +331,6 @@ class ModuleHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-        self._solver = None
         if check:
             for r in source.lattice_rows:
                 img = apply_matrix(r, matrix.rows, target.ambient_rank)
@@ -359,20 +349,21 @@ class ModuleHom:
         return block_kernel(self.source, [(self.target, self.matrix.rows)])
 
     def preimage(self, w: Sequence[int]) -> Optional[tuple]:
-        """Some x with h(x) == w in the target, or None."""
-        if self._solver is None:
-            stacked = [list(r) for r in self.matrix.rows]
-            stacked += [list(r) for r in self.target.lattice_rows]
-            self._solver = _Solver(stacked, self.target.ambient_rank)
-        x = self._solver.solve(w)
-        if x is None:
+        """Some x with h(x) == w in the target, or None.
+
+        The kernel of the stack (M, target lattice, w) holds the (x, y, c)
+        with x @ M + y @ L + c * w == 0; some c is 1 exactly when the first
+        pivot of its Hermite form, c moved first, is 1; x is minus that row.
+        """
+        stacked = list(self.matrix.rows) + list(self.target.lattice_rows) + [w]
+        ker = row_kernel(stacked, self.target.ambient_rank)
+        hermite = hnf_rows([k[-1:] + k[:-1] for k in ker], len(stacked))
+        if not hermite or hermite[0][0] != 1:
             return None
-        return x[:self.source.ambient_rank]
+        return tuple(-x for x in hermite[0][1:1 + self.source.ambient_rank])
 
     def is_surjective(self) -> bool:
-        img = self.image()
-        n = self.target.ambient_rank
-        return all(img.contains_vec(unit_vec(n, i)) for i in range(n))
+        return self.image().same(Submodule.full(self.target))
 
     def __repr__(self):
         return f"ModuleHom({self.source!r} -> {self.target!r})"
@@ -418,8 +409,8 @@ def block_kernel(source: FpModule, blocks) -> "Submodule":
 class Submodule:
     """Submodule of an FpModule generated by explicit ambient vectors.
 
-    Keeps the ambient module, the generators, and (lazily) an abstract
-    presentation with a chosen canonical generating basis plus solver, so a
+    Keeps the ambient module, the generators, and (lazily) Hermite rows and
+    an abstract presentation with a canonical generating basis, so a
     submodule doubles as a module-with-embedding.
     """
 
@@ -429,11 +420,10 @@ class Submodule:
         for g in self.gens:
             if len(g) != ambient.ambient_rank:
                 raise ValueError("generator length does not match ambient rank")
-        self._quot = None
         self._hermite = None
         self._abstract = None
         self._basis = None
-        self._solver = None
+        self._signs = None
         self._is_full = False
 
     @classmethod
@@ -452,22 +442,15 @@ class Submodule:
 
     # -- membership ---------------------------------------------------------
 
-    @property
-    def quotient_module(self) -> FpModule:
-        """Ambient/self, also the membership oracle for the sub-lattice."""
-        if self._quot is None:
-            rels = list(self.ambient.lattice_rows) + list(self.gens)
-            self._quot = FpModule(self.ambient.ambient_rank, rels)
-        return self._quot
-
     def contains_vec(self, v: Sequence[int]) -> bool:
-        return self.quotient_module.is_lattice_member(v)
+        return hermite_coords(self._hermite_rows(), v) is not None
 
     def contains(self, other: "Submodule") -> bool:
         return all(self.contains_vec(g) for g in other.gens)
 
     def same(self, other: "Submodule") -> bool:
-        return self.contains(other) and other.contains(self)
+        """Equality of Hermite rows; both must live in one ambient module."""
+        return self._hermite_rows() == other._hermite_rows()
 
     def is_zero(self) -> bool:
         return all(self.ambient.is_lattice_member(g) for g in self.gens)
@@ -475,21 +458,10 @@ class Submodule:
     # -- abstract structure --------------------------------------------------
 
     def _hermite_rows(self) -> list:
-        """Reduced row Hermite form of the sub-lattice plus the ambient lattice.
-
-        Unique for the submodule: echelon rows with positive pivots, every
-        entry above a pivot reduced into [0, pivot).
-        """
+        """Reduced row Hermite form of the sub-lattice plus the ambient lattice."""
         if self._hermite is None:
-            n = self.ambient.ambient_rank
-            rows = hnf_rows(list(self.gens) + list(self.ambient.lattice_rows), n)
-            for i, row in enumerate(rows):
-                c = next(k for k, x in enumerate(row) if x)
-                for above in rows[:i]:
-                    f = above[c] // row[c]
-                    if f:
-                        for k in range(c, n):
-                            above[k] -= f * row[k]
+            rows = hnf_rows(list(self.gens) + list(self.ambient.lattice_rows),
+                            self.ambient.ambient_rank)
             self._hermite = [tuple(r) for r in rows]
         return self._hermite
 
@@ -497,13 +469,11 @@ class Submodule:
     def abstract(self) -> FpModule:
         """Presentation of the submodule on its Hermite rows."""
         if self._abstract is None:
-            rows = self._hermite_rows()
-            p = len(rows)
-            stacked = [list(r) for r in rows]
-            stacked += [list(r) for r in self.ambient.lattice_rows]
-            ker = row_kernel(stacked, self.ambient.ambient_rank)
-            rels = [k[:p] for k in ker]
-            self._abstract = FpModule(p, rels, self.ambient.base_modulus)
+            # Hermite rows are independent, so each ambient lattice row has
+            # unique coordinates, and those span the relations.
+            hermite = self._hermite_rows()
+            rels = [hermite_coords(hermite, r) for r in self.ambient.lattice_rows]
+            self._abstract = FpModule(len(hermite), rels, self.ambient.base_modulus)
         return self._abstract
 
     @property
@@ -520,32 +490,24 @@ class Submodule:
         each negated if its first nonzero entry is negative.
         """
         if self._basis is None:
-            ab = self.abstract
-            hermite = self._hermite_rows()
-            k = ab.rank
-            rows = []
-            for t in range(k):
-                alpha = ab.lift_pruned(unit_vec(k, t))
-                v = apply_matrix(alpha, hermite, self.ambient.ambient_rank)
-                if next((x for x in v if x), 0) < 0:
-                    v = vec_neg(v)
-                rows.append(v)
-            self._basis = rows
+            n = self.ambient.ambient_rank
+            vecs = [apply_matrix(alpha, self._hermite_rows(), n)
+                    for alpha in self.abstract.canonical_basis()]
+            self._signs = [-1 if next(x for x in v if x) < 0 else 1 for v in vecs]
+            self._basis = [vec_scale(s, v) for s, v in zip(self._signs, vecs)]
         return self._basis
 
     def solve(self, v: Sequence[int]) -> Optional[tuple]:
-        """Coordinates of v over basis(), modulo the ambient lattice."""
+        """Canonical coordinates of v over basis() (see canon), or None."""
         if self._is_full:
             return self.ambient.canon(v)
-        base = self.basis()
-        if self._solver is None:
-            stacked = [list(b) for b in base]
-            stacked += [list(r) for r in self.ambient.lattice_rows]
-            self._solver = _Solver(stacked, self.ambient.ambient_rank)
-        x = self._solver.solve(v)
-        if x is None:
+        alpha = hermite_coords(self._hermite_rows(), v)
+        if alpha is None:
             return None
-        return x[:len(base)]
+        self.basis()  # sets the signs
+        return tuple((s * x) % d if d else s * x for x, s, d in
+                     zip(self.abstract.canon(alpha), self._signs,
+                         self.abstract.invariant_factors))
 
     def as_module_with_embedding(self):
         """(diagonal FpModule, embedding ModuleHom into the ambient)."""

@@ -235,17 +235,14 @@ class LieAlgebra:
         n = module.ambient_rank
         # Downstream code reads ambient coordinates as canonical ones: orders[i]
         # must kill e_i, so the lattice must be spanned by the rows d_i * e_i.
-        # Any presentation of that lattice is accepted and stored as the
-        # diagonal one.
+        # Lattice rows are the reduced Hermite form, unique for the lattice,
+        # so any presentation of that lattice gives exactly those rows.
         diagonal_rows = tuple(vec_scale(d, unit_vec(n, i))
                               for i, d in enumerate(module.orders) if d)
-        diag = module if module.lattice_rows == diagonal_rows else \
-            FpModule.diagonal(module.orders, module.base_modulus)
         if module.orders != module.invariant_factors \
-                or not all(module.is_lattice_member(r) for r in diag.lattice_rows) \
-                or not all(diag.is_lattice_member(r) for r in module.lattice_rows):
+                or module.lattice_rows != diagonal_rows:
             raise ValueError("LieAlgebra module must be in pruned diagonal form")
-        self.module = diag
+        self.module = module
         self.name = name
         self.table, self._br = _checked_table(table, n)
         # Whole-algebra products keyed (kind, q) and their centers keyed
@@ -291,12 +288,13 @@ class LieAlgebra:
         return f"LieAlgebra({self.name!r}, factors={list(self.orders)}, over {ring})"
 
 
-def _transport(module0: FpModule, rows0: dict, name: str):
+def _transport(module0: FpModule, rows0: dict, name: str, check: bool):
     """Re-express sparse bracket rows on the pruned canonical basis.
 
     Returns (algebra, projection_rows, lifts): projection_rows express the
     old ambient generators in new coordinates, lifts are ambient vectors
-    representing the new generators.
+    representing the new generators. Transport through a module isomorphism
+    keeps closure and Jacobi, so ``check`` is off when ``rows0`` is certified.
     """
     n0 = module0.ambient_rank
     k = module0.rank
@@ -308,7 +306,7 @@ def _transport(module0: FpModule, rows0: dict, name: str):
             new_table[a][b] = w
             new_table[b][a] = vec_neg(w)
     module = FpModule.diagonal(module0.invariant_factors, module0.base_modulus)
-    alg = LieAlgebra(module, new_table, name, check=True)
+    alg = LieAlgebra(module, new_table, name, check=check)
     proj_rows = [module0.canon(unit_vec(n0, i)) for i in range(n0)]
     return alg, proj_rows, lifts
 
@@ -319,7 +317,7 @@ def from_module_data(module0: FpModule, table0, name: str = "g") -> LieAlgebra:
     report = _certify(module0, rows0, name)
     if not report.ok:
         raise ValidationError(report)
-    alg, _, _ = _transport(module0, rows0, name)
+    alg, _, _ = _transport(module0, rows0, name, check=False)
     return alg
 
 
@@ -465,7 +463,7 @@ def quotient_algebra(g: LieAlgebra, h: Ideal):
         raise NotAnIdeal("ideal does not belong to this algebra")
     module0 = FpModule(g.rank, tuple(g.module.relations) + tuple(h.sub.gens),
                        g.base_modulus)
-    alg, proj_rows, lifts = _transport(module0, g._br, f"{g.name}/{'h'}")
+    alg, proj_rows, lifts = _transport(module0, g._br, f"{g.name}/h", check=True)
     hom = LieHom(g, alg, proj_rows)
     hom.section_vectors = lifts
     return alg, hom

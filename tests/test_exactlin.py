@@ -308,6 +308,63 @@ def test_preimage():
     assert x is not None and z2.same_element(proj(x), (1,))
 
 
+def _combination(coeffs, rows, n):
+    return tuple(sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_submodule_solve_recombines_over_the_basis(data):
+    m = data.draw(st.sampled_from([0, 0, 2, 4, 6]))
+    ambient = data.draw(diagonal_modules(m, min_rank=1))
+    n = ambient.ambient_rank
+    gens = data.draw(st.lists(st.lists(vectors, min_size=n, max_size=n),
+                              max_size=4))
+    sub = Submodule(ambient, gens)
+    # membership oracle through the Smith form of the bigger lattice
+    oracle = FpModule(n, list(ambient.lattice_rows) + gens)
+    spanning = gens + [list(r) for r in ambient.lattice_rows]
+    inside = _combination(data.draw(st.lists(
+        vectors, min_size=len(spanning), max_size=len(spanning))), spanning, n)
+    anywhere = tuple(data.draw(st.lists(vectors, min_size=n, max_size=n)))
+    for v in (inside, anywhere):
+        coords = sub.solve(v)
+        assert (coords is not None) == oracle.is_lattice_member(v)
+        if coords is not None:
+            assert ambient.same_element(_combination(coords, sub.basis(), n), v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_preimage_maps_back_and_rejects_outside_the_image(data):
+    m = data.draw(st.sampled_from([0, 0, 2, 4, 6]))
+    orders = st.sampled_from(_divisors_or_free(m))
+    src_orders = data.draw(st.lists(orders, max_size=4))
+    tgt_orders = data.draw(st.lists(orders, min_size=1, max_size=4))
+    source = FpModule.diagonal(src_orders, m)
+    target = FpModule.diagonal(tgt_orders, m)
+    ns, nt = source.ambient_rank, target.ambient_rank
+    # entry (i, j) a multiple of e_j / gcd(d_i, e_j): d_i e_i maps into the
+    # target lattice, so every drawn matrix is a homomorphism
+    rows = []
+    for d in src_orders:
+        row = []
+        for e in tgt_orders:
+            step = e // gcd(d, e) if e else (0 if d else 1)
+            row.append(step * data.draw(vectors))
+        rows.append(row)
+    h = ModuleHom(source, target, IntMatrix(rows, ncols=nt))
+    x = tuple(data.draw(st.lists(vectors, min_size=ns, max_size=ns)))
+    w = h(x)
+    assert target.same_element(h(h.preimage(w)), w)
+    image = FpModule(nt, list(target.lattice_rows) + rows)
+    w = tuple(data.draw(st.lists(vectors, min_size=nt, max_size=nt)))
+    y = h.preimage(w)
+    assert (y is not None) == image.is_lattice_member(w)
+    if y is not None:
+        assert target.same_element(h(y), w)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4),
        st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=4),

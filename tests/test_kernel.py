@@ -47,3 +47,38 @@ def test_hnf_preserves_lattice():
             assert b.is_lattice_member(r)
         for r in reduced:
             assert a.is_lattice_member(r)
+
+
+def _re_present(rng, mat):
+    """Other rows for the same row lattice: a unimodular transform of the
+    rows, plus integer combinations of them, in shuffled order."""
+    rows = [list(r) for r in mat]
+    for _ in range(3 * len(rows)):
+        if len(rows) > 1:
+            i, j = rng.sample(range(len(rows)), 2)
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            i = rng.randrange(len(rows))
+            rows[i] = [-x for x in rows[i]]
+    for _ in range(rng.randint(0, 3)):
+        coeffs = [rng.randint(-2, 2) for _ in rows]
+        rows.append([sum(c * r[k] for c, r in zip(coeffs, rows))
+                     for k in range(len(mat[0]))])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_hnf_rows_is_the_reduced_form_of_the_lattice():
+    rng = random.Random(2718)
+    for _ in range(60):
+        cols = rng.randint(1, 6)
+        mat = _random_matrix(rng, rng.randint(1, 7), cols, bound=9)
+        reduced = _kernel.hnf_rows([list(r) for r in mat], cols)
+        assert _kernel.hnf_rows(_re_present(rng, mat), cols) == reduced
+        assert _kernel.hnf_rows_with_kernel(_re_present(rng, mat), cols)[0] == reduced
+        pivots = [next(k for k, x in enumerate(r) if x) for r in reduced]
+        assert pivots == sorted(set(pivots))
+        for i, (row, c) in enumerate(zip(reduced, pivots)):
+            assert row[c] > 0
+            assert all(0 <= above[c] < row[c] for above in reduced[:i])

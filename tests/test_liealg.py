@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from lieq import liealg
 from lieq.errors import NotAnIdeal, ValidationError
 from lieq.exactlin import FpModule, unit_vec, vec_add
-from lieq.io_catalog import Catalog
+from lieq.io_catalog import Catalog, abelian, heisenberg, sl2, strictly_upper
 from lieq.liealg import (
     Ideal,
     LieAction,
@@ -71,9 +72,9 @@ def test_constructor_rejects_non_diagonal_module():
 
 
 def test_constructor_accepts_any_presentation_of_a_diagonal_lattice():
-    # 2Z x 4Z given as 2e1 + 4e2, 4e2: the Hermite rows are not the d_i * e_i
+    # 2Z x 4Z given as 2e1 + 4e2, 4e2: the reduced Hermite rows are the d_i * e_i
     module = FpModule(2, [(2, 4), (0, 4)])
-    assert module.lattice_rows == ((2, 4), (0, 4))
+    assert module.lattice_rows == ((2, 0), (0, 4))
     g = LieAlgebra(module, [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
     assert g.module.lattice_rows == ((2, 0), (0, 4))
     assert q_tensor_product(g, None, 0).invariant_factors() == (2, 2, 2, 4)
@@ -190,6 +191,30 @@ def test_sparse_validation_matches_dense_reference():
         kinds.append({i.kind for i in issues})
     assert sum("torsion" in k for k in kinds) >= 5
     assert sum("jacobi" in k for k in kinds) >= 5
+
+
+def test_each_table_is_certified_once(monkeypatch):
+    calls = []
+    certify = liealg._certify
+
+    def counting_certify(module, rows, subject):
+        calls.append(subject)
+        return certify(module, rows, subject)
+
+    monkeypatch.setattr(liealg, "_certify", counting_certify)
+    filiform = [lie_algebra([0] * n, {(0, i): unit_vec(n, i + 1)
+                                      for i in range(1, n - 1)}, 0, f"L{n}")
+                for n in (6, 8)]
+    builds = [abelian([]), abelian([0, 2]), abelian([4, 4]), heisenberg(),
+              heisenberg(2), strictly_upper(4), strictly_upper(5), sl2(5),
+              sl2(7), lie_algebra([2, 2], {(0, 1): (0, 1)}, 2, "solv")]
+    assert len(calls) == len(builds) + len(filiform)
+    # a quotient certifies the table it transports, once
+    g = builds[3]
+    central = Ideal(g, center(g))
+    calls.clear()
+    quotient_algebra(g, central)
+    assert calls == ["heisenberg/h"]
 
 
 # -- centers ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from lieq.errors import BracketNotWellDefined, NotAbelianInput
-from lieq.exactlin import FpModule, unit_vec, vec_add, vec_sub
-from lieq.io_catalog import Catalog
+from lieq.exactlin import FpModule, apply_matrix, unit_vec, vec_add, vec_sub
+from lieq.io_catalog import Catalog, heisenberg
 from lieq.liealg import (
     Ideal,
     LieAction,
@@ -514,3 +514,56 @@ def test_crossed_module_validates_its_action_once(monkeypatch):
     assert validate_q_crossed(xm).ok
     assert validate_q_crossed(xm).ok
     assert calls == [xm.action]
+
+
+def unimodular(rng, n, bits):
+    """A seeded basis change P with its inverse, det P = +-1.
+
+    Elementary row operations with multipliers in [-3, 3] until an entry of
+    P or its inverse reaches ``bits`` bits, then a row negated half the time.
+    """
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    pinv = [[int(i == j) for j in range(n)] for i in range(n)]
+    while max(abs(x) for r in p + pinv for x in r).bit_length() < bits:
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in pinv:        # P' = E P, so P'^-1 = P^-1 E^-1
+            row[j] -= c * row[i]
+    if rng.random() < 0.5:
+        i = rng.randrange(n)
+        p[i] = [-x for x in p[i]]
+        for row in pinv:
+            row[i] = -row[i]
+    return p, pinv
+
+
+def conjugate(g, p, pinv):
+    """The Z-algebra g on the basis f_i = sum_a p[i][a] e_a."""
+    n = g.rank
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = apply_matrix(g.bracket(p[i], p[j]), pinv, n)
+            if any(w):
+                brackets[(i, j)] = w
+    return lie_algebra([0] * n, brackets, 0, "conjugate")
+
+
+def test_product_lattices_stay_reduced_and_small_on_conjugates():
+    # Unreduced Hermite rows reached 57 bits on these conjugates.
+    h = heisenberg()
+    want = {(build, q): build(h, None, q).invariant_factors()
+            for build in (q_tensor_product, q_exterior_product) for q in (0, 2)}
+    rng = random.Random(2024)
+    for _ in range(10):
+        g = conjugate(h, *unimodular(rng, 3, 6))
+        for (build, q), factors in want.items():
+            prod = build(g, None, q)
+            assert prod.invariant_factors() == factors
+            rows = prod.module.lattice_rows
+            for i, row in enumerate(rows):
+                c = next(k for k, x in enumerate(row) if x)
+                assert row[c] > 0
+                assert all(0 <= above[c] < row[c] for above in rows[:i])
+            assert max(abs(x).bit_length() for r in rows for x in r) <= 16
