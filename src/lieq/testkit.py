@@ -147,7 +147,11 @@ class BruteProduct:
 
     The ambient is the bilinear stage (tensor square of the module, plus one
     brace block for q >= 1); the remaining relation families are instantiated
-    over every element pair/triple and closed by enumeration.
+    over every element pair/triple and closed by enumeration. The elements
+    are indexed once and two tables are built over element pairs: the index
+    of the reduced bracket (|g|^2 calls of ``g.bracket``) and the pure tensor.
+    Every instance is then one modular combination ``u - v + w`` of table
+    entries.
     """
 
     def __init__(self, g: LieAlgebra, q: int, kind: str):
@@ -181,43 +185,49 @@ class BruteProduct:
         return self.gmod.reduce(self.g.bracket(x, y))
 
     def _relation_instances(self):
-        g, n, q = self.g, self.n, self.q
-        add, neg = self.ambient.add, (lambda v: self.ambient.scale(-1, v))
+        orders = self.ambient.orders
+        zero = self.ambient.zero()
         elems = list(self.gmod.elements())
+        index = {x: i for i, x in enumerate(elems)}
+        br = [[index[self._bracket(x, y)] for y in elems] for x in elems]
+        ten = [[self.tensor_elt(x, y) for y in elems] for x in elems]
+        idx = range(len(elems))
+
+        def comb(u, v, w):
+            return tuple((a - b + c) % o for a, b, c, o in zip(u, v, w, orders))
+
         seen = set()
-        for x in elems:
-            for xp in elems:
-                bxxp = self._bracket(x, xp)
-                for y in elems:
-                    vec = add(self.tensor_elt(bxxp, y),
-                              add(neg(self.tensor_elt(x, self._bracket(xp, y))),
-                                  self.tensor_elt(xp, self._bracket(x, y))))
-                    seen.add(vec)
-        for x in elems:
-            for y in elems:
-                byx = self._bracket(y, x)
-                for yp in elems:
-                    vec = add(self.tensor_elt(x, self._bracket(y, yp)),
-                              add(neg(self.tensor_elt(self._bracket(yp, x), y)),
-                                  self.tensor_elt(byx, yp)))
-                    seen.add(vec)
+        for x in idx:
+            tx, bx = ten[x], br[x]
+            for xp in idx:
+                # [x,x'] (x) y - x (x) [x',y] + x' (x) [x,y]
+                tb, txp, bxp = ten[bx[xp]], ten[xp], br[xp]
+                for y in idx:
+                    seen.add(comb(tb[y], tx[bxp[y]], txp[bx[y]]))
+        for x in idx:
+            tx = ten[x]
+            for y in idx:
+                # x (x) [y,y'] - [y',x] (x) y + [y,x] (x) y'
+                by, tyx = br[y], ten[br[y][x]]
+                for yp in idx:
+                    seen.add(comb(tx[by[yp]], ten[br[yp][x]][y], tyx[yp]))
         if self.brace:
-            for x in elems:
-                for y in elems:
-                    vec = add(self.brace_elt(self._bracket(x, y)),
-                              self.ambient.scale(-q, self.tensor_elt(x, y)))
-                    seen.add(vec)
+            q = self.q
+            braces = [self.brace_elt(x) for x in elems]
+            for x in idx:
+                for y in idx:
+                    # {[x,y]} - q (x (x) y)
+                    qt = tuple(q * a for a in ten[x][y])
+                    seen.add(comb(braces[br[x][y]], qt, zero))
         if self.kind == "exterior":
-            for x in elems:
-                seen.add(self.tensor_elt(x, x))
+            for x in idx:
+                seen.add(ten[x][x])
         else:
             # alternating closure of the symbol bracket: brackets tensored
             # with themselves die even in the tensor kind
-            for x in elems:
-                for y in elems:
-                    b = self._bracket(x, y)
-                    seen.add(self.tensor_elt(b, b))
-        seen.discard(self.ambient.zero())
+            for b in {b for row in br for b in row}:
+                seen.add(ten[b][b])
+        seen.discard(zero)
         return seen
 
     def invariant_factors(self) -> tuple:
@@ -254,57 +264,75 @@ def brute_center(g: LieAlgebra, q: int, kind: str,
 # ---------------------------------------------------------------------------
 # brute quadratic functor
 
-def brute_gamma(orders: Sequence[int]) -> tuple:
-    """Invariant factors of the quadratic functor of a finite module.
+def gamma_relation_rows(A: FiniteEnumeration):
+    """Relation rows of the quadratic functor of A, one symbol per element.
 
-    One integer generator per module element, the three defining relation
-    families instantiated over all tuples, scalars running over
-    0..exponent^2 (the relations are quadratic polynomials in the scalar
-    with period dividing the exponent, so this range is generating; the
-    closed form cross-checks it).
+    Symbols are indexed in ``A.elements()`` order. The three defining
+    families, for a, b, c in A and every scalar lam >= 0, are
+      1. [lam a] - lam^2 [a];
+      2. [a+b+c] - [a+b] - [a+c] - [b+c] + [a] + [b] + [c];
+      3. [lam a + b] - [lam a] + lam [a] + (lam - 1) [b] - lam [a+b].
+
+    Finite scalar ranges give the full lattice over every lam >= 0. Let e be
+    the exponent of A and write lam = r + e t with 0 <= r < e, so lam a = r a.
+    For fixed r and a, a family-1 row is then R0 + t R1 + t^2 R2 with integer
+    rows R_i, and a family-3 row is R0 + t R1. In the binomial basis,
+    t^2 = t + 2 C(t, 2) with C(t, 2) an integer, so
+      R(t) = R(0) + t (R(1) - R(0)) + C(t, 2) (R(2) - 2 R(1) + R(0)):
+    the rows at t in {0, 1, 2} span every t for family 1, and t in {0, 1}
+    for family 3. Hence lam runs over [0, 3e) and [0, 2e). A family-2 row is
+    symmetric in (a, b, c), so index-ordered triples a <= b <= c give every
+    row. No scalar or triple outside these ranges adds to the lattice.
     """
-    A = FiniteEnumeration(orders)
-    if A.size > GAMMA_CAP:
-        raise TooLarge(f"module of order {A.size} exceeds {GAMMA_CAP}")
     elems = list(A.elements())
     index = {e: i for i, e in enumerate(elems)}
     nsym = len(elems)
     exponent = lcm(*A.orders) if A.orders else 1
-    cap = exponent * exponent
-
-    def rows():
-        for a in elems:
-            ia = index[a]
-            for lam in range(cap + 1):
+    add = [[index[A.add(a, b)] for b in elems] for a in elems]
+    scale = [[index[A.scale(lam, a)] for a in elems] for lam in range(exponent)]
+    for ia in range(nsym):
+        for lam in range(3 * exponent):
+            row = [0] * nsym
+            row[scale[lam % exponent][ia]] += 1
+            row[ia] -= lam * lam
+            yield row
+    for ia in range(nsym):
+        for ib in range(ia, nsym):
+            iab = add[ia][ib]
+            for ic in range(ib, nsym):
                 row = [0] * nsym
-                row[index[A.scale(lam, a)]] += 1
-                row[ia] -= lam * lam
+                row[add[iab][ic]] += 1
+                row[ia] += 1
+                row[ib] += 1
+                row[ic] += 1
+                row[iab] -= 1
+                row[add[ia][ic]] -= 1
+                row[add[ib][ic]] -= 1
                 yield row
-        for a in elems:
-            for b in elems:
-                ab = A.add(a, b)
-                for c in elems:
-                    row = [0] * nsym
-                    row[index[A.add(ab, c)]] += 1
-                    row[index[a]] += 1
-                    row[index[b]] += 1
-                    row[index[c]] += 1
-                    row[index[ab]] -= 1
-                    row[index[A.add(a, c)]] -= 1
-                    row[index[A.add(b, c)]] -= 1
-                    yield row
-        for a in elems:
-            for b in elems:
-                ab = A.add(a, b)
-                for lam in range(cap + 1):
-                    la = A.scale(lam, a)
-                    row = [0] * nsym
-                    row[index[A.add(la, b)]] += 1
-                    row[index[a]] += lam
-                    row[index[b]] += lam - 1
-                    row[index[ab]] -= lam
-                    row[index[la]] -= 1
-                    yield row
+    for ia in range(nsym):
+        for ib in range(nsym):
+            iab = add[ia][ib]
+            for lam in range(2 * exponent):
+                ila = scale[lam % exponent][ia]
+                row = [0] * nsym
+                row[add[ila][ib]] += 1
+                row[ia] += lam
+                row[ib] += lam - 1
+                row[iab] -= lam
+                row[ila] -= 1
+                yield row
 
-    reduced = hnf_rows(rows(), nsym)
-    return FpModule(nsym, reduced).invariant_factors
+
+def brute_gamma(orders: Sequence[int]) -> tuple:
+    """Invariant factors of the quadratic functor of a finite module.
+
+    One integer generator per module element, modulo the relation lattice of
+    ``gamma_relation_rows``: every instance of the three defining families,
+    over every element tuple and every scalar. The closed form cross-checks
+    it.
+    """
+    A = FiniteEnumeration(orders)
+    if A.size > GAMMA_CAP:
+        raise TooLarge(f"module of order {A.size} exceeds {GAMMA_CAP}")
+    reduced = hnf_rows(gamma_relation_rows(A), A.size)
+    return FpModule(A.size, reduced).invariant_factors

@@ -1,4 +1,5 @@
-"""Pinned bytes of `lieq centers` and `lieq product` in `--format json`.
+"""Pinned bytes of `lieq centers`, `lieq product` and `lieq verify catalog
+--oracle` in `--format json`.
 
 Reported generators are canonical and product brackets are listed as dense
 symbol vectors, so a change of algorithm must leave these files unchanged.
@@ -9,6 +10,8 @@ Regenerate a file only for an intended change of the report format:
         --format json > tests/golden/centers_SLUG.json
     PYTHONPATH=src python3 -m lieq.cli product catalog:NAME --q 0,2 \
         --kind KIND --format json > tests/golden/product_SLUG_KIND.json
+    PYTHONPATH=src python3 -m lieq.cli verify catalog --oracle \
+        --format json > tests/golden/verify_catalog_oracle.json
 """
 
 from pathlib import Path
@@ -51,4 +54,11 @@ def test_product_json_golden(capsys, name, kind):
     assert code == 0
     slug = PRODUCT_CASES[(name, kind)]
     want = (GOLDEN / f"product_{slug}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+def test_verify_catalog_oracle_json_golden(capsys):
+    code = main(["verify", "catalog", "--oracle", "--format", "json"])
+    assert code == 0
+    want = (GOLDEN / "verify_catalog_oracle.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want

@@ -1,17 +1,25 @@
 """The brute-force oracles themselves, on the spec'd small instances."""
 
+import random
+from math import lcm
+
 import pytest
 
-from lieq.errors import TooLarge
+from lieq import testkit, verify
+from lieq._kernel import hnf_rows
+from lieq.capability import ellis_centers, exterior_center
+from lieq.errors import TooLarge, ValidationError
 from lieq.io_catalog import Catalog
 from lieq.liealg import lie_algebra
 from lieq.qtensor import q_exterior_product, q_tensor_product
 from lieq.testkit import (
+    BruteProduct,
     FiniteEnumeration,
     brute_center,
     brute_gamma,
     brute_module_quotient,
     brute_q_square,
+    gamma_relation_rows,
     subgroup_closure,
 )
 
@@ -70,20 +78,20 @@ def test_brute_center_examples():
     assert brute_center(z2, 2, "exterior", include_brace=False) == [(0,), (1,)]
 
 
+def _assert_brute_centers_match_pipeline(g, q):
+    elems = list(FiniteEnumeration(g.orders).elements())
+    brute = set(brute_center(g, q, "exterior", include_brace=True))
+    sub = exterior_center(g, q)
+    assert brute == {x for x in elems if sub.contains_vec(x)}
+    brute_e = set(brute_center(g, q, "exterior", include_brace=False))
+    sub_e = ellis_centers(g, q)[1]
+    assert brute_e == {x for x in elems if sub_e.contains_vec(x)}
+
+
 def test_brute_center_matches_pipeline():
-    from lieq.capability import ellis_centers, exterior_center
     g = Catalog.get("heisenberg@Z/2")
     for q in (0, 2):
-        brute = set(brute_center(g, q, "exterior", include_brace=True))
-        sub = exterior_center(g, q)
-        pipe = {x for x in FiniteEnumeration(g.orders).elements()
-                if sub.contains_vec(x)}
-        assert brute == pipe
-        brute_e = set(brute_center(g, q, "exterior", include_brace=False))
-        sub_e = ellis_centers(g, q)[1]
-        pipe_e = {x for x in FiniteEnumeration(g.orders).elements()
-                  if sub_e.contains_vec(x)}
-        assert brute_e == pipe_e
+        _assert_brute_centers_match_pipeline(g, q)
 
 
 def test_brute_rejects_infinite():
@@ -98,3 +106,164 @@ def test_solvable_rank2_diagonal_relation():
         assert brute_q_square(g, 0, kind) == tuple(sorted(
             (q_tensor_product if kind == "tensor" else q_exterior_product)
             (g, None, 0).invariant_factors()))
+
+
+# ---------------------------------------------------------------------------
+# the oracles as they were first written: every bracket recomputed per
+# instance, scalars over 0..exponent^2 and all ordered triples. Kept here as
+# references for the table-driven versions.
+
+def reference_relation_instances(prod):
+    ambient = prod.ambient
+    add, neg = ambient.add, (lambda v: ambient.scale(-1, v))
+    elems = list(prod.gmod.elements())
+    seen = set()
+    for x in elems:
+        for xp in elems:
+            bxxp = prod._bracket(x, xp)
+            for y in elems:
+                vec = add(prod.tensor_elt(bxxp, y),
+                          add(neg(prod.tensor_elt(x, prod._bracket(xp, y))),
+                              prod.tensor_elt(xp, prod._bracket(x, y))))
+                seen.add(vec)
+    for x in elems:
+        for y in elems:
+            byx = prod._bracket(y, x)
+            for yp in elems:
+                vec = add(prod.tensor_elt(x, prod._bracket(y, yp)),
+                          add(neg(prod.tensor_elt(prod._bracket(yp, x), y)),
+                              prod.tensor_elt(byx, yp)))
+                seen.add(vec)
+    if prod.brace:
+        for x in elems:
+            for y in elems:
+                vec = add(prod.brace_elt(prod._bracket(x, y)),
+                          ambient.scale(-prod.q, prod.tensor_elt(x, y)))
+                seen.add(vec)
+    if prod.kind == "exterior":
+        for x in elems:
+            seen.add(prod.tensor_elt(x, x))
+    else:
+        for x in elems:
+            for y in elems:
+                b = prod._bracket(x, y)
+                seen.add(prod.tensor_elt(b, b))
+    seen.discard(ambient.zero())
+    return seen
+
+
+def reference_gamma_rows(A):
+    elems = list(A.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    nsym = len(elems)
+    exponent = lcm(*A.orders) if A.orders else 1
+    cap = exponent * exponent
+    for a in elems:
+        ia = index[a]
+        for lam in range(cap + 1):
+            row = [0] * nsym
+            row[index[A.scale(lam, a)]] += 1
+            row[ia] -= lam * lam
+            yield row
+    for a in elems:
+        for b in elems:
+            ab = A.add(a, b)
+            for c in elems:
+                row = [0] * nsym
+                row[index[A.add(ab, c)]] += 1
+                row[index[a]] += 1
+                row[index[b]] += 1
+                row[index[c]] += 1
+                row[index[ab]] -= 1
+                row[index[A.add(a, c)]] -= 1
+                row[index[A.add(b, c)]] -= 1
+                yield row
+    for a in elems:
+        for b in elems:
+            ab = A.add(a, b)
+            for lam in range(cap + 1):
+                la = A.scale(lam, a)
+                row = [0] * nsym
+                row[index[A.add(la, b)]] += 1
+                row[index[a]] += lam
+                row[index[b]] += lam - 1
+                row[index[ab]] -= lam
+                row[index[la]] -= 1
+                yield row
+
+
+def test_relation_instances_match_reference():
+    algs = verify.oracle_rank2_algebras()
+    z2 = [g for g in algs if g.orders[0] == 2]
+    z3 = [g for g in algs if g.orders[0] == 3]
+    assert len(z2) == 5
+    cases = [(g, q) for g in z2 for q in range(5)]
+    nonabelian_z3 = [g for g in z3 if g.name in
+                     ("rank2[0,1]@Z/3", "rank2[1,0]@Z/3", "rank2[1,2]@Z/3")]
+    cases += [(g, q) for g in [Catalog.get("heisenberg@Z/2")] + nonabelian_z3
+              for q in (0, 2)]
+    for g, q in cases:
+        for kind in ("tensor", "exterior"):
+            prod = BruteProduct(g, q, kind)
+            assert prod._relation_instances() == \
+                reference_relation_instances(prod), (g.name, q, kind)
+
+
+def test_relation_instances_match_reference_past_size_cap(monkeypatch):
+    """Filiform L4 over Z/2, where the two Jacobi-type families differ.
+
+    On rank 2, and on every valid rank-3 table over Z/2 and over
+    Z/2+Z/2+Z/4, the two families have equal instance sets, so the cases
+    above would not notice either one missing. L4 has an ambient of 2^16
+    elements, past SIZE_CAP; only the instance sets are compared here, so the
+    cap is raised and the closure skipped.
+    """
+    monkeypatch.setattr(testkit, "SIZE_CAP", 2 ** 16)
+    monkeypatch.setattr(testkit, "subgroup_closure", lambda ambient, gens: set())
+    g = lie_algebra([2, 2, 2, 2], {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)},
+                    2, "L4@Z/2")
+    prod = BruteProduct(g, 0, "tensor")
+    assert prod._relation_instances() == reference_relation_instances(prod)
+
+
+def test_gamma_rows_span_the_reference_lattice():
+    groups = [orders for orders in verify._abelian_groups_up_to(16)
+              if lcm(*orders) <= 8]
+    assert len(groups) == 17
+    for orders in groups:
+        A = FiniteEnumeration(orders)
+        assert hnf_rows(gamma_relation_rows(A), A.size) == \
+            hnf_rows(reference_gamma_rows(A), A.size), orders
+
+
+# ---------------------------------------------------------------------------
+# random structure constants
+
+def random_rank3_mod2():
+    """Eight distinct seeded rank-3 tables over Z/2 that pass validation."""
+    rng = random.Random(2026)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    seen, algs = set(), []
+    while len(algs) < 8:
+        table = tuple(tuple(rng.randrange(2) for _ in range(3)) for _ in pairs)
+        if table in seen:
+            continue
+        seen.add(table)
+        try:
+            g = lie_algebra([2, 2, 2], dict(zip(pairs, table)), 2,
+                            f"random{table}")
+        except ValidationError:
+            continue
+        algs.append(g)
+    return algs
+
+
+def test_random_rank3_mod2_matches_pipeline():
+    """Rank 3 over Z/3 (order 27) puts the q >= 1 ambient past SIZE_CAP."""
+    for g in random_rank3_mod2():
+        for q in (0, 2):
+            for kind, build in (("tensor", q_tensor_product),
+                                ("exterior", q_exterior_product)):
+                assert brute_q_square(g, q, kind) == tuple(sorted(
+                    build(g, None, q).invariant_factors())), (g.name, q, kind)
+        _assert_brute_centers_match_pipeline(g, 2)
