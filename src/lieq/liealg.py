@@ -398,16 +398,16 @@ class Ideal:
                     raise NotAnIdeal(
                         f"[e{j + 1}, b{i + 1}] = {w} falls outside the submodule")
                 self.gb[j][i] = tuple(coords)
-        self.bb = [[None] * p for _ in range(p)]
+        # [b_i, b_k] = sum_j (b_i)_j [e_j, b_k] by bilinearity, reduced like
+        # the coordinates ``solve`` returns
+        self.bb = [[vec_zero(p)] * p for _ in range(p)]
         for i in range(p):
-            self.bb[i][i] = vec_zero(p)
             for k in range(i + 1, p):
-                w = parent.bracket(self.basis[i], self.basis[k])
-                coords = sub.solve(w)
-                if coords is None:
-                    raise NotAnIdeal(
-                        f"[b{i + 1}, b{k + 1}] = {w} falls outside the submodule")
-                self.bb[i][k] = tuple(coords)
+                acc = [0] * p
+                for j, c in enumerate(self.basis[i]):
+                    vec_addmul(acc, c, self.gb[j][k])
+                coords = tuple(x % d if d else x for x, d in zip(acc, self.orders))
+                self.bb[i][k] = coords
                 self.bb[k][i] = vec_neg(coords)
 
     @classmethod
@@ -475,22 +475,22 @@ def quotient_algebra(g: LieAlgebra, h: Ideal):
 class LieHom:
     """Bracket-preserving ModuleHom between bracketed objects.
 
-    Source and target only need ``.module`` and ``.bracket_vec``; that covers
-    both algebras and the symbol-presented products.
+    Source and target only need ``.module``, ``.bracket_sym`` and
+    ``.bracket_vec``; that covers both algebras and the symbol-presented
+    products. The module map and the bracket are checked at construction.
     """
 
-    def __init__(self, source, target, matrix, check: bool = True):
+    def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
-        self.hom = ModuleHom(source.module, target.module, matrix, check=check)
+        self.hom = ModuleHom(source.module, target.module, matrix)
         self.section_vectors = None
-        if check:
-            bad = self.bracket_defects(stop_early=True)
-            if bad:
-                report = ValidationReport("LieHom")
-                for where, witness in bad:
-                    report.add("bracket", where, witness)
-                raise ValidationError(report)
+        bad = self.bracket_defects(stop_early=True)
+        if bad:
+            report = ValidationReport("LieHom")
+            for where, witness in bad:
+                report.add("bracket", where, witness)
+            raise ValidationError(report)
 
     def __call__(self, v):
         return self.hom(v)

@@ -2,7 +2,7 @@
 
 The product of an algebra g (canonical generators e_1..e_n) and an ideal h
 (generating basis b_1..b_p) is presented on p*n pure symbols b_i(x)e_j plus,
-for q >= 1, p brace symbols {b_i}. The relation lattice instantiates the
+for q >= 1, p brace symbols {b_i}. The relation lattice instantiates six
 defining families on generators only -- each family is multilinear, so the
 finite instantiation spans the whole lattice; the brute-force oracle in
 ``testkit`` cross-checks this over small finite instances:
@@ -13,7 +13,12 @@ finite instantiation spans the whole lattice; the brute-force oracle in
   bracket in the right slot re-expressed through the ideal);
 * the brace-of-a-bracket collapse {[b, e]} = q * (b(x)e);
 * for the exterior kind, vanishing of b(x)b on the ideal diagonal together
-  with its polarization.
+  with its polarization;
+* alternating closure: [b, e](x)[b, e] = 0.
+
+Every relation and every bracket constant is a sparse term list, written
+family by family with the two layout helpers below; a relation becomes a
+dense row only where it enters ``FpModule``.
 
 The Lie bracket on symbols follows the product formulas (pure*pure,
 brace*pure, brace*brace), expanded bilinearly through structure constants;
@@ -35,6 +40,7 @@ closed; the known defect comes from a non-Jacobi table built unchecked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 from typing import Optional, Sequence
 
@@ -53,7 +59,6 @@ from lieq.exactlin import (
     tensor_square_ab,
     unit_vec,
     vec_add,
-    vec_neg,
     vec_scale,
 )
 from lieq.liealg import (
@@ -62,13 +67,41 @@ from lieq.liealg import (
     LieAlgebra,
     LieHom,
     QCrossedModule,
+    _terms,
     bracket_terms,
     bracket_vec,
     closure_defects,
+    dense,
     hash_product,
     jacobi_defects,
     quotient_algebra,
 )
+
+
+# The symbol layout is written down once, in the two term builders below:
+# b_i(x)e_j is symbol i*n + j, and {b_i} is symbol p*n + i.
+
+def _tensor_terms(n: int, hterms, gterms, c: int = 1) -> list:
+    """c * (sum a_i b_i)(x)(sum x_j e_j) as sparse symbol terms."""
+    return [(i * n + j, c * a * x) for i, a in hterms for j, x in gterms]
+
+
+def _brace_terms(p: int, n: int, hterms, c: int = 1) -> list:
+    """c * {sum a_i b_i} as sparse symbol terms."""
+    return [(p * n + i, c * a) for i, a in hterms]
+
+
+def _unit(i: int) -> tuple:
+    """The i-th generator as sparse terms."""
+    return ((i, 1),)
+
+
+def _merged(terms) -> tuple:
+    """Sparse terms with repeated indices summed: nonzero, by increasing index."""
+    acc = {}
+    for k, c in terms:
+        acc[k] = acc.get(k, 0) + c
+    return tuple((k, c) for k, c in sorted(acc.items()) if c)
 
 
 class QProduct:
@@ -98,12 +131,12 @@ class QProduct:
     # -- symbols --------------------------------------------------------
 
     def sym_pure(self, i: int, j: int) -> int:
-        return i * self.n + j
+        return _tensor_terms(self.n, _unit(i), _unit(j))[0][0]
 
     def sym_brace(self, i: int) -> int:
         if not self.has_braces:
             raise ValueError("no brace symbols at q = 0")
-        return self.p * self.n + i
+        return _brace_terms(self.p, self.n, _unit(i))[0][0]
 
     def symbol_names(self) -> list:
         mark = "⊗" if self.kind == "tensor" else "∧"
@@ -121,22 +154,11 @@ class QProduct:
 
     def tensor_of(self, hcoords: Sequence[int], gvec: Sequence[int]) -> tuple:
         """Symbol expansion of (ideal element)(x)(algebra element)."""
-        acc = [0] * self.nsym
-        for i, a in enumerate(hcoords):
-            if a:
-                base = i * self.n
-                for j, b in enumerate(gvec):
-                    if b:
-                        acc[base + j] += a * b
-        return tuple(acc)
+        return dense(_tensor_terms(self.n, _terms(hcoords), _terms(gvec)),
+                     self.nsym)
 
     def brace_of(self, hcoords: Sequence[int]) -> tuple:
-        acc = [0] * self.nsym
-        base = self.p * self.n
-        for i, a in enumerate(hcoords):
-            if a:
-                acc[base + i] += a
-        return tuple(acc)
+        return dense(_brace_terms(self.p, self.n, _terms(hcoords)), self.nsym)
 
     # -- bracket ------------------------------------------------------------
 
@@ -163,7 +185,7 @@ class QProduct:
             if self.has_braces:
                 for i in range(self.p):
                     rows.append(vec_scale(self.q, self.ideal.basis[i]))
-            self._xi = LieHom(self, g, IntMatrix(rows, ncols=self.n), check=True)
+            self._xi = LieHom(self, g, IntMatrix(rows, ncols=self.n))
         return self._xi
 
     # -- validation ----------------------------------------------------------
@@ -199,146 +221,91 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
     braces = q >= 1
     nsym = p * n + (p if braces else 0)
 
-    def pure(i, j):
-        return i * n + j
+    # sparse inputs: the ideal basis and [b_i, e_j] in parent coordinates;
+    # [e_j, b_i], [b_i, e_j] and [b_i, b_k] in ideal coordinates
+    basis = [_terms(b) for b in h.basis]
+    be_g = [[_merged((k, a * x) for l, a in basis[i] for k, x in g.bracket_sym(l, j))
+             for j in range(n)] for i in range(p)]
+    gb = [[_terms(w) for w in row] for row in h.gb]
+    be_h = [[tuple((k, -c) for k, c in gb[j][i]) for j in range(n)]
+            for i in range(p)]
+    bb = [[_terms(w) for w in row] for row in h.bb]
 
-    def brace(i):
-        return p * n + i
+    tensor = partial(_tensor_terms, n)
+    brace = partial(_brace_terms, p, n)
 
-    def tensor_terms(hcoords, gvec, scale=1):
-        """Sparse symbol terms of (ideal coordinates)(x)(parent vector)."""
-        return [(i * n + j, scale * a * b) for i, a in enumerate(hcoords) if a
-                for j, b in enumerate(gvec) if b]
-
-    def tensor_vec(hcoords, gvec, scale=1):
-        acc = [0] * nsym
-        for k, c in tensor_terms(hcoords, gvec, scale):
-            acc[k] = c
-        return acc
-
-    # [b_i, e_j] once, in both parent and ideal coordinates
-    br_big = [[g.bracket(h.basis[i], unit_vec(n, j)) for j in range(n)]
-              for i in range(p)]
-    br_ideal = [[vec_neg(h.gb[j][i]) for j in range(n)] for i in range(p)]
-
+    # each relation family as sparse term lists
     rels = []
     # slot-linearity carried by the module relations of each side
-    for i in range(p):
-        o = h.orders[i]
-        if o:
-            for j in range(n):
-                row = [0] * nsym
-                row[pure(i, j)] = o
-                rels.append(row)
-    for j in range(n):
-        d = g.orders[j]
-        if d:
-            for i in range(p):
-                row = [0] * nsym
-                row[pure(i, j)] = d
-                rels.append(row)
+    rels += [tensor(((i, o),), _unit(j))
+             for i, o in enumerate(h.orders) if o for j in range(n)]
+    rels += [tensor(_unit(i), ((j, d),))
+             for j, d in enumerate(g.orders) if d for i in range(p)]
     if braces:
-        for i in range(p):
-            o = h.orders[i]
-            if o:
-                row = [0] * nsym
-                row[brace(i)] = o
-                rels.append(row)
+        rels += [brace(((i, o),)) for i, o in enumerate(h.orders) if o]
     # bracket in the left slot: [b_i, b_k](x)e_j = b_i(x)[b_k,e_j] - b_k(x)[b_i,e_j]
-    for i in range(p):
-        for k in range(i + 1, p):
-            bik = h.bb[i][k]
-            for j in range(n):
-                row = tensor_vec(bik, unit_vec(n, j))
-                for l, x in enumerate(br_big[k][j]):
-                    if x:
-                        row[pure(i, l)] -= x
-                for l, x in enumerate(br_big[i][j]):
-                    if x:
-                        row[pure(k, l)] += x
-                rels.append(row)
+    rels += [tensor(bb[i][k], _unit(j)) + tensor(_unit(i), be_g[k][j], -1)
+             + tensor(_unit(k), be_g[i][j])
+             for i in range(p) for k in range(i + 1, p) for j in range(n)]
     # bracket in the right slot: b_i(x)[e_j,e_l] = [e_l,b_i](x)e_j - [e_j,b_i](x)e_l
-    for i in range(p):
-        for j in range(n):
-            for l in range(j + 1, n):
-                row = tensor_vec(unit_vec(p, i), g.table[j][l])
-                for s, x in enumerate(h.gb[l][i]):
-                    if x:
-                        row[pure(s, j)] -= x
-                for s, x in enumerate(h.gb[j][i]):
-                    if x:
-                        row[pure(s, l)] += x
-                rels.append(row)
+    rels += [tensor(_unit(i), g.bracket_sym(j, l)) + tensor(gb[l][i], _unit(j), -1)
+             + tensor(gb[j][i], _unit(l))
+             for i in range(p) for j in range(n) for l in range(j + 1, n)]
     # brace of a bracket collapses: {[b_i, e_j]} = q * (b_i(x)e_j)
     if braces:
-        for i in range(p):
-            for j in range(n):
-                row = [0] * nsym
-                for s, x in enumerate(br_ideal[i][j]):
-                    if x:
-                        row[brace(s)] += x
-                row[pure(i, j)] -= q
-                rels.append(row)
+        rels += [brace(be_h[i][j]) + tensor(_unit(i), _unit(j), -q)
+                 for i in range(p) for j in range(n)]
     # exterior kind: the ideal diagonal dies, with polarization
     if kind == "exterior":
-        for i in range(p):
-            rels.append(tensor_vec(unit_vec(p, i), h.basis[i]))
-        for i in range(p):
-            for k in range(i + 1, p):
-                row = tensor_vec(unit_vec(p, i), h.basis[k])
-                for l, x in enumerate(h.basis[i]):
-                    if x:
-                        row[pure(k, l)] += x
-                rels.append(row)
+        rels += [tensor(_unit(i), basis[i]) for i in range(p)]
+        rels += [tensor(_unit(i), basis[k]) + tensor(_unit(k), basis[i])
+                 for i in range(p) for k in range(i + 1, p)]
     # alternating closure: a symbol brackets to zero with itself, so the
     # product formula's diagonal [b_i,e_j](x)[b_i,e_j] must die. (The
     # polarized form and the brace diagonals are consequences of the
     # families above; the diagonal itself is not, e.g. for solvable
     # algebras over Z/2.)
-    for i in range(p):
-        for j in range(n):
-            w = br_ideal[i][j]
-            if any(w):
-                rels.append(tensor_vec(w, br_big[i][j]))
+    rels += [tensor(be_h[i][j], be_g[i][j])
+             for i in range(p) for j in range(n) if be_h[i][j]]
 
-    module = FpModule(nsym, rels, g.base_modulus)
+    # the one place relations become dense rows
+    rows = []
+    for terms in rels:
+        row = [0] * nsym
+        for k, c in terms:
+            row[k] += c
+        rows.append(row)
+    module = FpModule(nsym, rows, g.base_modulus)
 
-    # bracket constants on symbols, as sparse rows
+    # bracket constants on symbols, each one sparse term list
     brackets = {}
 
     def set_bracket(s, t, terms):
-        acc = {}
-        for k, c in terms:
-            acc[k] = acc.get(k, 0) + c
         sign = 1 if s < t else -1
-        row = tuple((k, sign * c) for k, c in sorted(acc.items()) if c)
+        row = _merged((k, sign * c) for k, c in terms)
         if row:
             brackets[(min(s, t), max(s, t))] = row
 
-    for i in range(p):
-        for j in range(n):
-            left = br_ideal[i][j]
-            if not any(left):
-                continue
-            s = pure(i, j)
-            for k in range(p):
-                for l in range(n):
-                    t = pure(k, l)
-                    if t > s and any(br_big[k][l]):
-                        set_bracket(s, t, tensor_terms(left, br_big[k][l]))
+    pure = [(i, j, tensor(_unit(i), _unit(j))[0][0])
+            for i in range(p) for j in range(n)]
+    # [b_i(x)e_j, b_k(x)e_l] = [b_i,e_j](x)[b_k,e_l] for s < t
+    for i, j, s in pure:
+        if be_h[i][j]:
+            for k, l, t in pure:
+                if t > s and be_g[k][l]:
+                    set_bracket(s, t, tensor(be_h[i][j], be_g[k][l]))
     if braces:
         q2 = q * q
         for i in range(p):
-            for k in range(p):
-                for l in range(n):
-                    # [{b_i}, b_k(x)e_l] = q[b_i,b_k](x)e_l + b_k(x)q[b_i,e_l]
-                    set_bracket(brace(i), pure(k, l),
-                                tensor_terms(h.bb[i][k], unit_vec(n, l), q)
-                                + tensor_terms(unit_vec(p, k), br_big[i][l], q))
+            s = brace(_unit(i))[0][0]
+            # [{b_i}, b_k(x)e_l] = q[b_i,b_k](x)e_l + b_k(x)q[b_i,e_l]
+            for k, l, t in pure:
+                set_bracket(s, t, tensor(bb[i][k], _unit(l), q)
+                            + tensor(_unit(k), be_g[i][l], q))
+            # [{b_i}, {b_k}] = q b_i (x) q b_k
             for k in range(i + 1, p):
-                # [{b_i}, {b_k}] = q b_i (x) q b_k
-                set_bracket(brace(i), brace(k),
-                            tensor_terms(unit_vec(p, i), h.basis[k], q2))
+                set_bracket(s, brace(_unit(k))[0][0],
+                            tensor(_unit(i), basis[k], q2))
 
     prod = QProduct(kind, q, g, h, module, brackets)
     prod.validate_bracket_well_defined()
@@ -396,8 +363,7 @@ def check_brace_identity(prod: QProduct):
             witnesses.append((s, img))
             continue
         # {xi(s)} - q s as sparse symbol terms
-        terms = [(prod.sym_brace(i), a) for i, a in enumerate(coords) if a]
-        terms.append((s, -prod.q))
+        terms = _brace_terms(prod.p, prod.n, _terms(coords)) + [(s, -prod.q)]
         if not member(terms):
             w = list(prod.brace_of(coords))
             w[s] -= prod.q
@@ -417,12 +383,12 @@ def product_action(prod: QProduct):
     constants = []
     for a in range(n):
         # [e_a, b_i] in ideal coordinates, as sparse terms
-        ab = [[(m, c) for m, c in enumerate(h.gb[a][i]) if c] for i in range(p)]
-        row = [[(prod.sym_pure(m, j), c) for m, c in ab[i]]
-               + [(prod.sym_pure(i, k), x) for k, x in g.bracket_sym(a, j)]
+        ab = [_terms(w) for w in h.gb[a]]
+        row = [_tensor_terms(n, ab[i], _unit(j))
+               + _tensor_terms(n, _unit(i), g.bracket_sym(a, j))
                for i in range(p) for j in range(n)]
         if prod.has_braces:
-            row += [[(prod.sym_brace(m), c) for m, c in ab[i]] for i in range(p)]
+            row += [_brace_terms(p, n, ab[i]) for i in range(p)]
         constants.append(row)
     action = LieAction(g, prod, constants, check=True)
     xm = QCrossedModule(prod.xi(), action, prod.q)
@@ -431,11 +397,12 @@ def product_action(prod: QProduct):
 
 def curly_image(prod: QProduct) -> Submodule:
     """The brace-free part: the subalgebra spanned by the pure symbols."""
-    first_brace = prod.p * prod.n
-    for row in prod._br.values():
-        if any(k >= first_brace for k, _ in row):
-            raise BracketNotWellDefined(
-                "pure bracket produced a brace component")
+    if prod.has_braces:
+        first_brace = prod.sym_brace(0)
+        for row in prod._br.values():
+            if any(k >= first_brace for k, _ in row):
+                raise BracketNotWellDefined(
+                    "pure bracket produced a brace component")
     return Submodule(prod.module, prod.pure_units())
 
 

@@ -267,22 +267,28 @@ def brute_center(g: LieAlgebra, q: int, kind: str,
 def gamma_relation_rows(A: FiniteEnumeration):
     """Relation rows of the quadratic functor of A, one symbol per element.
 
-    Symbols are indexed in ``A.elements()`` order. The three defining
-    families, for a, b, c in A and every scalar lam >= 0, are
+    Symbols are indexed in ``A.elements()`` order. The defining families,
+    for a, b, c in A and every scalar lam >= 0, are
       1. [lam a] - lam^2 [a];
       2. [a+b+c] - [a+b] - [a+c] - [b+c] + [a] + [b] + [c];
       3. [lam a + b] - [lam a] + lam [a] + (lam - 1) [b] - lam [a+b].
+    Only families 1 and 2 are instantiated. With the cross-effect
+    c(a, b) = [a+b] - [a] - [b], family 2 is c(a+b, c) - c(a, c) - c(b, c),
+    so c is additive in each slot, and family 3 is c(lam a, b) - lam c(a, b).
+    Family 1 at lam = 0 gives [0], so c(0, b) = -[0] lies in the lattice, and
+    c((lam+1) a, b) = c(lam a, b) + c(a, b) modulo family 2: family 3 follows
+    by induction on lam.
 
     Finite scalar ranges give the full lattice over every lam >= 0. Let e be
     the exponent of A and write lam = r + e t with 0 <= r < e, so lam a = r a.
     For fixed r and a, a family-1 row is then R0 + t R1 + t^2 R2 with integer
-    rows R_i, and a family-3 row is R0 + t R1. In the binomial basis,
-    t^2 = t + 2 C(t, 2) with C(t, 2) an integer, so
+    rows R_i. In the binomial basis, t^2 = t + 2 C(t, 2) with C(t, 2) an
+    integer, so
       R(t) = R(0) + t (R(1) - R(0)) + C(t, 2) (R(2) - 2 R(1) + R(0)):
-    the rows at t in {0, 1, 2} span every t for family 1, and t in {0, 1}
-    for family 3. Hence lam runs over [0, 3e) and [0, 2e). A family-2 row is
-    symmetric in (a, b, c), so index-ordered triples a <= b <= c give every
-    row. No scalar or triple outside these ranges adds to the lattice.
+    the rows at t in {0, 1, 2} span every t, hence lam runs over [0, 3e). A
+    family-2 row is symmetric in (a, b, c), so index-ordered triples
+    a <= b <= c give every row. No scalar or triple outside these ranges
+    adds to the lattice.
     """
     elems = list(A.elements())
     index = {e: i for i, e in enumerate(elems)}
@@ -309,27 +315,15 @@ def gamma_relation_rows(A: FiniteEnumeration):
                 row[add[ia][ic]] -= 1
                 row[add[ib][ic]] -= 1
                 yield row
-    for ia in range(nsym):
-        for ib in range(nsym):
-            iab = add[ia][ib]
-            for lam in range(2 * exponent):
-                ila = scale[lam % exponent][ia]
-                row = [0] * nsym
-                row[add[ila][ib]] += 1
-                row[ia] += lam
-                row[ib] += lam - 1
-                row[iab] -= lam
-                row[ila] -= 1
-                yield row
 
 
 def brute_gamma(orders: Sequence[int]) -> tuple:
     """Invariant factors of the quadratic functor of a finite module.
 
     One integer generator per module element, modulo the relation lattice of
-    ``gamma_relation_rows``: every instance of the three defining families,
-    over every element tuple and every scalar. The closed form cross-checks
-    it.
+    ``gamma_relation_rows``: the span of every instance of the defining
+    families, over every element tuple and every scalar. The closed form
+    cross-checks it.
     """
     A = FiniteEnumeration(orders)
     if A.size > GAMMA_CAP:

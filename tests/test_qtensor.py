@@ -1,11 +1,20 @@
 """Products, xi maps, actions, the quadratic functor, and the sequence checks."""
 
 import random
+from math import gcd
 
 import pytest
 
-from lieq.errors import BracketNotWellDefined, NotAbelianInput
-from lieq.exactlin import FpModule, apply_matrix, unit_vec, vec_add, vec_sub
+from lieq.errors import BracketNotWellDefined, NotAbelianInput, ValidationError
+from lieq.exactlin import (
+    FpModule,
+    apply_matrix,
+    merged_factors,
+    quotient,
+    unit_vec,
+    vec_add,
+    vec_sub,
+)
 from lieq.io_catalog import Catalog, heisenberg
 from lieq.liealg import (
     Ideal,
@@ -14,6 +23,7 @@ from lieq.liealg import (
     QCrossedModule,
     ValidationReport,
     center,
+    derived_ideal,
     hash_product,
     ideal_from_gens,
     inner_q_derivations,
@@ -567,3 +577,88 @@ def test_product_lattices_stay_reduced_and_small_on_conjugates():
                 assert row[c] > 0
                 assert all(0 <= above[c] < row[c] for above in rows[:i])
             assert max(abs(x).bit_length() for r in rows for x in r) <= 16
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi-type relation families on proper ideals
+
+def random_valid_algebras():
+    """Seeded valid tables of rank 2 to 4 over Z, Z/2, Z/3, Z/4 and Z/6.
+
+    Each bracket coefficient is nonzero with probability 0.3; a table that
+    fails Jacobi is drawn again. Up to five distinct tables per ring and
+    rank (rank 2 over Z/2 has only four).
+    """
+    rng = random.Random(2306)
+    algs = []
+    for m in (0, 2, 3, 4, 6):
+        coeffs = (-1, 1, 2) if m == 0 else tuple(range(1, m))
+        for n in (2, 3, 4):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            seen, found = set(), 0
+            for _ in range(4000):
+                table = tuple(tuple(rng.choice(coeffs) if rng.random() < 0.3 else 0
+                                    for _ in range(n)) for _ in pairs)
+                if table in seen:
+                    continue
+                seen.add(table)
+                try:
+                    algs.append(lie_algebra([m] * n, dict(zip(pairs, table)), m,
+                                            f"random{table}@{m}"))
+                except ValidationError:
+                    continue
+                found += 1
+                if found == 5:
+                    break
+    return algs
+
+
+def test_central_ideal_tensor_closed_form():
+    """For M = Z(g): M(x)g = M(x)g^ab at q = 0, and M + M(x)g^ab(x)Z/q at q >= 1.
+
+    On a central ideal [b, e] = 0, so the left-slot and alternating families
+    vanish and the brace collapse reads q * (b(x)e) = 0. The right-slot
+    family b(x)[e, e'] = [e', b](x)e - [e, b](x)e' = 0 kills M(x)[g, g],
+    leaving M(x)g^ab by right exactness; the braces {b} keep the orders of
+    M. Tensor products are over Z, factor by factor: Z/a (x) Z/b = Z/gcd.
+    """
+    algs = [Catalog.get(name) for name in Catalog.names()] + random_valid_algebras()
+    assert len(algs) == 88
+    cut = 0
+    for g in algs:
+        m = Ideal(g, center(g))
+        ab = quotient(g.module, derived_ideal(g).sub)[0].invariant_factors
+        for q in range(5):
+            pure = [gcd(x, a, q) for x in m.orders for a in ab]
+            want = merged_factors([m.orders if q else (), pure])
+            assert q_tensor_product(g, m, q).invariant_factors() == want, (g.name, q)
+        # without the right-slot family all of M(x)g would survive at q = 0
+        cut += merged_factors([[gcd(x, a) for x in m.orders for a in ab]]) != \
+            merged_factors([[gcd(x, d) for x in m.orders for d in g.orders]])
+    # so the closed form tells the right-slot family's absence on 38 of 88
+    assert cut == 38
+    h = Catalog.get("heisenberg")
+    assert q_tensor_product(h, Ideal(h, center(h)), 0).invariant_factors() == (0, 0)
+
+
+def test_left_slot_family_on_derived_ideal():
+    """g = (Z/2)^3 with [e1,e3] = e1, [e2,e3] = e2; h = [g, g] = span(x, y).
+
+    Here x = e1 and y = e2 (h's basis lists them in either order). Over Z/2,
+    [x, e3] = x, [y, e3] = y, and x, y bracket to zero with e1, e2 and each
+    other. The six symbols b(x)e, b in {x, y}, have order 2, and
+    * the right-slot family at (e1, e3) and (e2, e3) reads
+      b(x)e1 = -b(x)e1 and b(x)e2 = -b(x)e2: nothing new mod 2;
+    * the left-slot family at e3 reads [x, y](x)e3 = x(x)[y, e3] - y(x)[x, e3],
+      that is 0 = x(x)y - y(x)x, so x(x)y = y(x)x;
+    * alternating closure kills [x, e3](x)[x, e3] = x(x)x and likewise y(x)y;
+    * at q = 2 the brace collapse {[x, e3]} = 2 x(x)e3 gives {x} = 0, and
+      likewise {y} = 0, so the braces die.
+    What is left is x(x)y, x(x)e3 and y(x)e3: factors (2, 2, 2). Without
+    the left-slot family x(x)y and y(x)x stay apart: (2, 2, 2, 2).
+    """
+    g = lie_algebra([2, 2, 2], {(0, 2): (1, 0, 0), (1, 2): (0, 1, 0)}, 2)
+    h = derived_ideal(g)
+    assert sorted(h.basis) == [(0, 1, 0), (1, 0, 0)]
+    for q in (0, 2):
+        assert q_tensor_product(g, h, q).invariant_factors() == (2, 2, 2)
