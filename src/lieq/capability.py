@@ -14,16 +14,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from lieq.exactlin import (
-    Submodule,
-    block_kernel,
-    is_free_over,
-    lambda_q_modulus,
-    quotient,
-    unit_vec,
-)
-from lieq.liealg import LieAlgebra, center as algebra_center, hash_product, q_center
-from lieq.qtensor import QProduct, q_exterior_product, q_tensor_product
+from lieq.exactlin import Submodule, block_kernel, terms, unit_vec
+from lieq.liealg import LieAlgebra, center as algebra_center, q_abelianization, q_center
+from lieq.qtensor import (QProduct, brace_terms, q_exterior_product, q_tensor_product,
+                          tensor_terms)
 
 
 def lambda_q_torsion_free(base_modulus: int, q: int) -> bool:
@@ -49,11 +43,11 @@ def _annihilator_kernel(prod: QProduct, include_brace: bool) -> Submodule:
     """Kernel of x -> (x*e_1, ..., x*e_n [, {x}]) through a product."""
     g = prod.algebra
     n = g.rank
-    coords = [prod.ideal.coords(unit_vec(n, a)) for a in range(n)]
-    blocks = [(prod.module, [prod.tensor_of(c, unit_vec(n, j)) for c in coords])
+    coords = [terms(prod.ideal.coords(unit_vec(n, a))) for a in range(n)]
+    blocks = [(prod.module, [tensor_terms(n, c, ((j, 1),)) for c in coords])
               for j in range(n)]
     if include_brace and prod.has_braces:
-        blocks.append((prod.module, [prod.brace_of(c) for c in coords]))
+        blocks.append((prod.module, [brace_terms(prod.p, n, c) for c in coords]))
     return block_kernel(g.module, blocks)
 
 
@@ -144,10 +138,7 @@ class CoincidenceReport:
 
 
 def coincidence_check(g: LieAlgebra, q: int) -> CoincidenceReport:
-    hp = hash_product(g, None, q)
-    base, _ = quotient(g.module, hp.sub)
-    k = lambda_q_modulus(g.base_modulus, q)
-    hyp = is_free_over(base, k)
+    _, _, hyp = q_abelianization(g, q)
     zt = tensor_center(g, q)
     ze = exterior_center(g, q)
     return CoincidenceReport(

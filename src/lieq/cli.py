@@ -13,9 +13,9 @@ import sys
 
 from lieq.capability import center_report, coincidence_check
 from lieq.errors import LieqError, ValidationError
-from lieq.exactlin import describe_factors
+from lieq.exactlin import dense, describe_factors
 from lieq.io_catalog import Catalog, report_json, resolve_input, serialize
-from lieq.liealg import dense, validate as validate_algebra
+from lieq.liealg import validate as validate_algebra
 from lieq.qtensor import q_exterior_product, q_tensor_product
 from lieq.verify import SuiteReport, run_suite, single_algebra_pairs
 

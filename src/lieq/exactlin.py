@@ -75,6 +75,39 @@ def unit_vec(n: int, i: int) -> tuple:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
+# ---------------------------------------------------------------------------
+# sparse terms
+#
+# Between layers an element is a list of (k, c) terms: coefficient c on
+# generator k. A list may repeat an index (the terms are summed) and may hold
+# zero coefficients; ``merged`` gives the canonical form.
+
+def terms(vec: Sequence[int]) -> tuple:
+    """The nonzero (k, c) terms of a dense vector."""
+    return tuple((k, c) for k, c in enumerate(vec) if c)
+
+
+def add_terms(acc: dict, c: int, row) -> None:
+    """acc += c * row, accumulating the sparse (k, x) terms of row by index."""
+    for k, x in row:
+        acc[k] = acc.get(k, 0) + c * x
+
+
+def merged(row) -> tuple:
+    """Sparse terms with repeated indices summed: nonzero, by increasing index."""
+    acc = {}
+    add_terms(acc, 1, row)
+    return tuple((k, c) for k, c in sorted(acc.items()) if c)
+
+
+def dense(row, n: int) -> tuple:
+    """The length-n vector of sparse (k, c) terms, repeated indices summed."""
+    vec = [0] * n
+    for k, c in row:
+        vec[k] += c
+    return tuple(vec)
+
+
 class IntMatrix:
     """Immutable arbitrary-precision integer matrix."""
 
@@ -266,6 +299,16 @@ class FpModule:
                 vec_addmul(acc, c, cols[i])
         return acc
 
+    def witness(self, acc: dict) -> Optional[tuple]:
+        """The dense vector of the sparse sum ``acc`` if it escapes the lattice.
+
+        ``acc`` maps generator indices to coefficients; None when the sum is
+        zero or a lattice element.
+        """
+        if not any(acc.values()) or self.is_lattice_sum(acc.items()):
+            return None
+        return dense(acc.items(), self.ambient_rank)
+
     def canon(self, v: Sequence[int]) -> tuple:
         """Canonical reduced coordinates (one per invariant factor)."""
         acc = self._smith_coords(enumerate(v))
@@ -346,7 +389,8 @@ class ModuleHom:
 
     def kernel(self) -> "Submodule":
         """Preimage of the target relation lattice, as a source submodule."""
-        return block_kernel(self.source, [(self.target, self.matrix.rows)])
+        return block_kernel(self.source,
+                            [(self.target, [terms(r) for r in self.matrix.rows])])
 
     def preimage(self, w: Sequence[int]) -> Optional[tuple]:
         """Some x with h(x) == w in the target, or None.
@@ -376,23 +420,24 @@ def kernel(h: ModuleHom) -> "Submodule":
 def block_kernel(source: FpModule, blocks) -> "Submodule":
     """Kernel of x -> (x @ M_1, ..., x @ M_b) into the sum T_1 + ... + T_b.
 
-    ``blocks`` lists pairs (T_i, rows of M_i), one row per source generator.
-    Each block goes through the known Smith columns of its own summand, so
-    the sum is never presented or reduced: x is in the kernel iff every
-    x @ M_i @ W_i vanishes modulo the orders of T_i, which is one row kernel
-    with an auxiliary multiplier per finite order.
+    ``blocks`` lists pairs (T_i, images), one image per source generator:
+    its row of M_i as sparse (k, c) terms. Each block goes through the known
+    Smith columns of its own summand, so the sum is never presented or
+    reduced: x is in the kernel iff every x @ M_i @ W_i vanishes modulo the
+    orders of T_i, which is one row kernel with an auxiliary multiplier per
+    finite order.
     """
     ns = source.ambient_rank
     width = sum(len(tgt._w_orders) for tgt, _ in blocks)
     rows = [[] for _ in range(ns)]
     moduli = []
     offset = 0
-    for tgt, matrix in blocks:
-        if len(matrix) != ns:
-            raise ValueError("block map needs one row per source generator")
+    for tgt, images in blocks:
+        if len(images) != ns:
+            raise ValueError("block map needs one image per source generator")
         k = len(tgt._w_orders)
-        for row, img in zip(rows, matrix):
-            row.extend(apply_matrix(img, tgt._w_cols, k))
+        for row, img in zip(rows, images):
+            row.extend(tgt._smith_coords(img))
         for idx, d in enumerate(tgt._w_orders):
             if d:
                 mod = [0] * width

@@ -67,6 +67,7 @@ def parse(text: str, name: str = "g") -> LieAlgebra:
     gens: Optional[list] = None
     orders = None
     brackets = {}
+    seen = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -76,6 +77,9 @@ def parse(text: str, name: str = "g") -> LieAlgebra:
             raise AlgebraSyntaxError(line_no, f"expected 'key: value', got {raw!r}")
         key = key.strip().lower()
         rest = rest.strip()
+        if key in seen and key != "bracket":
+            raise AlgebraSyntaxError(line_no, f"repeated '{key}:' line")
+        seen.add(key)
         if key == "ring":
             if rest == "Z":
                 ring = 0

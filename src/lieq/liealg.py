@@ -18,9 +18,14 @@ from lieq.exactlin import (
     FpModule,
     ModuleHom,
     Submodule,
+    add_terms,
     block_kernel,
+    is_free_over,
+    lambda_q_modulus,
+    merged,
+    quotient,
+    terms,
     unit_vec,
-    vec_addmul,
     vec_is_zero,
     vec_neg,
     vec_scale,
@@ -62,32 +67,6 @@ class ValidationReport:
         return f"{self.subject}: {head}{more}"
 
 
-def _terms(vec: Sequence[int]) -> tuple:
-    """The nonzero (k, c) terms of a dense vector."""
-    return tuple((k, c) for k, c in enumerate(vec) if c)
-
-
-def _add_terms(acc: dict, c: int, terms) -> None:
-    """acc += c * terms, accumulating sparse (k, x) terms by index."""
-    for k, x in terms:
-        acc[k] = acc.get(k, 0) + c * x
-
-
-def dense(terms, n: int) -> tuple:
-    """The length-n vector of sparse (k, c) terms with distinct k."""
-    vec = [0] * n
-    for k, c in terms:
-        vec[k] = c
-    return tuple(vec)
-
-
-def _witness(module: FpModule, acc: dict) -> Optional[tuple]:
-    """The dense vector of ``acc`` if it escapes the lattice, else None."""
-    if not any(acc.values()) or module.is_lattice_sum(acc.items()):
-        return None
-    return dense(acc.items(), module.ambient_rank)
-
-
 # ---------------------------------------------------------------------------
 # sparse bracket rows
 #
@@ -108,7 +87,7 @@ def _checked_table(table, n: int) -> tuple:
             if full[j][i] != vec_neg(full[i][j]):
                 raise ValueError("bracket table is not antisymmetric")
             if any(full[i][j]):
-                rows[(i, j)] = _terms(full[i][j])
+                rows[(i, j)] = terms(full[i][j])
     return full, rows
 
 
@@ -119,10 +98,17 @@ def bracket_terms(rows: dict, s: int, t: int) -> tuple:
     return tuple((k, -c) for k, c in rows.get((t, s), ()))
 
 
+def add_bracket(acc: dict, c: int, obj, u, v) -> None:
+    """acc += c * [u, v] for sparse terms u and v, through ``obj.bracket_sym``."""
+    for s, a in u:
+        for t, b in v:
+            add_terms(acc, c * a * b, obj.bracket_sym(s, t))
+
+
 def bracket_vec(rows: dict, u: Sequence[int], v: Sequence[int], n: int) -> tuple:
     """Bilinear expansion of [u, v] through sparse rows on n generators."""
     acc = [0] * n
-    vterms = _terms(v)
+    vterms = terms(v)
     for s, cs in enumerate(u):
         if not cs:
             continue
@@ -157,12 +143,12 @@ def closure_defects(module: FpModule, rows: dict) -> list:
     nbrs = _neighbours(rows, module.ambient_rank)
     out = []
     for r in module.lattice_rows:
-        support = _terms(r)
+        support = terms(r)
         for s in sorted({s for u, _ in support for s in nbrs[u]}):
             acc = {}
             for u, cu in support:
-                _add_terms(acc, cu, bracket_terms(rows, u, s))
-            w = _witness(module, acc)
+                add_terms(acc, cu, bracket_terms(rows, u, s))
+            w = module.witness(acc)
             if w is not None:
                 out.append(((tuple(r), s), w))
     return out
@@ -201,7 +187,7 @@ def jacobi_defects(module: FpModule, rows: dict, stop_early: bool = False) -> li
                         if row:
                             for k, xx in row:
                                 acc[k] = acc.get(k, 0) + c * xx
-                w = _witness(module, acc)
+                w = module.witness(acc)
                 if w is not None:
                     out.append(((s, t, r), w))
                     if stop_early:
@@ -270,7 +256,8 @@ class LieAlgebra:
     def bracket(self, u: Sequence[int], v: Sequence[int]) -> tuple:
         return bracket_vec(self._br, u, v, self.rank)
 
-    # qtensor and the action machinery treat any bracketed object uniformly
+    # the dense bracket under the name products use, so dense callers treat
+    # algebras and products alike
     bracket_vec = bracket
 
     def bracket_sym(self, i: int, j: int) -> tuple:
@@ -351,9 +338,9 @@ def validate(g: LieAlgebra) -> ValidationReport:
 def _adjoint_kernel(g: LieAlgebra, q: Optional[int] = None) -> Submodule:
     """Kernel of x -> ([x, e_1], ..., [x, e_n] [, q x])."""
     n = g.rank
-    blocks = [(g.module, [g.table[a][j] for a in range(n)]) for j in range(n)]
+    blocks = [(g.module, [g.bracket_sym(a, j) for a in range(n)]) for j in range(n)]
     if q is not None:
-        blocks.append((g.module, [vec_scale(q, unit_vec(n, a)) for a in range(n)]))
+        blocks.append((g.module, [((a, q),) for a in range(n)]))
     return block_kernel(g.module, blocks)
 
 
@@ -375,8 +362,8 @@ class Ideal:
 
     ``basis`` lists the ambient vectors of the chosen generating basis
     b_1..b_p (diagonal orders); ``gb[j][i]`` holds [e_j, b_i] and
-    ``bb[i][k]`` holds [b_i, b_k], both in ideal coordinates. Construction
-    fails loudly when closure does not hold.
+    ``bb[i][k]`` holds [b_i, b_k], both as sparse terms in ideal
+    coordinates. Construction fails loudly when closure does not hold.
     """
 
     def __init__(self, parent: LieAlgebra, sub: Submodule):
@@ -397,18 +384,20 @@ class Ideal:
                 if coords is None:
                     raise NotAnIdeal(
                         f"[e{j + 1}, b{i + 1}] = {w} falls outside the submodule")
-                self.gb[j][i] = tuple(coords)
+                self.gb[j][i] = terms(coords)
         # [b_i, b_k] = sum_j (b_i)_j [e_j, b_k] by bilinearity, reduced like
         # the coordinates ``solve`` returns
-        self.bb = [[vec_zero(p)] * p for _ in range(p)]
+        orders = self.orders
+        self.bb = [[()] * p for _ in range(p)]
         for i in range(p):
             for k in range(i + 1, p):
-                acc = [0] * p
-                for j, c in enumerate(self.basis[i]):
-                    vec_addmul(acc, c, self.gb[j][k])
-                coords = tuple(x % d if d else x for x, d in zip(acc, self.orders))
-                self.bb[i][k] = coords
-                self.bb[k][i] = vec_neg(coords)
+                acc = {}
+                for j, c in terms(self.basis[i]):
+                    add_terms(acc, c, self.gb[j][k])
+                row = merged((t, x % orders[t] if orders[t] else x)
+                             for t, x in acc.items())
+                self.bb[i][k] = row
+                self.bb[k][i] = tuple((t, -x) for t, x in row)
 
     @classmethod
     def whole(cls, g: LieAlgebra) -> "Ideal":
@@ -451,6 +440,19 @@ def derived_ideal(g: LieAlgebra) -> Ideal:
     return hash_product(g, None, 0)
 
 
+def q_abelianization(g: LieAlgebra, q: int):
+    """(g / (g #_q g) as a module, k, whether it is free over Z/k).
+
+    k is the characteristic of the quotient ring (base ring)/q. Freeness over
+    Z/k is the hypothesis of the gamma-sequence injectivity, the split form
+    of the tensor square and the coincidence of the tensor and exterior
+    centers.
+    """
+    base, _ = quotient(g.module, hash_product(g, None, q).sub)
+    k = lambda_q_modulus(g.base_modulus, q)
+    return base, k, is_free_over(base, k)
+
+
 def is_q_perfect(g: LieAlgebra, q: int) -> bool:
     hp = hash_product(g, None, q)
     n = g.rank
@@ -475,9 +477,10 @@ def quotient_algebra(g: LieAlgebra, h: Ideal):
 class LieHom:
     """Bracket-preserving ModuleHom between bracketed objects.
 
-    Source and target only need ``.module``, ``.bracket_sym`` and
-    ``.bracket_vec``; that covers both algebras and the symbol-presented
-    products. The module map and the bracket are checked at construction.
+    Source and target only need ``.module`` and ``.bracket_sym``, the sparse
+    bracket of two generators; that covers both algebras and the
+    symbol-presented products. The module map and the bracket are checked at
+    construction, on sparse terms.
     """
 
     def __init__(self, source, target, matrix):
@@ -496,20 +499,26 @@ class LieHom:
         return self.hom(v)
 
     def bracket_defects(self, stop_early: bool = False) -> list:
-        """Generator pairs where hom([x,y]) differs from [hom x, hom y]."""
-        n = self.source.module.ambient_rank
-        m = self.target.module.ambient_rank
-        images = self.hom.matrix.rows
+        """((i, j), witness) where hom([e_i, e_j]) - [hom e_i, hom e_j] escapes.
+
+        Both sides vanish unless [e_i, e_j] is nonzero or both images are, so
+        only those pairs are visited, in lexicographic order.
+        """
+        source, target = self.source, self.target
+        images = [terms(r) for r in self.hom.matrix.rows]
         out = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = [0] * m
-                for k, c in self.source.bracket_sym(i, j):
-                    vec_addmul(lhs, c, images[k])
-                rhs = self.target.bracket_vec(images[i], images[j])
-                diff = vec_sub(lhs, rhs)
-                if not self.target.module.is_lattice_member(diff):
-                    out.append(((i, j), diff))
+        for i, img_i in enumerate(images):
+            for j in range(i + 1, len(images)):
+                bij, img_j = source.bracket_sym(i, j), images[j]
+                if not (bij or (img_i and img_j)):
+                    continue
+                acc = {}
+                for k, c in bij:
+                    add_terms(acc, c, images[k])
+                add_bracket(acc, -1, target, img_i, img_j)
+                w = target.module.witness(acc)
+                if w is not None:
+                    out.append(((i, j), w))
                     if stop_early:
                         return out
         return out
@@ -533,13 +542,10 @@ def _sparse_constant(entry, n: int) -> tuple:
     if entry and isinstance(entry[0], int):
         if len(entry) != n:
             raise ValueError("action constant has the wrong length")
-        return tuple((k, int(c)) for k, c in enumerate(entry) if c)
-    acc = {}
-    for k, c in entry:
-        if not 0 <= k < n:
-            raise ValueError("action constant index out of range")
-        acc[k] = acc.get(k, 0) + int(c)
-    return tuple((k, c) for k, c in sorted(acc.items()) if c)
+        return terms(tuple(map(int, entry)))
+    if any(not 0 <= k < n for k, _ in entry):
+        raise ValueError("action constant index out of range")
+    return merged((k, int(c)) for k, c in entry)
 
 
 class LieAction:
@@ -574,7 +580,7 @@ class LieAction:
 
     def act(self, gvec: Sequence[int], hvec: Sequence[int]) -> tuple:
         acc = [0] * self.acted.module.ambient_rank
-        hterms = _terms(hvec)
+        hterms = terms(hvec)
         for i, ci in enumerate(gvec):
             if not ci:
                 continue
@@ -599,21 +605,21 @@ class LieAction:
         nh = hmod.ambient_rank
         C = self.constants
         for r in g.module.lattice_rows:
-            support = _terms(r)
+            support = terms(r)
             for j in range(nh):
                 acc = {}
                 for i, ci in support:
-                    _add_terms(acc, ci, C[i][j])
-                w = _witness(hmod, acc)
+                    add_terms(acc, ci, C[i][j])
+                w = hmod.witness(acc)
                 if w is not None:
                     report.add("action-actor-relations", (tuple(r), j), w)
         for s in hmod.lattice_rows:
-            support = _terms(s)
+            support = terms(s)
             for i in range(n):
                 acc = {}
                 for j, cj in support:
-                    _add_terms(acc, cj, C[i][j])
-                w = _witness(hmod, acc)
+                    add_terms(acc, cj, C[i][j])
+                w = hmod.witness(acc)
                 if w is not None:
                     report.add("action-acted-relations", (i, tuple(s)), w)
         # [e_i, e_k].h_j - e_i.(e_k.h_j) + e_k.(e_i.h_j)
@@ -626,12 +632,12 @@ class LieAction:
                         continue
                     acc = {}
                     for m, c in bik:
-                        _add_terms(acc, c, C[m][j])
+                        add_terms(acc, c, C[m][j])
                     for l, c in ckj:
-                        _add_terms(acc, -c, C[i][l])
+                        add_terms(acc, -c, C[i][l])
                     for l, c in cij:
-                        _add_terms(acc, c, C[k][l])
-                    w = _witness(hmod, acc)
+                        add_terms(acc, c, C[k][l])
+                    w = hmod.witness(acc)
                     if w is not None:
                         report.add("action-axiom-1", (i, k, j), w)
         # e_i.[h_j, h_l] - [e_i.h_j, h_l] - [h_j, e_i.h_l]
@@ -646,12 +652,12 @@ class LieAction:
                         continue
                     acc = {}
                     for m, c in bjl:
-                        _add_terms(acc, c, ci[m])
+                        add_terms(acc, c, ci[m])
                     for m, c in cij:
-                        _add_terms(acc, -c, br[m][l])
+                        add_terms(acc, -c, br[m][l])
                     for m, c in cil:
-                        _add_terms(acc, -c, br[j][m])
-                    w = _witness(hmod, acc)
+                        add_terms(acc, -c, br[j][m])
+                    w = hmod.witness(acc)
                     if w is not None:
                         report.add("action-axiom-2", (i, j, l), w)
         return report
@@ -682,16 +688,16 @@ def validate_q_crossed(xm: QCrossedModule) -> ValidationReport:
     C = action.constants
     n = g.rank
     nh = acted.module.ambient_rank
-    images = [_terms(row) for row in mu.hom.matrix.rows]  # mu(h_j), sparse
+    images = [terms(row) for row in mu.hom.matrix.rows]  # mu(h_j), sparse
     # mu(e_i.h_j) - [e_i, mu(h_j)]
     for i in range(n):
         for j in range(nh):
             acc = {}
             for k, c in C[i][j]:
-                _add_terms(acc, c, images[k])
+                add_terms(acc, c, images[k])
             for m, c in images[j]:
-                _add_terms(acc, -c, g.bracket_sym(i, m))
-            w = _witness(g.module, acc)
+                add_terms(acc, -c, g.bracket_sym(i, m))
+            w = g.module.witness(acc)
             if w is not None:
                 report.add("crossed-i", (i, j), w)
     # mu(h_j).h_l - [h_j, h_l]
@@ -702,9 +708,9 @@ def validate_q_crossed(xm: QCrossedModule) -> ValidationReport:
                 continue
             acc = {}
             for m, c in mj:
-                _add_terms(acc, c, C[m][l])
-            _add_terms(acc, -1, acted.bracket_sym(j, l))
-            w = _witness(acted.module, acc)
+                add_terms(acc, c, C[m][l])
+            add_terms(acc, -1, acted.bracket_sym(j, l))
+            w = acted.module.witness(acc)
             if w is not None:
                 report.add("crossed-ii", (j, l), w)
     for kgen in mu.kernel().gens:
@@ -747,38 +753,21 @@ def derivations(m: LieAlgebra) -> DerivationAlgebra:
     the result carries the commutator bracket.
     """
     n = m.rank
-    npairs = n * (n - 1) // 2
     endo = FpModule.diagonal(list(m.orders) * n, m.base_modulus)
-    nblocks = n + npairs
-    pair_index = {}
-    idx = n
+    # endo generator i*n + j is the e_j coefficient of D(e_i); one block per generator
+    # (D(d_i e_i) = d_i D(e_i)) and per pair a < b (the Leibniz identity
+    # D[e_a, e_b] - [D e_a, e_b] - [e_a, D e_b]), each image sparse
+    blocks = [(m.module, [((j, m.orders[i]),) if i == b else ()
+                          for i in range(n) for j in range(n)]) for b in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            pair_index[(a, b)] = idx
-            idx += 1
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (nblocks * n)
-            d_i = m.orders[i]
-            if d_i:
-                row[i * n + j] += d_i
-            for (a, b), blk in pair_index.items():
-                off = blk * n
-                # c_ab_i * e_j term
-                cab = m.table[a][b]
-                if cab[i]:
-                    row[off + j] += cab[i]
-                # -[D(e_a), e_b] and -[e_a, D(e_b)] terms
-                if i == a:
-                    for k, x in m.bracket_sym(j, b):
-                        row[off + k] -= x
-                if i == b:
-                    for k, x in m.bracket_sym(a, j):
-                        row[off + k] -= x
-            rows.append(row)
-    sub = block_kernel(endo, [(m.module, [r[b * n:(b + 1) * n] for r in rows])
-                              for b in range(nblocks)])
+            cab = dict(m.bracket_sym(a, b))
+            blocks.append((m.module, [
+                [(j, cab.get(i, 0))]
+                + ([(k, -x) for k, x in m.bracket_sym(j, b)] if i == a else [])
+                + ([(k, -x) for k, x in m.bracket_sym(a, j)] if i == b else [])
+                for i in range(n) for j in range(n)]))
+    sub = block_kernel(endo, blocks)
     basis = sub.basis()
     mats = [tuple(tuple(b[i * n + j] for j in range(n)) for i in range(n))
             for b in basis]

@@ -50,13 +50,15 @@ from lieq.exactlin import (
     IntMatrix,
     ModuleHom,
     Submodule,
+    add_terms,
+    dense,
     exterior_square_ab,
-    is_free_over,
-    lambda_q_modulus,
     lattice_intersection,
+    merged,
     merged_factors,
     quotient,
     tensor_square_ab,
+    terms,
     unit_vec,
     vec_add,
     vec_scale,
@@ -67,13 +69,12 @@ from lieq.liealg import (
     LieAlgebra,
     LieHom,
     QCrossedModule,
-    _terms,
+    add_bracket,
     bracket_terms,
     bracket_vec,
     closure_defects,
-    dense,
-    hash_product,
     jacobi_defects,
+    q_abelianization,
     quotient_algebra,
 )
 
@@ -81,12 +82,12 @@ from lieq.liealg import (
 # The symbol layout is written down once, in the two term builders below:
 # b_i(x)e_j is symbol i*n + j, and {b_i} is symbol p*n + i.
 
-def _tensor_terms(n: int, hterms, gterms, c: int = 1) -> list:
+def tensor_terms(n: int, hterms, gterms, c: int = 1) -> list:
     """c * (sum a_i b_i)(x)(sum x_j e_j) as sparse symbol terms."""
     return [(i * n + j, c * a * x) for i, a in hterms for j, x in gterms]
 
 
-def _brace_terms(p: int, n: int, hterms, c: int = 1) -> list:
+def brace_terms(p: int, n: int, hterms, c: int = 1) -> list:
     """c * {sum a_i b_i} as sparse symbol terms."""
     return [(p * n + i, c * a) for i, a in hterms]
 
@@ -94,14 +95,6 @@ def _brace_terms(p: int, n: int, hterms, c: int = 1) -> list:
 def _unit(i: int) -> tuple:
     """The i-th generator as sparse terms."""
     return ((i, 1),)
-
-
-def _merged(terms) -> tuple:
-    """Sparse terms with repeated indices summed: nonzero, by increasing index."""
-    acc = {}
-    for k, c in terms:
-        acc[k] = acc.get(k, 0) + c
-    return tuple((k, c) for k, c in sorted(acc.items()) if c)
 
 
 class QProduct:
@@ -131,12 +124,12 @@ class QProduct:
     # -- symbols --------------------------------------------------------
 
     def sym_pure(self, i: int, j: int) -> int:
-        return _tensor_terms(self.n, _unit(i), _unit(j))[0][0]
+        return tensor_terms(self.n, _unit(i), _unit(j))[0][0]
 
     def sym_brace(self, i: int) -> int:
         if not self.has_braces:
             raise ValueError("no brace symbols at q = 0")
-        return _brace_terms(self.p, self.n, _unit(i))[0][0]
+        return brace_terms(self.p, self.n, _unit(i))[0][0]
 
     def symbol_names(self) -> list:
         mark = "⊗" if self.kind == "tensor" else "∧"
@@ -154,11 +147,10 @@ class QProduct:
 
     def tensor_of(self, hcoords: Sequence[int], gvec: Sequence[int]) -> tuple:
         """Symbol expansion of (ideal element)(x)(algebra element)."""
-        return dense(_tensor_terms(self.n, _terms(hcoords), _terms(gvec)),
-                     self.nsym)
+        return dense(tensor_terms(self.n, terms(hcoords), terms(gvec)), self.nsym)
 
     def brace_of(self, hcoords: Sequence[int]) -> tuple:
-        return dense(_brace_terms(self.p, self.n, _terms(hcoords)), self.nsym)
+        return dense(brace_terms(self.p, self.n, terms(hcoords)), self.nsym)
 
     # -- bracket ------------------------------------------------------------
 
@@ -177,14 +169,10 @@ class QProduct:
     def xi(self) -> LieHom:
         """The homomorphism onto the parent sending b(x)e to [b, e], {b} to q b."""
         if self._xi is None:
-            g = self.algebra
-            rows = []
-            for i in range(self.p):
-                for j in range(self.n):
-                    rows.append(g.bracket(self.ideal.basis[i], unit_vec(self.n, j)))
+            g, basis, n = self.algebra, self.ideal.basis, self.n
+            rows = [g.bracket(b, unit_vec(n, j)) for b in basis for j in range(n)]
             if self.has_braces:
-                for i in range(self.p):
-                    rows.append(vec_scale(self.q, self.ideal.basis[i]))
+                rows += [vec_scale(self.q, b) for b in basis]
             self._xi = LieHom(self, g, IntMatrix(rows, ncols=self.n))
         return self._xi
 
@@ -223,16 +211,15 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
 
     # sparse inputs: the ideal basis and [b_i, e_j] in parent coordinates;
     # [e_j, b_i], [b_i, e_j] and [b_i, b_k] in ideal coordinates
-    basis = [_terms(b) for b in h.basis]
-    be_g = [[_merged((k, a * x) for l, a in basis[i] for k, x in g.bracket_sym(l, j))
+    basis = [terms(b) for b in h.basis]
+    be_g = [[merged((k, a * x) for l, a in basis[i] for k, x in g.bracket_sym(l, j))
              for j in range(n)] for i in range(p)]
-    gb = [[_terms(w) for w in row] for row in h.gb]
+    gb, bb = h.gb, h.bb
     be_h = [[tuple((k, -c) for k, c in gb[j][i]) for j in range(n)]
             for i in range(p)]
-    bb = [[_terms(w) for w in row] for row in h.bb]
 
-    tensor = partial(_tensor_terms, n)
-    brace = partial(_brace_terms, p, n)
+    tensor = partial(tensor_terms, n)
+    brace = partial(brace_terms, p, n)
 
     # each relation family as sparse term lists
     rels = []
@@ -269,20 +256,14 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
              for i in range(p) for j in range(n) if be_h[i][j]]
 
     # the one place relations become dense rows
-    rows = []
-    for terms in rels:
-        row = [0] * nsym
-        for k, c in terms:
-            row[k] += c
-        rows.append(row)
-    module = FpModule(nsym, rows, g.base_modulus)
+    module = FpModule(nsym, [dense(r, nsym) for r in rels], g.base_modulus)
 
     # bracket constants on symbols, each one sparse term list
     brackets = {}
 
-    def set_bracket(s, t, terms):
+    def set_bracket(s, t, row):
         sign = 1 if s < t else -1
-        row = _merged((k, sign * c) for k, c in terms)
+        row = merged((k, sign * c) for k, c in row)
         if row:
             brackets[(min(s, t), max(s, t))] = row
 
@@ -355,19 +336,18 @@ def check_brace_identity(prod: QProduct):
     """{xi(x)} == q x for every ambient generator; returns (ok, witnesses)."""
     if not prod.has_braces:
         raise ValueError("brace identity needs q >= 1")
-    member = prod.module.is_lattice_sum
     witnesses = []
     for s, img in enumerate(prod.xi().hom.matrix.rows):
         coords = prod.ideal.coords(img)
         if coords is None:
             witnesses.append((s, img))
             continue
-        # {xi(s)} - q s as sparse symbol terms
-        terms = _brace_terms(prod.p, prod.n, _terms(coords)) + [(s, -prod.q)]
-        if not member(terms):
-            w = list(prod.brace_of(coords))
-            w[s] -= prod.q
-            witnesses.append((s, tuple(w)))
+        # {xi(s)} - q s, summed: s may itself be a brace of the sum
+        acc = {s: -prod.q}
+        add_terms(acc, 1, brace_terms(prod.p, prod.n, terms(coords)))
+        w = prod.module.witness(acc)
+        if w is not None:
+            witnesses.append((s, w))
     return not witnesses, witnesses
 
 
@@ -382,13 +362,12 @@ def product_action(prod: QProduct):
     n, p = prod.n, prod.p
     constants = []
     for a in range(n):
-        # [e_a, b_i] in ideal coordinates, as sparse terms
-        ab = [_terms(w) for w in h.gb[a]]
-        row = [_tensor_terms(n, ab[i], _unit(j))
-               + _tensor_terms(n, _unit(i), g.bracket_sym(a, j))
+        ab = h.gb[a]  # [e_a, b_i] in ideal coordinates
+        row = [tensor_terms(n, ab[i], _unit(j))
+               + tensor_terms(n, _unit(i), g.bracket_sym(a, j))
                for i in range(p) for j in range(n)]
         if prod.has_braces:
-            row += [_brace_terms(p, n, ab[i]) for i in range(p)]
+            row += [brace_terms(p, n, ab[i]) for i in range(p)]
         constants.append(row)
     action = LieAction(g, prod, constants, check=True)
     xm = QCrossedModule(prod.xi(), action, prod.q)
@@ -465,6 +444,7 @@ class GammaMap:
     gamma: GammaModule        # integer functor
     gamma_reduced: GammaModule  # functor over the characteristic-k quotient ring
     k: int
+    free: bool                # base is free over Z/k
     product: QProduct
     hom: ModuleHom            # from gamma.module
     hom_reduced: ModuleHom    # from gamma_reduced.module
@@ -472,10 +452,8 @@ class GammaMap:
 
 def gamma_map(g: LieAlgebra, q: int) -> GammaMap:
     """diag(i) -> lift(a_i)(x)lift(a_i), cross(i,j) -> the polarized pair."""
-    hp = hash_product(g, None, q)
-    base, _ = quotient(g.module, hp.sub)
+    base, k, free = q_abelianization(g, q)
     gm = gamma(base)
-    k = lambda_q_modulus(g.base_modulus, q)
     gmq = gm.reduced_mod(k)
     prod = q_tensor_product(g, None, q)
     lifts = base.canonical_basis()
@@ -491,7 +469,7 @@ def gamma_map(g: LieAlgebra, q: int) -> GammaMap:
                             IntMatrix(rows, ncols=prod.nsym), check=True)
     hom = ModuleHom(gm.module, prod.module,
                     IntMatrix(rows, ncols=prod.nsym), check=True)
-    return GammaMap(base, gm, gmq, k, prod, hom, hom_reduced)
+    return GammaMap(base, gm, gmq, k, free, prod, hom, hom_reduced)
 
 
 def gamma_map_i(g: LieAlgebra, q: int) -> ModuleHom:
@@ -558,14 +536,15 @@ def gamma_sequence_check(g: LieAlgebra, q: int) -> GammaSequenceReport:
     img = gm.hom_reduced.image()
     ker = proj.kernel()
     exact = img.same(ker)
+    prod = gm.product
+    gens = [terms(r) for r in gm.hom.matrix.rows]
     trivial = True
-    gens = [r for r in gm.hom.matrix.rows]
-    for a in range(len(gens)):
-        for b in range(a, len(gens)):
-            w = gm.product.bracket_vec(gens[a], gens[b])
-            if not gm.product.module.is_lattice_member(w):
-                trivial = False
-    free = is_free_over(gm.base, gm.k)
+    for a, u in enumerate(gens):
+        for v in gens[a:]:
+            acc = {}
+            add_bracket(acc, 1, prod, u, v)
+            trivial = trivial and prod.module.witness(acc) is None
+    free = gm.free
     injective = gm.hom_reduced.kernel().is_zero() if free else None
     return GammaSequenceReport(
         exact=exact,
@@ -591,26 +570,16 @@ def right_exact_check(g: LieAlgebra, h: Ideal, q: int,
     gbar, pi = quotient_algebra(g, h)
     p3 = q_exterior_product(gbar, None, q)
 
-    rows1 = []
-    for i in range(p1.p):
-        emb = h.basis[i]
-        for j in range(p1.n):
-            rows1.append(p2.tensor_of(emb, unit_vec(p1.n, j)))
+    rows1 = [p2.tensor_of(b, unit_vec(p1.n, j)) for b in h.basis for j in range(p1.n)]
     if p1.has_braces:
-        for i in range(p1.p):
-            rows1.append(p2.brace_of(h.basis[i]))
+        rows1 += [p2.brace_of(b) for b in h.basis]
     m1 = ModuleHom(p1.module, p2.module, IntMatrix(rows1, ncols=p2.nsym),
                    check=True)
 
     proj_rows = [pi(unit_vec(g.rank, u)) for u in range(g.rank)]
-    rows2 = []
-    for u in range(p2.p):
-        pu = proj_rows[u]
-        for j in range(p2.n):
-            rows2.append(p3.tensor_of(pu, proj_rows[j]))
+    rows2 = [p3.tensor_of(pu, pj) for pu in proj_rows for pj in proj_rows]
     if p2.has_braces:
-        for u in range(p2.p):
-            rows2.append(p3.brace_of(proj_rows[u]))
+        rows2 += [p3.brace_of(pu) for pu in proj_rows]
     m2 = ModuleHom(p2.module, p3.module, IntMatrix(rows2, ncols=p3.nsym),
                    check=True)
 
@@ -724,7 +693,7 @@ class SplitReport:
 def split_decomposition_check(g: LieAlgebra, q: int) -> SplitReport:
     gm = gamma_map(g, q)
     pt = gm.product
-    if not is_free_over(gm.base, gm.k):
+    if not gm.free:
         return SplitReport(False, pt.invariant_factors(), None, None, None, None)
     pe = q_exterior_product(g, None, q)
     split = merged_factors([pe.invariant_factors(),

@@ -25,6 +25,7 @@ from lieq.exactlin import (
     snf,
     submodule,
     tensor_square_ab,
+    terms,
     unit_vec,
 )
 from lieq.testkit import brute_module_quotient
@@ -239,6 +240,11 @@ def test_kernel_examples():
     assert brute == [0, 3]
 
 
+def _sparse(blocks):
+    """The dense block rows as the sparse images ``block_kernel`` takes."""
+    return [(t, [terms(r) for r in rows]) for t, rows in blocks]
+
+
 def _stacked_kernels(source, blocks):
     """Kernel of a block map through the direct sum presented by hand.
 
@@ -272,7 +278,7 @@ def test_block_kernel_matches_stacked_module(data):
         nt = t.ambient_rank
         blocks.append((t, data.draw(st.lists(
             st.lists(vectors, min_size=nt, max_size=nt), min_size=ns, max_size=ns))))
-    got = block_kernel(source, blocks)
+    got = block_kernel(source, _sparse(blocks))
     for want in _stacked_kernels(source, blocks):
         assert got.same(want)
         assert got.basis() == want.basis()
@@ -284,12 +290,12 @@ def test_block_kernel_zero_rank_and_zero_module_blocks():
     trivial = FpModule.diagonal([1, 1])
     z2 = FpModule.diagonal([2])
     blocks = [(empty, [(), ()]), (trivial, [(1, 5), (3, 0)]), (z2, [(1,), (1,)])]
-    got = block_kernel(src, blocks)
+    got = block_kernel(src, _sparse(blocks))
     for want in _stacked_kernels(src, blocks):
         assert got.same(want)
     assert got.contains_vec((1, 1)) and not got.contains_vec((1, 0))
     # nothing to map into: the kernel is everything
-    assert block_kernel(src, [(empty, [(), ()])]).same(Submodule.full(src))
+    assert block_kernel(src, _sparse([(empty, [(), ()])])).same(Submodule.full(src))
     assert block_kernel(src, []).same(Submodule.full(src))
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from lieq.capability import center_report
+from lieq.cli import main
 from lieq.errors import AlgebraSyntaxError, DuplicateBracket, ValidationError
 from lieq.io_catalog import (
     Catalog,
@@ -52,6 +53,23 @@ def test_parse_errors():
     with pytest.raises(ValidationError):
         parse("ring: Z\ngenerators: x y z\n"
               "bracket: [x,y] = z\nbracket: [x,z] = x\n")
+
+
+def test_parse_rejects_repeated_header_lines(tmp_path, capsys):
+    # a second generators line after a bracket line: validate used to crash
+    # with an IndexError traceback and exit 1
+    text = "ring: Z\ngenerators: a b c\nbracket: [a,b] = c\ngenerators: x y\n"
+    with pytest.raises(AlgebraSyntaxError, match="line 4: repeated 'generators:'"):
+        parse(text)
+    path = tmp_path / "regenerated.lieq"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert "repeated 'generators:' line" in capsys.readouterr().err
+    # a second ring line used to win silently
+    with pytest.raises(AlgebraSyntaxError, match="line 2: repeated 'ring:'"):
+        parse("ring: Z\nring: Z/2\ngenerators: x\n")
+    with pytest.raises(AlgebraSyntaxError, match="line 4: repeated 'orders:'"):
+        parse("ring: Z\ngenerators: x\norders: 0\norders: 2\n")
 
 
 def test_roundtrip_catalog():

@@ -1,12 +1,13 @@
 """Lie algebra layer: validation, centers, ideals, derivations, crossed modules."""
 
+import copy
 import random
 
 import pytest
 
 from lieq import liealg
 from lieq.errors import NotAnIdeal, ValidationError
-from lieq.exactlin import FpModule, unit_vec, vec_add
+from lieq.exactlin import FpModule, ModuleHom, unit_vec, vec_add, vec_addmul, vec_sub
 from lieq.io_catalog import Catalog, abelian, heisenberg, sl2, strictly_upper
 from lieq.liealg import (
     Ideal,
@@ -31,7 +32,7 @@ from lieq.liealg import (
     validate,
     validate_q_crossed,
 )
-from lieq.qtensor import q_tensor_product
+from lieq.qtensor import q_exterior_product, q_tensor_product
 
 
 def h3():
@@ -279,6 +280,54 @@ def test_quotient_projection_preserves_brackets():
     g = h3()
     _, proj = quotient_algebra(g, Ideal(g, center(g)))
     assert not proj.bracket_defects()
+
+
+def dense_bracket_defects(hom):
+    """Every generator pair, each side of hom([x,y]) = [hom x, hom y] dense."""
+    n = hom.source.module.ambient_rank
+    m = hom.target.module.ambient_rank
+    images = hom.hom.matrix.rows
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = [0] * m
+            for k, c in hom.source.bracket_sym(i, j):
+                vec_addmul(lhs, c, images[k])
+            rhs = hom.target.bracket_vec(images[i], images[j])
+            diff = vec_sub(lhs, rhs)
+            if not hom.target.module.is_lattice_member(diff):
+                out.append(((i, j), diff))
+    return out
+
+
+def _perturbed(hom, rng):
+    """A copy of hom with one image row shifted, its checks bypassed."""
+    rows = [list(r) for r in hom.hom.matrix.rows]
+    row = rng.randrange(len(rows))
+    for k in range(len(rows[row])):
+        rows[row][k] += rng.randint(-2, 2)
+    bad = copy.copy(hom)
+    bad.hom = ModuleHom(hom.hom.source, hom.hom.target, rows, check=False)
+    return bad
+
+
+def test_sparse_bracket_defects_match_dense_reference():
+    homs = [build(Catalog.get(name), None, q).xi() for name in Catalog.names()
+            for q in (0, 1, 2, 3) for build in (q_tensor_product, q_exterior_product)]
+    for hom in homs:
+        assert hom.bracket_defects() == dense_bracket_defects(hom) == []
+    rng = random.Random(2026)
+    nonempty = 0
+    for hom in homs:
+        if hom.source.module.ambient_rank < 2:
+            continue
+        for _ in range(3):
+            bad = _perturbed(hom, rng)
+            want = dense_bracket_defects(bad)
+            assert bad.bracket_defects() == want
+            assert bad.bracket_defects(stop_early=True) == want[:1]
+            nonempty += bool(want)
+    assert nonempty >= 5
 
 
 # -- derivations ------------------------------------------------------------------------

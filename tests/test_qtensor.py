@@ -1,5 +1,6 @@
 """Products, xi maps, actions, the quadratic functor, and the sequence checks."""
 
+import copy
 import random
 from math import gcd
 
@@ -8,6 +9,7 @@ import pytest
 from lieq.errors import BracketNotWellDefined, NotAbelianInput, ValidationError
 from lieq.exactlin import (
     FpModule,
+    ModuleHom,
     apply_matrix,
     merged_factors,
     quotient,
@@ -121,6 +123,18 @@ def test_brace_identity():
         for q in (1, 2, 3):
             ok, wit = check_brace_identity(q_exterior_product(g, None, q))
             assert ok, (name, q, wit)
+
+
+def test_brace_identity_witness_sums_colliding_terms():
+    # With xi({b}) corrupted to 3b, {xi({b})} - 2{b} = {b}: the brace term and
+    # the subtracted symbol share an index, and the witness is their sum.
+    prod = copy.copy(q_tensor_product(Catalog.get("Z"), None, 2))
+    good = prod.xi()
+    assert good.hom.matrix.rows == ((0,), (2,))
+    bad = copy.copy(good)
+    bad.hom = ModuleHom(good.hom.source, good.hom.target, [(0,), (3,)], check=False)
+    prod._xi = bad
+    assert check_brace_identity(prod) == (False, [(1, (0, 1))])
 
 
 def test_product_action_validates():
