@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from lieq.exactlin import Submodule, block_kernel, terms, unit_vec
+from lieq.exactlin import Submodule, block_kernel, is_free_over, terms, unit_vec
 from lieq.liealg import LieAlgebra, center as algebra_center, q_abelianization, q_center
 from lieq.qtensor import (QProduct, brace_terms, q_exterior_product, q_tensor_product,
                           tensor_terms)
@@ -138,7 +138,7 @@ class CoincidenceReport:
 
 
 def coincidence_check(g: LieAlgebra, q: int) -> CoincidenceReport:
-    _, _, hyp = q_abelianization(g, q)
+    hyp = is_free_over(*q_abelianization(g, q))
     zt = tensor_center(g, q)
     ze = exterior_center(g, q)
     return CoincidenceReport(

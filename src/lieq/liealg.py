@@ -11,6 +11,7 @@ which is where the identities live for a finitely presented module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 from lieq.errors import NotAnIdeal, ValidationError
@@ -20,7 +21,7 @@ from lieq.exactlin import (
     Submodule,
     add_terms,
     block_kernel,
-    is_free_over,
+    dense,
     lambda_q_modulus,
     merged,
     quotient,
@@ -91,38 +92,35 @@ def _checked_table(table, n: int) -> tuple:
     return full, rows
 
 
-def bracket_terms(rows: dict, s: int, t: int) -> tuple:
-    """[s, t] as sparse (k, c) terms; () when zero."""
-    if s < t:
-        return rows.get((s, t), ())
-    return tuple((k, -c) for k, c in rows.get((t, s), ()))
+def bracket_lookup(rows: dict):
+    """The ``bracket_sym`` of sparse rows: (s, t) -> [s, t] as sparse terms.
+
+    Rows hold s < t; the negated rows for s > t are built once here. The
+    result pickles, so algebras and products holding it do too.
+    """
+    both = dict(rows)
+    for (s, t), row in rows.items():
+        both[(t, s)] = tuple((k, -c) for k, c in row)
+    return partial(_row_of, both)
 
 
-def add_bracket(acc: dict, c: int, obj, u, v) -> None:
-    """acc += c * [u, v] for sparse terms u and v, through ``obj.bracket_sym``."""
+def _row_of(both: dict, s: int, t: int) -> tuple:
+    return both.get((s, t), ())
+
+
+def add_bracket(acc: dict, c: int, bracket_sym, u, v) -> None:
+    """acc += c * [u, v] for sparse terms u and v; ``bracket_sym(s, t)`` gives
+    [s, t] of two generators as sparse terms."""
     for s, a in u:
         for t, b in v:
-            add_terms(acc, c * a * b, obj.bracket_sym(s, t))
+            add_terms(acc, c * a * b, bracket_sym(s, t))
 
 
-def bracket_vec(rows: dict, u: Sequence[int], v: Sequence[int], n: int) -> tuple:
-    """Bilinear expansion of [u, v] through sparse rows on n generators."""
-    acc = [0] * n
-    vterms = terms(v)
-    for s, cs in enumerate(u):
-        if not cs:
-            continue
-        for t, ct in vterms:
-            if s < t:
-                row, c = rows.get((s, t)), cs * ct
-            elif s > t:
-                row, c = rows.get((t, s)), -cs * ct
-            else:
-                continue
-            if row:
-                for k, x in row:
-                    acc[k] += c * x
-    return tuple(acc)
+def bracket_terms(bracket_sym, u, v) -> tuple:
+    """[u, v] of sparse terms u and v as merged sparse terms."""
+    acc = {}
+    add_bracket(acc, 1, bracket_sym, u, v)
+    return merged(acc.items())
 
 
 def _neighbours(rows: dict, n: int) -> list:
@@ -141,13 +139,13 @@ def closure_defects(module: FpModule, rows: dict) -> list:
     some generator in the support of r; those are visited in increasing order.
     """
     nbrs = _neighbours(rows, module.ambient_rank)
+    br = bracket_lookup(rows)
     out = []
     for r in module.lattice_rows:
         support = terms(r)
         for s in sorted({s for u, _ in support for s in nbrs[u]}):
             acc = {}
-            for u, cu in support:
-                add_terms(acc, cu, bracket_terms(rows, u, s))
+            add_bracket(acc, 1, br, support, ((s, 1),))
             w = module.witness(acc)
             if w is not None:
                 out.append(((tuple(r), s), w))
@@ -164,29 +162,23 @@ def jacobi_defects(module: FpModule, rows: dict, stop_early: bool = False) -> li
     """
     n = module.ambient_rank
     nbrs = _neighbours(rows, n)
+    br = bracket_lookup(rows)
+    unit = [((z, 1),) for z in range(n)]
     out = []
     for s in range(n):
         for t in range(s + 1, n):
-            if (s, t) in rows:
+            st = rows.get((s, t))
+            if st:
                 third = range(t + 1, n)
             else:
                 third = sorted(r for r in nbrs[s] | nbrs[t] if r > t)
             for r in third:
                 acc = {}
-                # [[s,t],r] + [[t,r],s] + [[r,s],t]; each inner row is
-                # signed by the order of its pair
-                for x, y, z, sign in ((s, t, r, 1), (t, r, s, 1),
-                                      (s, r, t, -1)):
-                    for u, cu in rows.get((x, y), ()):
-                        if u < z:
-                            row, c = rows.get((u, z)), sign * cu
-                        elif u > z:
-                            row, c = rows.get((z, u)), -sign * cu
-                        else:
-                            continue
-                        if row:
-                            for k, xx in row:
-                                acc[k] = acc.get(k, 0) + c * xx
+                # [[s,t],r] + [[t,r],s] - [[s,r],t], over the nonzero inner rows
+                for row, z, sign in ((st, r, 1), (rows.get((t, r)), s, 1),
+                                     (rows.get((s, r)), t, -1)):
+                    if row:
+                        add_bracket(acc, sign, br, row, unit[z])
                 w = module.witness(acc)
                 if w is not None:
                     out.append(((s, t, r), w))
@@ -231,6 +223,7 @@ class LieAlgebra:
         self.module = module
         self.name = name
         self.table, self._br = _checked_table(table, n)
+        self._sym = bracket_lookup(self._br)
         # Whole-algebra products keyed (kind, q) and their centers keyed
         # (kind, q, brace); products over proper ideals are not kept.
         self._memo = {}
@@ -254,15 +247,11 @@ class LieAlgebra:
         return self.module.base_modulus
 
     def bracket(self, u: Sequence[int], v: Sequence[int]) -> tuple:
-        return bracket_vec(self._br, u, v, self.rank)
-
-    # the dense bracket under the name products use, so dense callers treat
-    # algebras and products alike
-    bracket_vec = bracket
+        return dense(bracket_terms(self.bracket_sym, terms(u), terms(v)), self.rank)
 
     def bracket_sym(self, i: int, j: int) -> tuple:
         """[e_i, e_j] as sparse (k, c) terms, like ``QProduct.bracket_sym``."""
-        return bracket_terms(self._br, i, j)
+        return self._sym(i, j)
 
     def is_abelian(self) -> bool:
         return all(self.module.is_lattice_sum(row) for row in self._br.values())
@@ -286,10 +275,12 @@ def _transport(module0: FpModule, rows0: dict, name: str, check: bool):
     n0 = module0.ambient_rank
     k = module0.rank
     lifts = module0.canonical_basis()
+    br = bracket_lookup(rows0)
     new_table = [[vec_zero(k) for _ in range(k)] for _ in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
-            w = module0.canon(bracket_vec(rows0, lifts[a], lifts[b], n0))
+            w = bracket_terms(br, terms(lifts[a]), terms(lifts[b]))
+            w = module0.canon(dense(w, n0))
             new_table[a][b] = w
             new_table[b][a] = vec_neg(w)
     module = FpModule.diagonal(module0.invariant_factors, module0.base_modulus)
@@ -441,16 +432,14 @@ def derived_ideal(g: LieAlgebra) -> Ideal:
 
 
 def q_abelianization(g: LieAlgebra, q: int):
-    """(g / (g #_q g) as a module, k, whether it is free over Z/k).
+    """(g / (g #_q g) as a module, k) for k the characteristic of (base ring)/q.
 
-    k is the characteristic of the quotient ring (base ring)/q. Freeness over
-    Z/k is the hypothesis of the gamma-sequence injectivity, the split form
-    of the tensor square and the coincidence of the tensor and exterior
-    centers.
+    Its freeness over Z/k, ``is_free_over(*q_abelianization(g, q))``, is the
+    hypothesis of the gamma-sequence injectivity, the split form of the
+    tensor square and the coincidence of the tensor and exterior centers.
     """
     base, _ = quotient(g.module, hash_product(g, None, q).sub)
-    k = lambda_q_modulus(g.base_modulus, q)
-    return base, k, is_free_over(base, k)
+    return base, lambda_q_modulus(g.base_modulus, q)
 
 
 def is_q_perfect(g: LieAlgebra, q: int) -> bool:
@@ -515,7 +504,7 @@ class LieHom:
                 acc = {}
                 for k, c in bij:
                     add_terms(acc, c, images[k])
-                add_bracket(acc, -1, target, img_i, img_j)
+                add_bracket(acc, -1, target.bracket_sym, img_i, img_j)
                 w = target.module.witness(acc)
                 if w is not None:
                     out.append(((i, j), w))
@@ -641,22 +630,20 @@ class LieAction:
                     if w is not None:
                         report.add("action-axiom-1", (i, k, j), w)
         # e_i.[h_j, h_l] - [e_i.h_j, h_l] - [h_j, e_i.h_l]
-        br = [[self.acted.bracket_sym(j, l) for l in range(nh)] for j in range(nh)]
+        br = self.acted.bracket_sym
         for i in range(n):
             ci = C[i]
             for j in range(nh):
                 cij = ci[j]
                 for l in range(j + 1, nh):
-                    bjl, cil = br[j][l], ci[l]
+                    bjl, cil = br(j, l), ci[l]
                     if not (bjl or cij or cil):
                         continue
                     acc = {}
                     for m, c in bjl:
                         add_terms(acc, c, ci[m])
-                    for m, c in cij:
-                        add_terms(acc, -c, br[m][l])
-                    for m, c in cil:
-                        add_terms(acc, -c, br[j][m])
+                    add_bracket(acc, -1, br, cij, ((l, 1),))
+                    add_bracket(acc, -1, br, ((j, 1),), cil)
                     w = hmod.witness(acc)
                     if w is not None:
                         report.add("action-axiom-2", (i, j, l), w)
@@ -695,8 +682,7 @@ def validate_q_crossed(xm: QCrossedModule) -> ValidationReport:
             acc = {}
             for k, c in C[i][j]:
                 add_terms(acc, c, images[k])
-            for m, c in images[j]:
-                add_terms(acc, -c, g.bracket_sym(i, m))
+            add_bracket(acc, -1, g.bracket_sym, ((i, 1),), images[j])
             w = g.module.witness(acc)
             if w is not None:
                 report.add("crossed-i", (i, j), w)

@@ -53,6 +53,7 @@ from lieq.exactlin import (
     add_terms,
     dense,
     exterior_square_ab,
+    is_free_over,
     lattice_intersection,
     merged,
     merged_factors,
@@ -70,8 +71,8 @@ from lieq.liealg import (
     LieHom,
     QCrossedModule,
     add_bracket,
+    bracket_lookup,
     bracket_terms,
-    bracket_vec,
     closure_defects,
     jacobi_defects,
     q_abelianization,
@@ -119,6 +120,7 @@ class QProduct:
         self.has_braces = q >= 1
         self.nsym = module.ambient_rank
         self._br = brackets
+        self._sym = bracket_lookup(brackets)
         self._xi = None
 
     # -- symbols --------------------------------------------------------
@@ -156,10 +158,10 @@ class QProduct:
 
     def bracket_sym(self, s: int, t: int) -> tuple:
         """[s, t] of two symbols as sparse (k, c) terms; () when zero."""
-        return bracket_terms(self._br, s, t)
+        return self._sym(s, t)
 
-    def bracket_vec(self, u: Sequence[int], v: Sequence[int]) -> tuple:
-        return bracket_vec(self._br, u, v, self.nsym)
+    def bracket(self, u: Sequence[int], v: Sequence[int]) -> tuple:
+        return dense(bracket_terms(self.bracket_sym, terms(u), terms(v)), self.nsym)
 
     def invariant_factors(self) -> tuple:
         return self.module.invariant_factors
@@ -169,10 +171,14 @@ class QProduct:
     def xi(self) -> LieHom:
         """The homomorphism onto the parent sending b(x)e to [b, e], {b} to q b."""
         if self._xi is None:
-            g, basis, n = self.algebra, self.ideal.basis, self.n
-            rows = [g.bracket(b, unit_vec(n, j)) for b in basis for j in range(n)]
+            g = self.algebra
+            rows = []
+            for i in range(self.p):
+                for j in range(self.n):
+                    rows.append(g.bracket(self.ideal.basis[i], unit_vec(self.n, j)))
             if self.has_braces:
-                rows += [vec_scale(self.q, b) for b in basis]
+                for i in range(self.p):
+                    rows.append(vec_scale(self.q, self.ideal.basis[i]))
             self._xi = LieHom(self, g, IntMatrix(rows, ncols=self.n))
         return self._xi
 
@@ -212,8 +218,8 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
     # sparse inputs: the ideal basis and [b_i, e_j] in parent coordinates;
     # [e_j, b_i], [b_i, e_j] and [b_i, b_k] in ideal coordinates
     basis = [terms(b) for b in h.basis]
-    be_g = [[merged((k, a * x) for l, a in basis[i] for k, x in g.bracket_sym(l, j))
-             for j in range(n)] for i in range(p)]
+    be_g = [[bracket_terms(g.bracket_sym, basis[i], _unit(j)) for j in range(n)]
+            for i in range(p)]
     gb, bb = h.gb, h.bb
     be_h = [[tuple((k, -c) for k, c in gb[j][i]) for j in range(n)]
             for i in range(p)]
@@ -444,7 +450,6 @@ class GammaMap:
     gamma: GammaModule        # integer functor
     gamma_reduced: GammaModule  # functor over the characteristic-k quotient ring
     k: int
-    free: bool                # base is free over Z/k
     product: QProduct
     hom: ModuleHom            # from gamma.module
     hom_reduced: ModuleHom    # from gamma_reduced.module
@@ -452,7 +457,7 @@ class GammaMap:
 
 def gamma_map(g: LieAlgebra, q: int) -> GammaMap:
     """diag(i) -> lift(a_i)(x)lift(a_i), cross(i,j) -> the polarized pair."""
-    base, k, free = q_abelianization(g, q)
+    base, k = q_abelianization(g, q)
     gm = gamma(base)
     gmq = gm.reduced_mod(k)
     prod = q_tensor_product(g, None, q)
@@ -469,7 +474,7 @@ def gamma_map(g: LieAlgebra, q: int) -> GammaMap:
                             IntMatrix(rows, ncols=prod.nsym), check=True)
     hom = ModuleHom(gm.module, prod.module,
                     IntMatrix(rows, ncols=prod.nsym), check=True)
-    return GammaMap(base, gm, gmq, k, free, prod, hom, hom_reduced)
+    return GammaMap(base, gm, gmq, k, prod, hom, hom_reduced)
 
 
 def gamma_map_i(g: LieAlgebra, q: int) -> ModuleHom:
@@ -542,9 +547,9 @@ def gamma_sequence_check(g: LieAlgebra, q: int) -> GammaSequenceReport:
     for a, u in enumerate(gens):
         for v in gens[a:]:
             acc = {}
-            add_bracket(acc, 1, prod, u, v)
+            add_bracket(acc, 1, prod.bracket_sym, u, v)
             trivial = trivial and prod.module.witness(acc) is None
-    free = gm.free
+    free = is_free_over(gm.base, gm.k)
     injective = gm.hom_reduced.kernel().is_zero() if free else None
     return GammaSequenceReport(
         exact=exact,
@@ -570,16 +575,26 @@ def right_exact_check(g: LieAlgebra, h: Ideal, q: int,
     gbar, pi = quotient_algebra(g, h)
     p3 = q_exterior_product(gbar, None, q)
 
-    rows1 = [p2.tensor_of(b, unit_vec(p1.n, j)) for b in h.basis for j in range(p1.n)]
+    rows1 = []
+    for i in range(p1.p):
+        emb = h.basis[i]
+        for j in range(p1.n):
+            rows1.append(p2.tensor_of(emb, unit_vec(p1.n, j)))
     if p1.has_braces:
-        rows1 += [p2.brace_of(b) for b in h.basis]
+        for i in range(p1.p):
+            rows1.append(p2.brace_of(h.basis[i]))
     m1 = ModuleHom(p1.module, p2.module, IntMatrix(rows1, ncols=p2.nsym),
                    check=True)
 
     proj_rows = [pi(unit_vec(g.rank, u)) for u in range(g.rank)]
-    rows2 = [p3.tensor_of(pu, pj) for pu in proj_rows for pj in proj_rows]
+    rows2 = []
+    for u in range(p2.p):
+        pu = proj_rows[u]
+        for j in range(p2.n):
+            rows2.append(p3.tensor_of(pu, proj_rows[j]))
     if p2.has_braces:
-        rows2 += [p3.brace_of(pu) for pu in proj_rows]
+        for u in range(p2.p):
+            rows2.append(p3.brace_of(proj_rows[u]))
     m2 = ModuleHom(p2.module, p3.module, IntMatrix(rows2, ncols=p3.nsym),
                    check=True)
 
@@ -693,7 +708,7 @@ class SplitReport:
 def split_decomposition_check(g: LieAlgebra, q: int) -> SplitReport:
     gm = gamma_map(g, q)
     pt = gm.product
-    if not gm.free:
+    if not is_free_over(gm.base, gm.k):
         return SplitReport(False, pt.invariant_factors(), None, None, None, None)
     pe = q_exterior_product(g, None, q)
     split = merged_factors([pe.invariant_factors(),

@@ -293,7 +293,7 @@ def dense_bracket_defects(hom):
             lhs = [0] * m
             for k, c in hom.source.bracket_sym(i, j):
                 vec_addmul(lhs, c, images[k])
-            rhs = hom.target.bracket_vec(images[i], images[j])
+            rhs = hom.target.bracket(images[i], images[j])
             diff = vec_sub(lhs, rhs)
             if not hom.target.module.is_lattice_member(diff):
                 out.append(((i, j), diff))
@@ -513,3 +513,16 @@ def test_action_rejects_misshapen_constants():
         LieAction(z, g, [[(0, 0)] * 3])  # dense constants of the wrong length
     with pytest.raises(ValueError):
         LieAction(z, g, [[((3, 1),), (), ()]])  # sparse index out of range
+
+
+def test_algebras_and_products_pickle():
+    # each holds its sparse bracket lookup; a round trip keeps the bracket
+    import pickle
+    g = Catalog.get("sl2@Z/5")
+    prod = q_tensor_product(g, None, 2)
+    prod.xi()
+    for obj in (g, prod):
+        back = pickle.loads(pickle.dumps(obj))
+        n = obj.module.ambient_rank
+        assert all(back.bracket_sym(s, t) == obj.bracket_sym(s, t)
+                   for s in range(n) for t in range(n))

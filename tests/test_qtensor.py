@@ -423,7 +423,7 @@ def test_product_of_unchecked_non_jacobi_table_raises():
 
 
 def dense_action_report(action):
-    """The action checks on dense unit vectors, through ``act`` and ``bracket_vec``."""
+    """The action checks on dense unit vectors, through ``act`` and ``bracket``."""
     report = ValidationReport("LieAction")
     act = action.act
     g, acted, hmod = action.actor, action.acted, action.acted.module
@@ -454,9 +454,9 @@ def dense_action_report(action):
             ej = unit_vec(nh, j)
             for l in range(j + 1, nh):
                 el = unit_vec(nh, l)
-                w = vec_sub(act(ei, acted.bracket_vec(ej, el)),
-                            vec_add(acted.bracket_vec(act(ei, ej), el),
-                                    acted.bracket_vec(ej, act(ei, el))))
+                w = vec_sub(act(ei, acted.bracket(ej, el)),
+                            vec_add(acted.bracket(act(ei, ej), el),
+                                    acted.bracket(ej, act(ei, el))))
                 if not hmod.is_lattice_member(w):
                     report.add("action-axiom-2", (i, j, l), w)
     return report
@@ -482,7 +482,7 @@ def dense_crossed_report(xm):
             if l != j:
                 el = unit_vec(nh, l)
                 w = vec_sub(action.act(mu(ej), el),
-                            acted.bracket_vec(ej, el))
+                            acted.bracket(ej, el))
                 if not acted.module.is_lattice_member(w):
                     report.add("crossed-ii", (j, l), w)
     for kgen in mu.kernel().gens:
