@@ -290,6 +290,20 @@ class FpModule:
     def zero(self) -> tuple:
         return vec_zero(self.ambient_rank)
 
+    def spanning_generators(self) -> tuple:
+        """Indices of ambient generators whose classes generate the module.
+
+        Every generator but the unit pivots of ``lattice_rows``: in reduced
+        Hermite form a pivot 1 has zeros above and below it, so its row
+        writes that generator through later generators that are no unit pivot.
+        """
+        units = set()
+        for row in self.lattice_rows:
+            c = next(k for k, x in enumerate(row) if x)
+            if row[c] == 1:
+                units.add(c)
+        return tuple(k for k in range(self.ambient_rank) if k not in units)
+
     def _smith_coords(self, terms: Iterable) -> list:
         """Sum of c * (row i of W) over the (i, c) terms, W the Smith columns."""
         acc = [0] * len(self._pruned_pos)

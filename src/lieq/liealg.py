@@ -132,14 +132,14 @@ def _neighbours(rows: dict, n: int) -> list:
     return nbrs
 
 
-def closure_defects(module: FpModule, rows: dict) -> list:
+def closure_defects(module: FpModule, rows: dict, br) -> list:
     """((r, s), witness) for lattice rows r and generators s with [r, s] outside.
 
+    ``br`` is the ``bracket_lookup`` of ``rows``, which the caller keeps.
     [r, s] can be nonzero only for generators s bracketing nontrivially with
     some generator in the support of r; those are visited in increasing order.
     """
     nbrs = _neighbours(rows, module.ambient_rank)
-    br = bracket_lookup(rows)
     out = []
     for r in module.lattice_rows:
         support = terms(r)
@@ -152,24 +152,40 @@ def closure_defects(module: FpModule, rows: dict) -> list:
     return out
 
 
-def jacobi_defects(module: FpModule, rows: dict, stop_early: bool = False) -> list:
+def jacobi_defects(module: FpModule, rows: dict, br, stop_early: bool = False,
+                   generators=None) -> list:
     """((s, t, r), witness) for Jacobi failures modulo the lattice.
 
+    ``br`` is the ``bracket_lookup`` of ``rows``, which the caller keeps.
     Only triples s < t < r containing a nonzero pair can fail, since every
     term of the Jacobi sum has an inner bracket of two of them. They are
     streamed in lexicographic order: all r > t when [s, t] is nonzero, else
-    the neighbours of s or t beyond t.
+    the neighbours of s or t beyond t. ``generators`` limits s, t and r to
+    the given generator indices; the default is every generator.
+
+    Once closure holds (``closure_defects`` is empty), walking the module's
+    ``spanning_generators`` certifies all of it. Closure puts [l, x] in the
+    lattice L for every l in L and every x, so the bracket descends to an
+    alternating bilinear map on the module M, and the Jacobi sum descends to
+    a trilinear map on M. That map is alternating too: with [x, x] = 0 the
+    sum on (x, x, z) reads [[x, z], x] + [[z, x], x] = 0, and it is invariant
+    under cyclic shifts. So it vanishes on M when it vanishes on every triple
+    of distinct elements of a generating set. Without closure the restricted
+    walk proves nothing, and a report that must list every defect walks all
+    generators.
     """
     n = module.ambient_rank
-    nbrs = _neighbours(rows, n)
-    br = bracket_lookup(rows)
+    gens = tuple(range(n)) if generators is None else tuple(sorted(generators))
+    keep = set(gens)
+    nbrs = [nb & keep for nb in _neighbours(rows, n)]
     unit = [((z, 1),) for z in range(n)]
     out = []
-    for s in range(n):
-        for t in range(s + 1, n):
+    for a, s in enumerate(gens):
+        for b in range(a + 1, len(gens)):
+            t = gens[b]
             st = rows.get((s, t))
             if st:
-                third = range(t + 1, n)
+                third = gens[b + 1:]
             else:
                 third = sorted(r for r in nbrs[s] | nbrs[t] if r > t)
             for r in third:
@@ -190,9 +206,10 @@ def jacobi_defects(module: FpModule, rows: dict, stop_early: bool = False) -> li
 def _certify(module: FpModule, rows: dict, subject: str) -> ValidationReport:
     """Torsion compatibility, then Jacobi, modulo the relation lattice."""
     report = ValidationReport(subject)
-    for where, w in closure_defects(module, rows):
+    br = bracket_lookup(rows)
+    for where, w in closure_defects(module, rows, br):
         report.add("torsion", where, w)
-    for where, w in jacobi_defects(module, rows):
+    for where, w in jacobi_defects(module, rows, br):
         report.add("jacobi", where, w)
     return report
 

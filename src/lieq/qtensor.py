@@ -33,7 +33,10 @@ triples that contain a bracketing pair, and sums are tested for lattice
 membership term by term (``FpModule.is_lattice_sum``), so no check builds a
 dense vector until it has a witness to report. A product is certified once,
 when it is built, and a defect raises ``BracketNotWellDefined`` with its
-witness. On validated algebras the families above have always been found
+witness. After closure passes, the build walks Jacobi on triples of the
+module's ``spanning_generators`` only (the symbols that are no unit pivot of
+the reduced lattice rows); ``liealg.jacobi_defects`` says why that
+suffices. On validated algebras the families above have always been found
 closed; the known defect comes from a non-Jacobi table built unchecked.
 """
 
@@ -186,7 +189,7 @@ class QProduct:
 
     def bracket_closure_defects(self) -> list:
         """Brackets of lattice generators with symbols that escape the lattice."""
-        return [w for _, w in closure_defects(self.module, self._br)]
+        return [w for _, w in closure_defects(self.module, self._br, self._sym)]
 
     def validate_bracket_well_defined(self):
         """Raise unless the bracket descends to the presented quotient."""
@@ -195,9 +198,14 @@ class QProduct:
             raise BracketNotWellDefined(
                 f"bracket does not preserve the relation lattice: {defects[0]}")
 
-    def jacobi_defects(self, stop_early: bool = False) -> list:
-        """((s, t, r), witness) for each Jacobi failure (expected: none)."""
-        return jacobi_defects(self.module, self._br, stop_early)
+    def jacobi_defects(self, stop_early: bool = False, generators=None) -> list:
+        """((s, t, r), witness) for each Jacobi failure (expected: none).
+
+        ``generators`` limits the walk to those symbols, as in
+        ``liealg.jacobi_defects``; the default is every symbol.
+        """
+        return jacobi_defects(self.module, self._br, self._sym, stop_early,
+                              generators)
 
     def __repr__(self):
         return (f"QProduct({self.kind}, q={self.q}, of {self.algebra.name!r}, "
@@ -296,7 +304,9 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
 
     prod = QProduct(kind, q, g, h, module, brackets)
     prod.validate_bracket_well_defined()
-    bad = prod.jacobi_defects(stop_early=True)
+    # closure holds, so Jacobi on generator triples of the module certifies it
+    bad = prod.jacobi_defects(stop_early=True,
+                              generators=module.spanning_generators())
     if bad:
         triple, witness = bad[0]
         raise BracketNotWellDefined(

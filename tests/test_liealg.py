@@ -163,6 +163,33 @@ def _random_presentation(rng):
     return module, table
 
 
+def test_spanning_generators_generate_the_module():
+    rng = random.Random(20231101)
+    shorter = 0
+    rings = set()
+    for _ in range(200):
+        module, _ = _random_presentation(rng)
+        rings.add(module.base_modulus)
+        n = module.ambient_rank
+        gens = module.spanning_generators()
+        units = [r for r in module.lattice_rows
+                 if next(x for x in r if x) == 1]
+        pivots = [next(k for k, x in enumerate(r) if x) for r in units]
+        assert sorted(set(range(n)) - set(gens)) == sorted(pivots)
+        # each unit-pivot row is zero in every other unit-pivot column
+        for r, c in zip(units, pivots):
+            assert all(r[d] == 0 for d in pivots if d != c)
+        # each other generator is congruent to a combination of the set
+        for r, c in zip(units, pivots):
+            comb = [0] * n
+            for k in gens:
+                comb[k] = -r[k]
+            assert module.same_element(unit_vec(n, c), comb)
+        shorter += len(gens) < n
+    assert shorter >= 50
+    assert rings == {0, 2, 3, 4}
+
+
 def test_sparse_validation_matches_dense_reference():
     rng = random.Random(20230601)
     kinds = []

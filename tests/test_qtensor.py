@@ -422,6 +422,111 @@ def test_product_of_unchecked_non_jacobi_table_raises():
                 build(g, None, q)
 
 
+def _shifted_between_free_symbols(prod, free, rng):
+    """The product with 1-3 brackets of two symbols in no lattice row shifted.
+
+    Closure pairs lattice rows with symbols only, so it still passes.
+    """
+    br = dict(prod._br)
+    for _ in range(rng.randint(1, 3)):
+        s, t = sorted(rng.sample(free, 2))
+        row = dict(br.get((s, t), ()))
+        k = rng.randrange(prod.nsym)
+        row[k] = row.get(k, 0) + rng.choice((-2, -1, 1, 2))
+        br[(s, t)] = tuple((k, c) for k, c in sorted(row.items()) if c)
+    return QProduct(prod.kind, prod.q, prod.algebra, prod.ideal, prod.module,
+                    {key: row for key, row in br.items() if row})
+
+
+def test_generator_walk_agrees_with_full_walk_after_closure():
+    rng = random.Random(20231102)
+    cases = failing = 0
+    for name in ("n3", "n4", "heisenberg", "heisenberg@Z/2", "Z^2"):
+        g = Catalog.get(name)
+        for q in (0, 2):
+            for build in (q_tensor_product, q_exterior_product):
+                prod = build(g, None, q)
+                gens = prod.module.spanning_generators()
+                support = {k for r in prod.module.lattice_rows
+                           for k, x in enumerate(r) if x}
+                free = [k for k in range(prod.nsym) if k not in support]
+                bad = [_corrupted(prod, rng) for _ in range(4)]
+                if len(free) >= 2:
+                    bad += [_shifted_between_free_symbols(prod, free, rng)
+                            for _ in range(8)]
+                for p in [prod] + bad:
+                    if p.bracket_closure_defects():
+                        continue
+                    full = p.jacobi_defects()
+                    on_gens = p.jacobi_defects(generators=gens)
+                    assert bool(on_gens) == bool(full), (name, q)
+                    assert set(on_gens) <= set(full), (name, q)
+                    if full:
+                        assert full == dense_jacobi_defects(p), (name, q)
+                    cases += 1
+                    failing += bool(full) and len(gens) < prod.nsym
+    assert cases >= 60
+    assert failing >= 5
+
+
+def test_product_build_walks_jacobi_on_generator_triples(monkeypatch):
+    from math import comb
+
+    from lieq import qtensor
+    from lieq.io_catalog import strictly_upper
+
+    g = strictly_upper(5)
+    walking, visits = [], []
+    walk, witness = qtensor.jacobi_defects, FpModule.witness
+
+    def counting_walk(*args):
+        walking.append(True)
+        try:
+            return walk(*args)
+        finally:
+            walking.pop()
+
+    def counting_witness(self, acc):
+        if walking:
+            visits.append(1)
+        return witness(self, acc)
+
+    monkeypatch.setattr(qtensor, "jacobi_defects", counting_walk)
+    monkeypatch.setattr(FpModule, "witness", counting_witness)
+    prod = q_exterior_product(g, None, 2)
+    bound = comb(len(prod.module.spanning_generators()), 3)
+    assert 0 < len(visits) <= bound
+    # the full walk, which the build must not fall back to, visits more
+    visits.clear()
+    assert prod.jacobi_defects() == []
+    assert len(visits) > bound
+
+
+def test_each_product_build_looks_up_brackets_once(monkeypatch):
+    from lieq import liealg, qtensor
+    from lieq.io_catalog import sl2, strictly_upper
+
+    algebras = [heisenberg(), heisenberg(2), strictly_upper(4), sl2(5)]
+    ideals = [derived_ideal(g) for g in algebras]
+    calls = []
+    lookup = liealg.bracket_lookup
+
+    def counting_lookup(rows):
+        calls.append(rows)
+        return lookup(rows)
+
+    monkeypatch.setattr(liealg, "bracket_lookup", counting_lookup)
+    monkeypatch.setattr(qtensor, "bracket_lookup", counting_lookup)
+    builds = 0
+    for g, h in zip(algebras, ideals):
+        for q in (0, 2):
+            for build in (q_tensor_product, q_exterior_product):
+                for ideal in (None, h):
+                    build(g, ideal, q)
+                    builds += 1
+    assert len(calls) == builds
+
+
 def dense_action_report(action):
     """The action checks on dense unit vectors, through ``act`` and ``bracket``."""
     report = ValidationReport("LieAction")
