@@ -2,10 +2,11 @@
 
 import copy
 import random
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
+from lieq import liealg, qtensor
 from lieq.errors import BracketNotWellDefined, NotAbelianInput, ValidationError
 from lieq.exactlin import (
     FpModule,
@@ -17,7 +18,7 @@ from lieq.exactlin import (
     vec_add,
     vec_sub,
 )
-from lieq.io_catalog import Catalog, heisenberg
+from lieq.io_catalog import Catalog, heisenberg, strictly_upper
 from lieq.liealg import (
     Ideal,
     LieAction,
@@ -425,7 +426,8 @@ def test_product_of_unchecked_non_jacobi_table_raises():
 def _shifted_between_free_symbols(prod, free, rng):
     """The product with 1-3 brackets of two symbols in no lattice row shifted.
 
-    Closure pairs lattice rows with symbols only, so it still passes.
+    Closure brackets lattice rows with symbols, and neither symbol of a
+    shifted pair occurs in a lattice row, so closure still passes.
     """
     br = dict(prod._br)
     for _ in range(rng.randint(1, 3)):
@@ -470,11 +472,6 @@ def test_generator_walk_agrees_with_full_walk_after_closure():
 
 
 def test_product_build_walks_jacobi_on_generator_triples(monkeypatch):
-    from math import comb
-
-    from lieq import qtensor
-    from lieq.io_catalog import strictly_upper
-
     g = strictly_upper(5)
     walking, visits = [], []
     walk, witness = qtensor.jacobi_defects, FpModule.witness
@@ -503,10 +500,7 @@ def test_product_build_walks_jacobi_on_generator_triples(monkeypatch):
 
 
 def test_each_product_build_looks_up_brackets_once(monkeypatch):
-    from lieq import liealg, qtensor
-    from lieq.io_catalog import sl2, strictly_upper
-
-    algebras = [heisenberg(), heisenberg(2), strictly_upper(4), sl2(5)]
+    algebras = [heisenberg(), heisenberg(2), strictly_upper(4)]
     ideals = [derived_ideal(g) for g in algebras]
     calls = []
     lookup = liealg.bracket_lookup
