@@ -161,62 +161,13 @@ def snf_with_transforms(mat, nrows, ncols):
     return a, u, v, vinv
 
 
-def hnf_rows_with_kernel(rows, ncols):
-    """Hermite reduction with companion tracking.
-
-    Returns (basis, kernel): ``basis`` is ``hnf_rows(rows, ncols)``, ``kernel``
-    is a lattice basis of { x : x @ rows == 0 }. Row-by-row reduction keeps
-    intermediate entries far smaller than a full Smith reduction would on
-    tall stacks, which is why kernels are computed this way.
-    """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots = {}
-    kernel = []
-    for idx in range(nrows):
-        r = rows[idx]
-        cr = [1 if k == idx else 0 for k in range(nrows)]
-        c = 0
-        placed = False
-        while c < ncols:
-            x = r[c]
-            if x == 0:
-                c += 1
-                continue
-            entry = pivots.get(c)
-            if entry is None:
-                if x < 0:
-                    for k in range(c, ncols):
-                        r[k] = -r[k]
-                    for k in range(nrows):
-                        cr[k] = -cr[k]
-                pivots[c] = (r, cr)
-                placed = True
-                break
-            p, cp = entry
-            while True:
-                q = r[c] // p[c]
-                if q:
-                    for k in range(c, ncols):
-                        r[k] -= q * p[k]
-                    for k in range(nrows):
-                        cr[k] -= q * cp[k]
-                if r[c] == 0:
-                    break
-                p, r = r, p
-                cp, cr = cr, cp
-                pivots[c] = (p, cp)
-        if not placed:
-            kernel.append(tuple(cr))
-    return _reduced({c: p for c, (p, _) in pivots.items()}, ncols), kernel
-
-
 def hnf_rows(rows, ncols):
     """Reduced row Hermite form of the row lattice: unique for the lattice.
 
     Incremental echelon without transform tracking: at most ``ncols`` rows,
     sorted by pivot column, pivots positive, entries above a pivot in
-    [0, pivot). Used to compress large relation lists before running the SNF.
+    [0, pivot). The one Hermite routine: module lattices, submodules and,
+    on augmented stacks, every kernel (``exactlin.augmented_kernel``).
     """
     pivots = {}
     for row in rows:

@@ -17,13 +17,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from lieq._kernel import (
-    hnf_rows,
-    hnf_rows_with_kernel,
-    identity_matrix,
-    matmul,
-    snf_with_transforms,
-)
+from lieq._kernel import hnf_rows, identity_matrix, matmul, snf_with_transforms
 from lieq.errors import NotWellDefined
 
 
@@ -190,14 +184,15 @@ def snf(m: IntMatrix):
             IntMatrix(v, ncols=m.ncols))
 
 
-def row_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list:
-    """Lattice basis of { x : x @ rows == 0 }.
+def augmented_kernel(stack: Sequence[Sequence[int]], left: int, width: int) -> list:
+    """Right parts of the reduced Hermite rows of ``stack`` whose left part is 0.
 
-    Computed by companion-tracked Hermite reduction rather than a full Smith
-    pass: the row-by-row reduction avoids the coefficient explosion a Smith
-    reduction suffers on tall stacks.
+    For rows (x_i @ M | x_i) over rows (L | 0), ``left`` columns wide on the
+    left, these are a basis of { x : x @ M in the row lattice of L }: in
+    echelon form, the rows with a zero left part span the part of the stack's
+    lattice that is zero on the left.
     """
-    return hnf_rows_with_kernel(rows, ncols)[1]
+    return [tuple(r[left:]) for r in hnf_rows(stack, width) if not any(r[:left])]
 
 
 def hermite_coords(rows: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[tuple]:
@@ -406,20 +401,6 @@ class ModuleHom:
         return block_kernel(self.source,
                             [(self.target, [terms(r) for r in self.matrix.rows])])
 
-    def preimage(self, w: Sequence[int]) -> Optional[tuple]:
-        """Some x with h(x) == w in the target, or None.
-
-        The kernel of the stack (M, target lattice, w) holds the (x, y, c)
-        with x @ M + y @ L + c * w == 0; some c is 1 exactly when the first
-        pivot of its Hermite form, c moved first, is 1; x is minus that row.
-        """
-        stacked = list(self.matrix.rows) + list(self.target.lattice_rows) + [w]
-        ker = row_kernel(stacked, self.target.ambient_rank)
-        hermite = hnf_rows([k[-1:] + k[:-1] for k in ker], len(stacked))
-        if not hermite or hermite[0][0] != 1:
-            return None
-        return tuple(-x for x in hermite[0][1:1 + self.source.ambient_rank])
-
     def is_surjective(self) -> bool:
         return self.image().same(Submodule.full(self.target))
 
@@ -438,28 +419,25 @@ def block_kernel(source: FpModule, blocks) -> "Submodule":
     its row of M_i as sparse (k, c) terms. Each block goes through the known
     Smith columns of its own summand, so the sum is never presented or
     reduced: x is in the kernel iff every x @ M_i @ W_i vanishes modulo the
-    orders of T_i, which is one row kernel with an auxiliary multiplier per
-    finite order.
+    orders of T_i. Each Smith column is reduced modulo its order and dropped
+    when it is then zero; the kernel is read off one augmented stack, with a
+    modulus row per kept finite column.
     """
     ns = source.ambient_rank
-    width = sum(len(tgt._w_orders) for tgt, _ in blocks)
-    rows = [[] for _ in range(ns)]
-    moduli = []
-    offset = 0
+    cols = []
     for tgt, images in blocks:
         if len(images) != ns:
             raise ValueError("block map needs one image per source generator")
-        k = len(tgt._w_orders)
-        for row, img in zip(rows, images):
-            row.extend(tgt._smith_coords(img))
-        for idx, d in enumerate(tgt._w_orders):
-            if d:
-                mod = [0] * width
-                mod[offset + idx] = d
-                moduli.append(mod)
-        offset += k
-    sols = row_kernel(rows + moduli, width)
-    return Submodule(source, [s[:ns] for s in sols])
+        coords = [tgt._smith_coords(img) for img in images]
+        for k, d in enumerate(tgt._w_orders):
+            col = [c[k] % d if d else c[k] for c in coords]
+            if any(col):
+                cols.append((d, col))
+    width = len(cols)
+    stack = [[col[i] for _, col in cols] + list(unit_vec(ns, i)) for i in range(ns)]
+    stack += [[d if j == k else 0 for j in range(width + ns)]
+              for k, (d, _) in enumerate(cols) if d]
+    return Submodule(source, augmented_kernel(stack, width, width + ns))
 
 
 # ---------------------------------------------------------------------------
@@ -599,19 +577,16 @@ def quotient(module: FpModule, sub: Submodule):
 def lattice_intersection(module: FpModule,
                          gens_a: Sequence[Sequence[int]],
                          gens_b: Sequence[Sequence[int]]) -> list:
-    """Generators of (span(gens_a)+L) intersect (span(gens_b)+L)."""
+    """Generators of (span(gens_a)+L) intersect (span(gens_b)+L).
+
+    The stack (a | a) over (b | 0): a row with zero left part is some
+    x @ a == -y @ b, and its right part is that common element.
+    """
     n = module.ambient_rank
-    rows_a = [list(g) for g in gens_a] + [list(r) for r in module.lattice_rows]
-    rows_b = [list(g) for g in gens_b] + [list(r) for r in module.lattice_rows]
-    stacked = rows_a + [[-x for x in r] for r in rows_b]
-    ker = row_kernel(stacked, n)
-    na = len(rows_a)
-    out = []
-    for k in ker:
-        v = apply_matrix(k[:na], rows_a, n)
-        if not vec_is_zero(v):
-            out.append(v)
-    return out
+    lattice = list(module.lattice_rows)
+    stack = [list(a) + list(a) for a in list(gens_a) + lattice]
+    stack += [list(b) + [0] * n for b in list(gens_b) + lattice]
+    return augmented_kernel(stack, n, 2 * n)
 
 
 # ---------------------------------------------------------------------------

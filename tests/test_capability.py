@@ -11,7 +11,8 @@ from lieq.capability import (
     lambda_q_torsion_free,
     tensor_center,
 )
-from lieq.io_catalog import Catalog, heisenberg
+from lieq import exactlin
+from lieq.io_catalog import Catalog, heisenberg, strictly_upper
 from lieq.liealg import derived_ideal, lie_algebra
 from lieq.qtensor import q_exterior_product, q_tensor_product
 
@@ -125,3 +126,21 @@ def test_products_and_centers_are_memoized_per_algebra():
     assert rep.tensor_center is zt
     assert rep.q_capable == is_q_capable(g, 2)
     assert rep.strongly_q_capable == is_strongly_q_capable(g, 2)
+
+
+def test_tensor_center_is_one_hermite_form_on_the_nonzero_smith_columns(monkeypatch):
+    g = strictly_upper(5)
+    q_tensor_product(g, None, 2)
+    shapes = []
+    real = exactlin.hnf_rows
+
+    def spy(rows, ncols):
+        rows = list(rows)
+        shapes.append((len(rows), ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(exactlin, "hnf_rows", spy)
+    tensor_center(g, 2)
+    # 10 source rows and columns beside the 63 of 341 Smith columns that are
+    # nonzero modulo their order, over one modulus row per finite column
+    assert shapes == [(43, 73)]
