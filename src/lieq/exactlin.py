@@ -3,9 +3,11 @@
 A finitely presented module is a quotient of Z^n (or (Z/m)^n, realized over Z
 by appending m*e_i relations) by the lattice spanned by its relation rows.
 Lattice rows are the reduced row Hermite form, unique for the lattice. Its
-Smith normal form yields canonical coordinates and invariant factors, and
-back-substitution on Hermite rows decides membership in submodules -- which
-is everything the Lie-algebraic layers above need. All arithmetic is
+unit pivots eliminate generators outright; the Smith normal form of what is
+left, the core, yields canonical coordinates and invariant factors, and the
+eliminated generators get theirs by back-substitution. Back-substitution on
+Hermite rows also decides membership in submodules -- which is everything
+the Lie-algebraic layers above need. All arithmetic is
 arbitrary-precision; nothing here ever rounds or overflows.
 
 Row-vector convention throughout: vectors are tuples, matrices act on the
@@ -222,17 +224,24 @@ class FpModule:
 
     ``base_modulus`` 0 means base ring Z; m >= 2 means Z/m, realized by
     silently appending m*e_i relations for every ambient generator so a
-    single integer SNF pipeline serves both rings.
+    single integer pipeline serves both rings.
 
     ``orders`` has one entry per ambient rank, in divisibility order, 0
     denoting an infinite cyclic factor; ``invariant_factors`` is the same
-    list with the trivial (=1) factors elided. The unimodular coordinate
-    change is retained at full rank so coordinates round-trip.
+    list with the trivial (=1) factors elided.
+
+    The Smith form runs on the core of the reduced Hermite form only, after
+    Havas, Holt and Rees ("Recognizing badly presented Z-modules", 1993). A
+    unit pivot c is zero in every other lattice row, so its row
+    e_c + sum r_k e_k eliminates generator c, and the module is Z^S modulo
+    the other rows restricted to S, the columns that are no unit pivot
+    (``spanning_generators``). The Smith columns W of generator k in S are
+    row k of the core's V; those of c are -sum r_k W[k] by back-substitution.
+    The canonical generators lift to rows of the core's V^-1, placed on S.
     """
 
     __slots__ = ("ambient_rank", "base_modulus", "relations", "lattice_rows",
-                 "orders", "invariant_factors", "_vinv",
-                 "_pruned_pos", "_w_cols", "_w_orders")
+                 "orders", "invariant_factors", "_gens", "_lifts", "_w_cols")
 
     def __init__(self, ambient_rank: int, relations: Iterable[Sequence[int]],
                  base_modulus: int = 0):
@@ -253,18 +262,29 @@ class FpModule:
         if m:
             full.extend([tuple(m if j == i else 0 for j in range(n))
                          for i in range(n)])
-        basis = hnf_rows(full, n)
-        self.lattice_rows = tuple(tuple(r) for r in basis)
-        d, _, v, vinv = snf_with_transforms([list(r) for r in basis], len(basis), n)
-        lim = min(len(basis), n)
-        orders = [d[i][i] if i < lim else 0 for i in range(n)]
-        self.orders = tuple(orders)
-        self.invariant_factors = tuple(o for o in orders if o != 1)
-        self._vinv = tuple(tuple(r) for r in vinv)
-        self._pruned_pos = tuple(i for i, o in enumerate(orders) if o != 1)
-        # Columns of V at non-trivial positions: enough for membership/canon.
-        self._w_cols = tuple(tuple(row[i] for i in self._pruned_pos) for row in v)
-        self._w_orders = tuple(orders[i] for i in self._pruned_pos)
+        self.lattice_rows = tuple(tuple(r) for r in hnf_rows(full, n))
+        units, core = [], []
+        for row in self.lattice_rows:
+            c = next(k for k, x in enumerate(row) if x)
+            (units if row[c] == 1 else core).append((c, row))
+        unit_cols = {c for c, _ in units}
+        self._gens = gens = tuple(k for k in range(n) if k not in unit_cols)
+        d, _, v, vinv = snf_with_transforms([[row[k] for k in gens] for _, row in core],
+                                            len(core), len(gens))
+        core_orders = [d[i][i] if i < len(core) else 0 for i in range(len(gens))]
+        self.orders = (1,) * len(units) + tuple(core_orders)
+        self.invariant_factors = tuple(o for o in core_orders if o != 1)
+        keep = [i for i, o in enumerate(core_orders) if o != 1]
+        w_cols = [None] * n
+        for k, vk in zip(gens, v):
+            w_cols[k] = tuple(vk[i] for i in keep)
+        for c, row in units:
+            acc = [0] * len(keep)
+            for k in gens:
+                vec_addmul(acc, -row[k], w_cols[k])
+            w_cols[c] = tuple(acc)
+        self._w_cols = tuple(w_cols)
+        self._lifts = tuple(dense(zip(gens, vinv[i]), n) for i in keep)
 
     # -- constructors -------------------------------------------------------
 
@@ -292,16 +312,11 @@ class FpModule:
         Hermite form a pivot 1 has zeros above and below it, so its row
         writes that generator through later generators that are no unit pivot.
         """
-        units = set()
-        for row in self.lattice_rows:
-            c = next(k for k, x in enumerate(row) if x)
-            if row[c] == 1:
-                units.add(c)
-        return tuple(k for k in range(self.ambient_rank) if k not in units)
+        return self._gens
 
     def _smith_coords(self, terms: Iterable) -> list:
         """Sum of c * (row i of W) over the (i, c) terms, W the Smith columns."""
-        acc = [0] * len(self._pruned_pos)
+        acc = [0] * len(self.invariant_factors)
         cols = self._w_cols
         for i, c in terms:
             if c:
@@ -321,7 +336,7 @@ class FpModule:
     def canon(self, v: Sequence[int]) -> tuple:
         """Canonical reduced coordinates (one per invariant factor)."""
         acc = self._smith_coords(enumerate(v))
-        return tuple(x % d if d else x for x, d in zip(acc, self._w_orders))
+        return tuple(x % d if d else x for x, d in zip(acc, self.invariant_factors))
 
     def is_lattice_member(self, v: Sequence[int]) -> bool:
         return self.is_lattice_sum(enumerate(v))
@@ -333,22 +348,18 @@ class FpModule:
         and only the listed generators are visited.
         """
         return all((x % d == 0) if d else (x == 0)
-                   for x, d in zip(self._smith_coords(terms), self._w_orders))
+                   for x, d in zip(self._smith_coords(terms), self.invariant_factors))
 
     def same_element(self, a: Sequence[int], b: Sequence[int]) -> bool:
         return self.is_lattice_member(vec_sub(a, b))
 
     def lift_pruned(self, coords: Sequence[int]) -> tuple:
         """Ambient vector representing canonical coordinates."""
-        full = [0] * self.ambient_rank
-        for c, pos in zip(coords, self._pruned_pos):
-            full[pos] = c
-        return apply_matrix(full, self._vinv, self.ambient_rank)
+        return apply_matrix(coords, self._lifts, self.ambient_rank)
 
     def canonical_basis(self) -> list:
         """Ambient representatives of the canonical generators."""
-        k = len(self._pruned_pos)
-        return [self.lift_pruned(unit_vec(k, t)) for t in range(k)]
+        return list(self._lifts)
 
     def __repr__(self):
         ring = "Z" if not self.base_modulus else f"Z/{self.base_modulus}"
@@ -429,7 +440,7 @@ def block_kernel(source: FpModule, blocks) -> "Submodule":
         if len(images) != ns:
             raise ValueError("block map needs one image per source generator")
         coords = [tgt._smith_coords(img) for img in images]
-        for k, d in enumerate(tgt._w_orders):
+        for k, d in enumerate(tgt.invariant_factors):
             col = [c[k] % d if d else c[k] for c in coords]
             if any(col):
                 cols.append((d, col))

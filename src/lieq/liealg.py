@@ -203,10 +203,12 @@ def jacobi_defects(module: FpModule, rows: dict, br, stop_early: bool = False,
     return out
 
 
-def _certify(module: FpModule, rows: dict, subject: str) -> ValidationReport:
-    """Torsion compatibility, then Jacobi, modulo the relation lattice."""
+def _certify(module: FpModule, rows: dict, br, subject: str) -> ValidationReport:
+    """Torsion compatibility, then Jacobi, modulo the relation lattice.
+
+    ``br`` is the ``bracket_lookup`` of ``rows``, which the caller keeps.
+    """
     report = ValidationReport(subject)
-    br = bracket_lookup(rows)
     for where, w in closure_defects(module, rows, br):
         report.add("torsion", where, w)
     for where, w in jacobi_defects(module, rows, br):
@@ -222,11 +224,12 @@ class LieAlgebra:
     construction (as required over rings where 2 is not invertible). The
     bracket itself is read from sparse rows ``{(i, j): ((k, c), ...)}``,
     i < j, built once from the table: the representation ``QProduct`` uses,
-    certified by the same closure and Jacobi walks.
+    certified by the same closure and Jacobi walks. ``lookup`` is the
+    ``bracket_lookup`` of those rows when the caller already holds one.
     """
 
     def __init__(self, module: FpModule, table, name: str = "g",
-                 check: bool = True):
+                 check: bool = True, lookup=None):
         n = module.ambient_rank
         # Downstream code reads ambient coordinates as canonical ones: orders[i]
         # must kill e_i, so the lattice must be spanned by the rows d_i * e_i.
@@ -240,12 +243,12 @@ class LieAlgebra:
         self.module = module
         self.name = name
         self.table, self._br = _checked_table(table, n)
-        self._sym = bracket_lookup(self._br)
+        self._sym = bracket_lookup(self._br) if lookup is None else lookup
         # Whole-algebra products keyed (kind, q) and their centers keyed
         # (kind, q, brace); products over proper ideals are not kept.
         self._memo = {}
         if check:
-            report = _certify(self.module, self._br, name)
+            report = _certify(self.module, self._br, self._sym, name)
             if not report.ok:
                 raise ValidationError(report)
 
@@ -281,27 +284,33 @@ class LieAlgebra:
         return f"LieAlgebra({self.name!r}, factors={list(self.orders)}, over {ring})"
 
 
-def _transport(module0: FpModule, rows0: dict, name: str, check: bool):
+def _transport(module0: FpModule, rows0: dict, br, name: str, check: bool):
     """Re-express sparse bracket rows on the pruned canonical basis.
 
     Returns (algebra, projection_rows, lifts): projection_rows express the
     old ambient generators in new coordinates, lifts are ambient vectors
     representing the new generators. Transport through a module isomorphism
     keeps closure and Jacobi, so ``check`` is off when ``rows0`` is certified.
+    ``br`` is the ``bracket_lookup`` of ``rows0``; the algebra keeps it when
+    its rows come out unchanged.
     """
     n0 = module0.ambient_rank
     k = module0.rank
     lifts = module0.canonical_basis()
-    br = bracket_lookup(rows0)
+    lift_terms = [terms(v) for v in lifts]
+    rows = {}
     new_table = [[vec_zero(k) for _ in range(k)] for _ in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
-            w = bracket_terms(br, terms(lifts[a]), terms(lifts[b]))
+            w = bracket_terms(br, lift_terms[a], lift_terms[b])
             w = module0.canon(dense(w, n0))
             new_table[a][b] = w
             new_table[b][a] = vec_neg(w)
+            if any(w):
+                rows[(a, b)] = terms(w)
     module = FpModule.diagonal(module0.invariant_factors, module0.base_modulus)
-    alg = LieAlgebra(module, new_table, name, check=check)
+    alg = LieAlgebra(module, new_table, name, check=check,
+                     lookup=br if rows == rows0 else None)
     proj_rows = [module0.canon(unit_vec(n0, i)) for i in range(n0)]
     return alg, proj_rows, lifts
 
@@ -309,10 +318,11 @@ def _transport(module0: FpModule, rows0: dict, name: str, check: bool):
 def from_module_data(module0: FpModule, table0, name: str = "g") -> LieAlgebra:
     """Validate a bracket table on an arbitrary presentation, then canonize."""
     _, rows0 = _checked_table(table0, module0.ambient_rank)
-    report = _certify(module0, rows0, name)
+    br = bracket_lookup(rows0)
+    report = _certify(module0, rows0, br, name)
     if not report.ok:
         raise ValidationError(report)
-    alg, _, _ = _transport(module0, rows0, name, check=False)
+    alg, _, _ = _transport(module0, rows0, br, name, check=False)
     return alg
 
 
@@ -337,7 +347,7 @@ def lie_algebra(orders: Sequence[int], brackets: Optional[dict] = None,
 
 def validate(g: LieAlgebra) -> ValidationReport:
     """Re-run the structure checks on a built algebra."""
-    return _certify(g.module, g._br, g.name)
+    return _certify(g.module, g._br, g._sym, g.name)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +481,8 @@ def quotient_algebra(g: LieAlgebra, h: Ideal):
         raise NotAnIdeal("ideal does not belong to this algebra")
     module0 = FpModule(g.rank, tuple(g.module.relations) + tuple(h.sub.gens),
                        g.base_modulus)
-    alg, proj_rows, lifts = _transport(module0, g._br, f"{g.name}/h", check=True)
+    alg, proj_rows, lifts = _transport(module0, g._br, g._sym, f"{g.name}/h",
+                                       check=True)
     hom = LieHom(g, alg, proj_rows)
     hom.section_vectors = lifts
     return alg, hom
@@ -494,7 +505,8 @@ class LieHom:
         self.target = target
         self.hom = ModuleHom(source.module, target.module, matrix)
         self.section_vectors = None
-        bad = self.bracket_defects(stop_early=True)
+        bad = self.bracket_defects(stop_early=True,
+                                   generators=source.module.spanning_generators())
         if bad:
             report = ValidationReport("LieHom")
             for where, witness in bad:
@@ -504,17 +516,32 @@ class LieHom:
     def __call__(self, v):
         return self.hom(v)
 
-    def bracket_defects(self, stop_early: bool = False) -> list:
+    def bracket_defects(self, stop_early: bool = False, generators=None) -> list:
         """((i, j), witness) where hom([e_i, e_j]) - [hom e_i, hom e_j] escapes.
 
         Both sides vanish unless [e_i, e_j] is nonzero or both images are, so
-        only those pairs are visited, in lexicographic order.
+        only those pairs are visited, in lexicographic order. ``generators``
+        limits i and j to the given generator indices; the default is every
+        generator, as a report that must list every defect needs.
+
+        Construction walks the source module's ``spanning_generators`` only,
+        which certifies all pairs. The module map is checked first, so the
+        hom sends the source lattice into the target lattice; source and
+        target are closed under their lattices (algebras and products are
+        certified when built), so hom([x, y]) and [hom x, hom y] both descend
+        to bilinear maps on the source module. Both are alternating, since
+        [x, x] = 0 on each side, and so is their difference D. An alternating
+        bilinear map vanishes on the module when it vanishes on every pair of
+        distinct elements of a generating set: D(sum a_i g_i, sum b_j g_j) is
+        sum over i < j of (a_i b_j - a_j b_i) D(g_i, g_j).
         """
         source, target = self.source, self.target
         images = [terms(r) for r in self.hom.matrix.rows]
+        gens = range(len(images)) if generators is None else sorted(generators)
         out = []
-        for i, img_i in enumerate(images):
-            for j in range(i + 1, len(images)):
+        for a, i in enumerate(gens):
+            img_i = images[i]
+            for j in gens[a + 1:]:
                 bij, img_j = source.bracket_sym(i, j), images[j]
                 if not (bij or (img_i and img_j)):
                     continue

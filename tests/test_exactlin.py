@@ -1,6 +1,7 @@
 """Exact linear algebra: SNF, modules, submodules, kernels, quotients."""
 
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -16,6 +17,7 @@ from lieq.exactlin import (
     det,
     describe_factors,
     exterior_square_ab,
+    hermite_coords,
     is_free_over,
     kernel,
     lambda_q_modulus,
@@ -138,6 +140,52 @@ def test_roundtrip_coordinates():
         w = m.canon(v)
         lifted = m.lift_pruned(w)
         assert m.same_element(v, lifted)
+
+
+def _check_core_smith(m, vectors):
+    """Orders, lifts and membership of m against the full lattice's Smith form."""
+    n = m.ambient_rank
+    rows = m.lattice_rows
+    d, _, _ = snf(IntMatrix(rows, ncols=n))
+    assert m.orders == tuple(d[i][i] if i < len(rows) else 0 for i in range(n))
+    for t, lift in enumerate(m.canonical_basis()):
+        assert m.canon(lift) == unit_vec(m.rank, t)
+    for v in vectors:
+        assert m.is_lattice_member(v) == (hermite_coords(rows, v) is not None)
+
+
+def _lattice_and_random_vectors(rng, m):
+    n = m.ambient_rank
+    rows = m.lattice_rows
+    out = []
+    for _ in range(6):
+        out.append(tuple(rng.randint(-6, 6) for _ in range(n)))
+        coeffs = [rng.randint(-3, 3) for _ in rows]
+        out.append(tuple(sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(n)))
+    return out
+
+
+def test_core_smith_form_matches_the_full_one():
+    rng = random.Random(20231104)
+    rings, cores = set(), 0
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        relations = [tuple(rng.choice((0, 0, 1, 2, 3, -2)) for _ in range(n))
+                     for _ in range(rng.randint(1, n + 1))]
+        m = FpModule(n, relations, rng.choice((0, 2, 3, 4)))
+        rings.add(m.base_modulus)
+        _check_core_smith(m, _lattice_and_random_vectors(rng, m))
+        units = sum(next(x for x in r if x) == 1 for r in m.lattice_rows)
+        cores += 0 < units < len(m.lattice_rows)
+    assert rings == {0, 2, 3, 4}
+    assert cores >= 50
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices, st.sampled_from([0, 2, 3, 4]), st.randoms(use_true_random=False))
+def test_core_smith_form_matches_the_full_one_on_any_matrix(rows, base, rng):
+    m = FpModule(len(rows[0]), rows, base)
+    _check_core_smith(m, _lattice_and_random_vectors(rng, m))
 
 
 # -- submodules ----------------------------------------------------------------

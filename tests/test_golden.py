@@ -8,6 +8,8 @@ Regenerate a file only for an intended change of the report format:
 
     PYTHONPATH=src python3 -m lieq.cli centers catalog:NAME --q 0,2 \
         --format json > tests/golden/centers_SLUG.json
+    PYTHONPATH=src python3 -m lieq.cli centers tests/golden/SLUG.lieq --q 0,2 \
+        --format json > tests/golden/centers_SLUG.json
     PYTHONPATH=src python3 -m lieq.cli product catalog:NAME --q 0,2 \
         --kind KIND --format json > tests/golden/product_SLUG_KIND.json
     PYTHONPATH=src python3 -m lieq.cli verify catalog --oracle \
@@ -31,6 +33,10 @@ CASES = {
     "n4": "n4",
 }
 
+# algebras past the catalog, serialized by ``io_catalog.serialize``:
+# strictly_upper(5) and the filiform L8, [e1, ei] = e(i+1) for 2 <= i < 8
+FILE_CASES = ("n5", "L8")
+
 # (catalog name, product kind) -> file slug
 PRODUCT_CASES = {
     ("heisenberg", "tensor"): "heisenberg_tensor",
@@ -44,6 +50,15 @@ def test_centers_json_golden(capsys, name):
     code = main(["centers", f"catalog:{name}", "--q", "0,2", "--format", "json"])
     assert code == 0
     want = (GOLDEN / f"centers_{CASES[name]}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("slug", FILE_CASES)
+def test_centers_json_golden_from_file(capsys, slug):
+    code = main(["centers", str(GOLDEN / f"{slug}.lieq"), "--q", "0,2",
+                 "--format", "json"])
+    assert code == 0
+    want = (GOLDEN / f"centers_{slug}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import random
+from math import gcd
 
 import pytest
 
@@ -225,9 +226,9 @@ def test_each_table_is_certified_once(monkeypatch):
     calls = []
     certify = liealg._certify
 
-    def counting_certify(module, rows, subject):
+    def counting_certify(module, rows, br, subject):
         calls.append(subject)
-        return certify(module, rows, subject)
+        return certify(module, rows, br, subject)
 
     monkeypatch.setattr(liealg, "_certify", counting_certify)
     filiform = [lie_algebra([0] * n, {(0, i): unit_vec(n, i + 1)
@@ -309,6 +310,25 @@ def test_quotient_projection_preserves_brackets():
     assert not proj.bracket_defects()
 
 
+def test_quotient_algebra_sections_project_to_generators():
+    seen = 0
+    for name in Catalog.names():
+        g = Catalog.get(name)
+        ideals = [Ideal(g, center(g)), derived_ideal(g), Ideal(g, q_center(g, 2))]
+        for h in ideals:
+            alg, proj = quotient_algebra(g, h)
+            canon = alg.module.canon
+            lifts = proj.section_vectors
+            assert len(lifts) == alg.rank
+            for a in range(alg.rank):
+                assert canon(proj(lifts[a])) == unit_vec(alg.rank, a)
+                for b in range(a + 1, alg.rank):
+                    want = canon(proj(g.bracket(lifts[a], lifts[b])))
+                    assert alg.table[a][b] == want, (name, a, b)
+            seen += alg.rank >= 2
+    assert seen >= 10
+
+
 def dense_bracket_defects(hom):
     """Every generator pair, each side of hom([x,y]) = [hom x, hom y] dense."""
     n = hom.source.module.ambient_rank
@@ -355,6 +375,55 @@ def test_sparse_bracket_defects_match_dense_reference():
             assert bad.bracket_defects(stop_early=True) == want[:1]
             nonempty += bool(want)
     assert nonempty >= 5
+
+
+def _shifted_by_module_hom(hom, rng):
+    """A copy of hom plus a random module hom, its bracket check bypassed.
+
+    The summand sends canonical generator t of the source, of order d, to a
+    target vector y with d * y in the target lattice, so the module check
+    passes and only the bracket can fail.
+    """
+    src, tgt = hom.hom.source, hom.hom.target
+    n = src.ambient_rank
+    ys = []
+    for d in src.invariant_factors:
+        y = [0] * tgt.ambient_rank
+        if rng.random() < 0.5:
+            j = rng.randrange(tgt.ambient_rank)
+            o = tgt.invariant_factors[j]
+            step = 1 if d == 0 else (0 if o == 0 else o // gcd(o, d))
+            y[j] = step * rng.choice((-1, 1, 2))
+        ys.append(y)
+    rows = [list(r) for r in hom.hom.matrix.rows]
+    for s, row in enumerate(rows):
+        for c, y in zip(src.canon(unit_vec(n, s)), ys):
+            vec_addmul(row, c, y)
+    bad = copy.copy(hom)
+    bad.hom = ModuleHom(src, tgt, rows)
+    return bad
+
+
+def test_generator_pair_walk_agrees_with_full_walk():
+    rng = random.Random(20231103)
+    cases = failing = 0
+    for name in ("n3", "n4", "heisenberg", "heisenberg@Z/2", "Z^2", "sl2@Z/5"):
+        g = Catalog.get(name)
+        for q in (0, 2):
+            for build in (q_tensor_product, q_exterior_product):
+                hom = build(g, None, q).xi()
+                gens = hom.source.module.spanning_generators()
+                for bad in [hom] + [_shifted_by_module_hom(hom, rng) for _ in range(6)]:
+                    full = bad.bracket_defects()
+                    on_gens = bad.bracket_defects(generators=gens)
+                    assert bool(on_gens) == bool(full), (name, q)
+                    assert set(on_gens) <= set(full), (name, q)
+                    if full:
+                        assert full == dense_bracket_defects(bad), (name, q)
+                    cases += 1
+                    failing += bool(full) and len(gens) < hom.source.nsym
+    assert cases >= 100
+    assert failing >= 20
 
 
 # -- derivations ------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from math import comb, gcd
 
 import pytest
 
-from lieq import liealg, qtensor
+from lieq import exactlin, liealg, qtensor
 from lieq.errors import BracketNotWellDefined, NotAbelianInput, ValidationError
 from lieq.exactlin import (
     FpModule,
@@ -499,6 +499,42 @@ def test_product_build_walks_jacobi_on_generator_triples(monkeypatch):
     assert len(visits) > bound
 
 
+def test_product_module_runs_one_smith_form_on_its_hermite_core(monkeypatch):
+    g = strictly_upper(5)
+    shapes = []
+    smith = exactlin.snf_with_transforms
+
+    def recording_smith(mat, nrows, ncols):
+        shapes.append((nrows, ncols))
+        return smith(mat, nrows, ncols)
+
+    monkeypatch.setattr(exactlin, "snf_with_transforms", recording_smith)
+    prod = q_exterior_product(g, None, 2)
+    # 110 symbols and 100 lattice rows, 83 of them unit pivots
+    assert prod.nsym == 110 and len(prod.module.lattice_rows) == 100
+    assert shapes == [(17, 27)]
+    assert len(prod.module.spanning_generators()) == 27
+
+
+def test_xi_is_certified_on_generator_pairs(monkeypatch):
+    prod = q_exterior_product(strictly_upper(5), None, 2)
+    visits = []
+    witness = FpModule.witness
+
+    def counting_witness(self, acc):
+        visits.append(1)
+        return witness(self, acc)
+
+    monkeypatch.setattr(FpModule, "witness", counting_witness)
+    hom = prod.xi()
+    bound = comb(len(prod.module.spanning_generators()), 2)
+    assert 0 < len(visits) <= bound
+    # the full walk, which construction must not fall back to, visits more
+    visits.clear()
+    assert hom.bracket_defects() == []
+    assert len(visits) > bound
+
+
 def test_each_product_build_looks_up_brackets_once(monkeypatch):
     algebras = [heisenberg(), heisenberg(2), strictly_upper(4)]
     ideals = [derived_ideal(g) for g in algebras]
@@ -519,6 +555,41 @@ def test_each_product_build_looks_up_brackets_once(monkeypatch):
                     build(g, ideal, q)
                     builds += 1
     assert len(calls) == builds
+
+
+def test_each_algebra_build_looks_up_brackets_once(monkeypatch):
+    calls = []
+    lookup = liealg.bracket_lookup
+
+    def counting_lookup(rows):
+        calls.append(rows)
+        return lookup(rows)
+
+    monkeypatch.setattr(liealg, "bracket_lookup", counting_lookup)
+    filiform = [lambda n=n: lie_algebra([0] * n, {(0, i): unit_vec(n, i + 1)
+                                                  for i in range(1, n - 1)})
+                for n in (6, 8)]
+    builds = [lambda: lie_algebra([0, 0]), lambda: lie_algebra([0, 2]),
+              lambda: lie_algebra([4, 4]), heisenberg, lambda: heisenberg(2),
+              lambda: strictly_upper(4), lambda: strictly_upper(5),
+              lambda: lie_algebra([2, 2], {(0, 1): (0, 1)}, 2)] + filiform
+    for build in builds:
+        calls.clear()
+        g = build()
+        assert calls == [g._br]
+    # a transport that changes the rows looks up both row sets: in sl2 over
+    # Z/5, [e, h] = -2e comes out as 3e, and orders (0, 2) come out as (2, 0)
+    sl2 = {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)}
+    for build in (lambda: lie_algebra([5] * 3, sl2, 5),
+                  lambda: lie_algebra([0, 2], {(0, 1): (0, 1)})):
+        calls.clear()
+        g = build()
+        assert len(calls) == 2 and calls[1] == g._br != calls[0]
+    # a quotient looks up its own rows once; its parent already holds one
+    g = heisenberg()
+    calls.clear()
+    alg, _ = liealg.quotient_algebra(g, Ideal(g, center(g)))
+    assert calls == [alg._br]
 
 
 def dense_action_report(action):
