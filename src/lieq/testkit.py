@@ -3,9 +3,17 @@
 These deliberately avoid the main presentation pipeline: products are built
 by instantiating the defining relation families over *all* module elements
 (not just generators) inside the universal bilinear stage, closing the
-relation subgroup by enumeration, and reading invariant factors off an
-element-order census. Agreement with the Smith-normal-form pipeline on every
-small instance is what grounds the generator-only instantiation used there.
+relation subgroup by enumeration, and reading invariant factors off the
+sizes of its p^k-torsion. Agreement with the Smith-normal-form pipeline on
+every small instance is what grounds the generator-only instantiation used
+there.
+
+Product oracles use no Hermite or Smith form, only element enumeration, and
+each stage costs about the size of the relation subgroup, not of the
+ambient: the closure adds one coset at a time, so every element is made by
+one addition, and the torsion sizes come from extending that subgroup by the
+p^k e_i. The quadratic functor oracle (``brute_gamma``) is a lattice over
+Z, so it reduces its relation rows instead.
 """
 
 from __future__ import annotations
@@ -45,32 +53,52 @@ class FiniteEnumeration:
     def elements(self):
         return itertools.product(*[range(o) for o in self.orders])
 
+    def _check(self, *vs) -> None:
+        if any(len(v) != len(self.orders) for v in vs):
+            raise ValueError("vector length does not match ambient rank")
+
     def reduce(self, v) -> tuple:
+        self._check(v)
         return tuple(x % o for x, o in zip(v, self.orders))
 
     def add(self, a, b) -> tuple:
+        self._check(a, b)
         return tuple((x + y) % o for x, y, o in zip(a, b, self.orders))
 
     def scale(self, c, a) -> tuple:
+        self._check(a)
         return tuple((c * x) % o for x, o in zip(a, self.orders))
 
     def zero(self) -> tuple:
         return (0,) * len(self.orders)
 
 
-def subgroup_closure(ambient: FiniteEnumeration, gens: Iterable[Sequence[int]]) -> set:
-    """All sums of the given elements, by breadth-first closure."""
-    gens = sorted({ambient.reduce(g) for g in gens} - {ambient.zero()})
-    closed = {ambient.zero()}
-    queue = [ambient.zero()]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = ambient.add(x, g)
-            if y not in closed:
-                closed.add(y)
-                queue.append(y)
+def _extend(ambient: FiniteEnumeration, closed: set,
+            gens: Iterable[Sequence[int]]) -> set:
+    """Extend the subgroup ``closed`` in place by each of ``gens``.
+
+    Adding g to a subgroup H gives the disjoint cosets H + c g for
+    0 <= c < m, where m is the least c >= 1 with c g in H. For c < m, c g
+    lies in no coset H + j g with j < c (else (c - j) g would be in H), so
+    the walk stops exactly at m and makes each new element by one addition.
+    """
+    orders = ambient.orders
+    for g in gens:
+        g = ambient.reduce(g)
+        if g in closed:
+            continue
+        old = list(closed)
+        step = g
+        while step not in closed:
+            closed.update([tuple((x + y) % o for x, y, o in zip(h, step, orders))
+                           for h in old])
+            step = tuple((x + y) % o for x, y, o in zip(step, g, orders))
     return closed
+
+
+def subgroup_closure(ambient: FiniteEnumeration, gens: Iterable[Sequence[int]]) -> set:
+    """All sums of the given elements, built one coset at a time."""
+    return _extend(ambient, {ambient.zero()}, gens)
 
 
 def _factorize(n: int) -> dict:
@@ -87,22 +115,29 @@ def _factorize(n: int) -> dict:
 
 
 def _invariants_from_census(ambient: FiniteEnumeration, sub: set) -> tuple:
-    """Invariant factors of ambient/sub from counting p^k-torsion elements.
+    """Invariant factors of Q = ambient/sub from the sizes of its p^k-torsion.
 
-    For each prime p, the count of classes killed by p^k equals
-    p^(sum min(lambda_i, k)); successive differences give the conjugate
-    partition of the p-part, which assembles into the divisibility chain.
+    Multiplication by p^k maps Q onto p^k Q, and its kernel is Q[p^k], the
+    classes killed by p^k; so |Q[p^k]| = |Q| / |p^k Q|. The image p^k Q is
+    (p^k A + H)/H, and p^k A + H is H extended by the p^k e_i, so
+    |Q[p^k]| = |A| / |p^k A + H| with no scan of the ambient A. For each
+    prime p, |Q[p^k]| = p^(sum min(lambda_i, k)); successive differences give
+    the conjugate partition of the p-part, which assembles into the
+    divisibility chain. Only enumeration is used, no Hermite or Smith form.
     """
     qsize = ambient.size // len(sub)
     if qsize == 1:
         return ()
+    rank = len(ambient.orders)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     partitions = {}
     for p in _factorize(qsize):
         logs = [0]
         k = 1
         while True:
-            count = sum(1 for a in ambient.elements()
-                        if ambient.scale(p ** k, a) in sub) // len(sub)
+            span = _extend(ambient, set(sub),
+                           [ambient.scale(p ** k, e) for e in units])
+            count = ambient.size // len(span)
             s_k = 0
             c = count
             while c > 1:
@@ -149,9 +184,10 @@ class BruteProduct:
     brace block for q >= 1); the remaining relation families are instantiated
     over every element pair/triple and closed by enumeration. The elements
     are indexed once and two tables are built over element pairs: the index
-    of the reduced bracket (|g|^2 calls of ``g.bracket``) and the pure tensor.
-    Every instance is then one modular combination ``u - v + w`` of table
-    entries.
+    of the reduced bracket (|g|^2 calls of ``g.bracket``) and the id of the
+    pure tensor, one int per distinct tensor. The two Jacobi-type families
+    are collected as a set of id triples, and the modular combination
+    ``u - v + w`` runs once per distinct triple.
     """
 
     def __init__(self, g: LieAlgebra, q: int, kind: str):
@@ -190,43 +226,48 @@ class BruteProduct:
         elems = list(self.gmod.elements())
         index = {x: i for i, x in enumerate(elems)}
         br = [[index[self._bracket(x, y)] for y in elems] for x in elems]
-        ten = [[self.tensor_elt(x, y) for y in elems] for x in elems]
+        ids = {}
+        ten = [[ids.setdefault(self.tensor_elt(x, y), len(ids)) for y in elems]
+               for x in elems]
+        tensors = list(ids)
         idx = range(len(elems))
+        cols = [[row[x] for row in br] for x in idx]
+
+        triples = set()
+        for x in idx:
+            tx, bx = ten[x], br[x]
+            for xp in idx:
+                # [x,x'] (x) y - x (x) [x',y] + x' (x) [x,y], over every y
+                txp = ten[xp]
+                triples.update(zip(ten[bx[xp]], [tx[b] for b in br[xp]],
+                                   [txp[b] for b in bx]))
+        for x in idx:
+            tx, cx = ten[x], cols[x]
+            for y in idx:
+                # x (x) [y,y'] - [y',x] (x) y + [y,x] (x) y', over every y'
+                triples.update(zip([tx[b] for b in br[y]], [ten[b][y] for b in cx],
+                                   ten[br[y][x]]))
 
         def comb(u, v, w):
             return tuple((a - b + c) % o for a, b, c, o in zip(u, v, w, orders))
 
-        seen = set()
-        for x in idx:
-            tx, bx = ten[x], br[x]
-            for xp in idx:
-                # [x,x'] (x) y - x (x) [x',y] + x' (x) [x,y]
-                tb, txp, bxp = ten[bx[xp]], ten[xp], br[xp]
-                for y in idx:
-                    seen.add(comb(tb[y], tx[bxp[y]], txp[bx[y]]))
-        for x in idx:
-            tx = ten[x]
-            for y in idx:
-                # x (x) [y,y'] - [y',x] (x) y + [y,x] (x) y'
-                by, tyx = br[y], ten[br[y][x]]
-                for yp in idx:
-                    seen.add(comb(tx[by[yp]], ten[br[yp][x]][y], tyx[yp]))
+        seen = {comb(tensors[i], tensors[j], tensors[k]) for i, j, k in triples}
         if self.brace:
             q = self.q
             braces = [self.brace_elt(x) for x in elems]
             for x in idx:
                 for y in idx:
                     # {[x,y]} - q (x (x) y)
-                    qt = tuple(q * a for a in ten[x][y])
+                    qt = tuple(q * a for a in tensors[ten[x][y]])
                     seen.add(comb(braces[br[x][y]], qt, zero))
         if self.kind == "exterior":
             for x in idx:
-                seen.add(ten[x][x])
+                seen.add(tensors[ten[x][x]])
         else:
             # alternating closure of the symbol bracket: brackets tensored
             # with themselves die even in the tensor kind
             for b in {b for row in br for b in row}:
-                seen.add(ten[b][b])
+                seen.add(tensors[ten[b][b]])
         seen.discard(zero)
         return seen
 

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from lieq import testkit, verify
+from lieq import _kernel, exactlin, testkit, verify
 from lieq._kernel import hnf_rows
 from lieq.capability import ellis_centers, exterior_center
 from lieq.errors import TooLarge, ValidationError
@@ -44,6 +44,36 @@ def test_brute_module_quotient_examples():
 def test_subgroup_closure():
     m = FiniteEnumeration([6])
     assert sorted(subgroup_closure(m, [(2,)])) == [(0,), (2,), (4,)]
+
+
+def test_wrong_length_vectors_are_rejected():
+    """A short or long relation is an error, not a truncated one."""
+    with pytest.raises(ValueError, match="does not match ambient rank"):
+        brute_module_quotient([4, 4], [(2,)])
+    with pytest.raises(ValueError, match="does not match ambient rank"):
+        brute_module_quotient([4], [(1, 2)])
+    m = FiniteEnumeration([2, 3])
+    for call in (lambda: m.reduce((1,)), lambda: m.add((1, 1), (1,)),
+                 lambda: m.scale(2, (1, 1, 1))):
+        with pytest.raises(ValueError, match="does not match ambient rank"):
+            call()
+
+
+def test_product_oracle_uses_no_lattice_reduction(monkeypatch):
+    """BruteProduct, the closure and the census enumerate elements only."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product oracle reached the pipeline")
+
+    g = Catalog.get("heisenberg@Z/2")
+    monkeypatch.setattr(testkit, "hnf_rows", forbidden)
+    monkeypatch.setattr(testkit, "FpModule", forbidden)
+    monkeypatch.setattr(_kernel, "hnf_rows", forbidden)
+    monkeypatch.setattr(exactlin, "snf_with_transforms", forbidden)
+    monkeypatch.setattr(exactlin, "FpModule", forbidden)
+    for q in (0, 2):
+        for kind in ("tensor", "exterior"):
+            assert BruteProduct(g, q, kind).invariant_factors()
+    assert brute_module_quotient([8, 4, 2], [(2, 1, 1)]) == (2, 8)
 
 
 def test_brute_square_matches_spec_examples():
@@ -152,6 +182,59 @@ def reference_relation_instances(prod):
     return seen
 
 
+def reference_subgroup_closure(ambient, gens):
+    gens = sorted({ambient.reduce(g) for g in gens} - {ambient.zero()})
+    closed = {ambient.zero()}
+    queue = [ambient.zero()]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = ambient.add(x, g)
+            if y not in closed:
+                closed.add(y)
+                queue.append(y)
+    return closed
+
+
+def reference_census(ambient, sub):
+    qsize = ambient.size // len(sub)
+    if qsize == 1:
+        return ()
+    partitions = {}
+    for p in testkit._factorize(qsize):
+        logs = [0]
+        k = 1
+        while True:
+            count = sum(1 for a in ambient.elements()
+                        if ambient.scale(p ** k, a) in sub) // len(sub)
+            s_k = 0
+            c = count
+            while c > 1:
+                c //= p
+                s_k += 1
+            logs.append(s_k)
+            if logs[-1] == logs[-2]:
+                logs.pop()
+                break
+            k += 1
+        conj = [logs[i] - logs[i - 1] for i in range(1, len(logs))]
+        lam = []
+        i = 1
+        while conj and i <= conj[0]:
+            lam.append(sum(1 for m in conj if m >= i))
+            i += 1
+        partitions[p] = sorted(lam, reverse=True)
+    width = max(len(v) for v in partitions.values())
+    factors = []
+    for j in range(width):
+        d = 1
+        for p, lam in partitions.items():
+            if j < len(lam):
+                d *= p ** lam[j]
+        factors.append(d)
+    return tuple(sorted(factors))
+
+
 def reference_gamma_rows(A):
     elems = list(A.elements())
     index = {e: i for i, e in enumerate(elems)}
@@ -224,6 +307,58 @@ def test_relation_instances_match_reference_past_size_cap(monkeypatch):
                     2, "L4@Z/2")
     prod = BruteProduct(g, 0, "tensor")
     assert prod._relation_instances() == reference_relation_instances(prod)
+
+
+def random_generators(rng, orders):
+    """A seeded generator list with zero, duplicate, negative and unreduced
+    entries mixed in."""
+    gens = [tuple(rng.randrange(-2 * o, 2 * o) for o in orders)
+            for _ in range(rng.randrange(0, 4))]
+    if gens:
+        first = gens[0]
+        gens.append(first)
+        gens.append(tuple(x + 3 * o for x, o in zip(first, orders)))
+        gens.append(tuple(-x for x in gens[-1]))
+    gens.append((0,) * len(orders))
+    rng.shuffle(gens)
+    return gens
+
+
+def test_subgroup_closure_matches_reference():
+    rng = random.Random(14)
+    for orders in ([4, 6, 9], [2, 8], [3, 3, 3, 3]):
+        ambient = FiniteEnumeration(orders)
+        sizes = set()
+        for _ in range(40):
+            gens = random_generators(rng, orders)
+            closed = subgroup_closure(ambient, gens)
+            assert closed == reference_subgroup_closure(ambient, gens), \
+                (orders, gens)
+            sizes.add(len(closed))
+        assert len(sizes) >= 4, (orders, sizes)
+
+
+def test_census_matches_reference():
+    rng = random.Random(15)
+    deep = 0
+    for orders in ([8, 4, 2], [9, 27], [4, 6, 12]):
+        ambient = FiniteEnumeration(orders)
+        for _ in range(25):
+            sub = subgroup_closure(ambient, random_generators(rng, orders))
+            factors = testkit._invariants_from_census(ambient, sub)
+            assert factors == reference_census(ambient, sub), (orders, sub)
+            # an element of order p^2 makes the k-loop run three steps
+            deep += any(f % (p * p) == 0 for f in factors for p in (2, 3))
+    assert deep >= 30
+
+
+def test_census_matches_reference_on_the_oracle_sweep():
+    for g in verify.oracle_rank2_algebras():
+        for q in range(5):
+            for kind in ("tensor", "exterior"):
+                prod = BruteProduct(g, q, kind)
+                assert prod.invariant_factors() == \
+                    reference_census(prod.ambient, prod.sub), (g.name, q, kind)
 
 
 def test_gamma_rows_span_the_reference_lattice():
