@@ -3,6 +3,9 @@
 These loops are where the package spends its time: module canonicalization,
 kernels, quotients and product presentations all reduce to repeated Smith
 normal form and row-echelon passes over arbitrary-precision integer rows.
+The Smith form works on dense rows. The Hermite form takes sparse (k, c)
+term rows, as the product builder writes its relations, and never densifies
+them before its output.
 """
 
 
@@ -164,42 +167,56 @@ def snf_with_transforms(mat, nrows, ncols):
 def hnf_rows(rows, ncols):
     """Reduced row Hermite form of the row lattice: unique for the lattice.
 
-    Incremental echelon without transform tracking: at most ``ncols`` rows,
-    sorted by pivot column, pivots positive, entries above a pivot in
-    [0, pivot). The one Hermite routine: module lattices, submodules and,
-    on augmented stacks, every kernel (``exactlin.augmented_kernel``).
+    ``rows`` are sparse rows of (k, c) terms, coefficient c in column k < ncols
+    (the ``exactlin.terms`` vocabulary: repeated indices are summed, zero
+    coefficients allowed). Incremental echelon without transform tracking,
+    on rows held as dicts: a row's leading column is its least key, and each
+    reduction step runs over the pivot row's support only. Returns at most
+    ``ncols`` dense rows, sorted by pivot column, pivots positive, entries
+    above a pivot in [0, pivot). The one Hermite routine: module lattices,
+    submodules and, on augmented stacks, every kernel
+    (``exactlin.augmented_kernel``).
     """
     pivots = {}
     for row in rows:
-        r = list(row)
-        c = 0
-        while c < ncols:
-            x = r[c]
-            if x == 0:
-                c += 1
-                continue
+        r = {}
+        for k, x in row:
+            if x:
+                r[k] = r.get(k, 0) + x
+        if 0 in r.values():
+            r = {k: x for k, x in r.items() if x}
+        while r:
+            c = min(r)
             p = pivots.get(c)
             if p is None:
-                if x < 0:
-                    for k in range(c, ncols):
-                        r[k] = -r[k]
+                if r[c] < 0:
+                    r = {k: -x for k, x in r.items()}
                 pivots[c] = r
                 break
             while True:
                 q = r[c] // p[c]
                 if q:
-                    for k in range(c, ncols):
-                        r[k] -= q * p[k]
-                if r[c] == 0:
+                    _submul(r, q, p)
+                if c not in r:
                     break
                 p, r = r, p
                 pivots[c] = p
-            # r is now zero at column c; keep scanning it.
+            # r is now zero at column c; go on from its next column.
     return _reduced(pivots, ncols)
 
 
+def _submul(r, q, p):
+    """r -= q * p on dict rows, dropping the entries that become zero."""
+    for k, x in p.items():
+        y = r.get(k, 0) - q * x
+        if y:
+            r[k] = y
+        else:
+            del r[k]
+
+
 def _reduced(pivots, ncols):
-    """Echelon rows ``{pivot column: row}`` in reduced form, top-down.
+    """Echelon rows ``{pivot column: dict row}`` in reduced form, top-down, dense.
 
     Reducing column c changes the rows above only right of c, in columns
     reduced later; bottom-up would undo columns already reduced.
@@ -208,14 +225,17 @@ def _reduced(pivots, ncols):
     for c in sorted(pivots):
         p = pivots[c]
         if p[c] < 0:
-            for k in range(c, ncols):
-                p[k] = -p[k]
+            p = {k: -x for k, x in p.items()}
         d = p[c]
-        terms = [(k, p[k]) for k in range(c, ncols) if p[k]]
         for above in out:
-            f = above[c] // d
+            f = above.get(c, 0) // d
             if f:
-                for k, x in terms:
-                    above[k] -= f * x
+                _submul(above, f, p)
         out.append(p)
-    return out
+    dense = []
+    for p in out:
+        row = [0] * ncols
+        for k, x in p.items():
+            row[k] = x
+        dense.append(row)
+    return dense

@@ -1,8 +1,10 @@
 """Exact integer linear algebra and finitely presented module arithmetic.
 
 A finitely presented module is a quotient of Z^n (or (Z/m)^n, realized over Z
-by appending m*e_i relations) by the lattice spanned by its relation rows.
-Lattice rows are the reduced row Hermite form, unique for the lattice. Its
+by appending m*e_i relations) by the lattice spanned by its relation rows,
+kept as sparse (k, c) term rows (``terms``): the Hermite kernel takes them
+as they are. Lattice rows are the reduced row Hermite form, unique for the
+lattice, as dense tuples. Its
 unit pivots eliminate generators outright; the Smith normal form of what is
 left, the core, yields canonical coordinates and invariant factors, and the
 eliminated generators get theirs by back-substitution. Back-substitution on
@@ -186,13 +188,14 @@ def snf(m: IntMatrix):
             IntMatrix(v, ncols=m.ncols))
 
 
-def augmented_kernel(stack: Sequence[Sequence[int]], left: int, width: int) -> list:
+def augmented_kernel(stack: Iterable, left: int, width: int) -> list:
     """Right parts of the reduced Hermite rows of ``stack`` whose left part is 0.
 
-    For rows (x_i @ M | x_i) over rows (L | 0), ``left`` columns wide on the
-    left, these are a basis of { x : x @ M in the row lattice of L }: in
-    echelon form, the rows with a zero left part span the part of the stack's
-    lattice that is zero on the left.
+    ``stack`` holds sparse (k, c) term rows of the given width. For rows
+    (x_i @ M | x_i) over rows (L | 0), ``left`` columns wide on the left,
+    these are a basis of { x : x @ M in the row lattice of L }: in echelon
+    form, the rows with a zero left part span the part of the stack's lattice
+    that is zero on the left.
     """
     return [tuple(r[left:]) for r in hnf_rows(stack, width) if not any(r[:left])]
 
@@ -222,6 +225,11 @@ def hermite_coords(rows: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[
 class FpModule:
     """Quotient of an ambient free module by an integer relation lattice.
 
+    ``relations`` holds the presenting rows as sparse (k, c) term rows, the
+    ``terms`` vocabulary, whether they came in dense (``FpModule(n, rows)``)
+    or as terms (``FpModule.from_terms``); ``lattice_rows`` holds the
+    reduced Hermite form as dense tuples.
+
     ``base_modulus`` 0 means base ring Z; m >= 2 means Z/m, realized by
     silently appending m*e_i relations for every ambient generator so a
     single integer pipeline serves both rings.
@@ -246,23 +254,46 @@ class FpModule:
     def __init__(self, ambient_rank: int, relations: Iterable[Sequence[int]],
                  base_modulus: int = 0):
         n = int(ambient_rank)
+        rels = []
+        for r in relations:
+            vec = [int(x) for x in r]
+            if len(vec) != n:
+                raise ValueError("relation length does not match ambient rank")
+            rels.append(terms(vec))
+        self._present(n, rels, base_modulus)
+
+    @classmethod
+    def from_terms(cls, ambient_rank: int, relations: Iterable,
+                   base_modulus: int = 0) -> "FpModule":
+        """The module presented by sparse (k, c) term rows, as ``terms`` makes.
+
+        A row may repeat an index and hold zero coefficients; every index
+        must lie in [0, ambient_rank).
+        """
+        n = int(ambient_rank)
+        rels = []
+        for r in relations:
+            r = tuple(r)
+            for k, _ in r:
+                if not 0 <= k < n:
+                    raise ValueError("relation index out of ambient range")
+            rels.append(r)
+        module = cls.__new__(cls)
+        module._present(n, rels, base_modulus)
+        return module
+
+    def _present(self, n: int, rels: list, base_modulus: int) -> None:
         m = int(base_modulus)
         if n < 0:
             raise ValueError("negative ambient rank")
         if m < 0 or m == 1:
             raise ValueError("base modulus must be 0 (ring Z) or >= 2 (ring Z/m)")
-        rels = [tuple(map(int, r)) for r in relations]
-        for r in rels:
-            if len(r) != n:
-                raise ValueError("relation length does not match ambient rank")
         self.ambient_rank = n
         self.base_modulus = m
         self.relations = tuple(rels)
-        full = list(rels)
         if m:
-            full.extend([tuple(m if j == i else 0 for j in range(n))
-                         for i in range(n)])
-        self.lattice_rows = tuple(tuple(r) for r in hnf_rows(full, n))
+            rels += [((i, m),) for i in range(n)]
+        self.lattice_rows = tuple(tuple(r) for r in hnf_rows(rels, n))
         units, core = [], []
         for row in self.lattice_rows:
             c = next(k for k, x in enumerate(row) if x)
@@ -291,10 +322,8 @@ class FpModule:
     @classmethod
     def diagonal(cls, orders: Sequence[int], base_modulus: int = 0) -> "FpModule":
         """Module presented by d_i * e_i relations (d_i = 0 meaning free)."""
-        n = len(orders)
-        rels = [tuple(d if j == i else 0 for j in range(n))
-                for i, d in enumerate(orders) if d]
-        return cls(n, rels, base_modulus)
+        return cls.from_terms(len(orders), [((i, d),) for i, d in enumerate(orders) if d],
+                              base_modulus)
 
     # -- queries ------------------------------------------------------------
 
@@ -445,9 +474,9 @@ def block_kernel(source: FpModule, blocks) -> "Submodule":
             if any(col):
                 cols.append((d, col))
     width = len(cols)
-    stack = [[col[i] for _, col in cols] + list(unit_vec(ns, i)) for i in range(ns)]
-    stack += [[d if j == k else 0 for j in range(width + ns)]
-              for k, (d, _) in enumerate(cols) if d]
+    stack = [[(k, col[i]) for k, (_, col) in enumerate(cols) if col[i]]
+             + [(width + i, 1)] for i in range(ns)]
+    stack += [((k, d),) for k, (d, _) in enumerate(cols) if d]
     return Submodule(source, augmented_kernel(stack, width, width + ns))
 
 
@@ -508,7 +537,7 @@ class Submodule:
     def _hermite_rows(self) -> list:
         """Reduced row Hermite form of the sub-lattice plus the ambient lattice."""
         if self._hermite is None:
-            rows = hnf_rows(list(self.gens) + list(self.ambient.lattice_rows),
+            rows = hnf_rows([terms(r) for r in self.gens + self.ambient.lattice_rows],
                             self.ambient.ambient_rank)
             self._hermite = [tuple(r) for r in rows]
         return self._hermite
@@ -577,9 +606,9 @@ def quotient(module: FpModule, sub: Submodule):
     """Quotient module plus the projection homomorphism."""
     if sub.ambient is not module:
         raise ValueError("submodule does not live in the given module")
-    q = FpModule(module.ambient_rank,
-                 tuple(module.relations) + tuple(sub.gens),
-                 module.base_modulus)
+    q = FpModule.from_terms(module.ambient_rank,
+                            module.relations + tuple(terms(g) for g in sub.gens),
+                            module.base_modulus)
     proj = ModuleHom(module, q, IntMatrix.identity(module.ambient_rank),
                      check=False)
     return q, proj
@@ -594,9 +623,10 @@ def lattice_intersection(module: FpModule,
     x @ a == -y @ b, and its right part is that common element.
     """
     n = module.ambient_rank
-    lattice = list(module.lattice_rows)
-    stack = [list(a) + list(a) for a in list(gens_a) + lattice]
-    stack += [list(b) + [0] * n for b in list(gens_b) + lattice]
+    lattice = [terms(r) for r in module.lattice_rows]
+    stack = [a + tuple((n + k, c) for k, c in a)
+             for a in [terms(a) for a in gens_a] + lattice]
+    stack += [terms(b) for b in gens_b] + lattice
     return augmented_kernel(stack, n, 2 * n)
 
 

@@ -479,8 +479,9 @@ def quotient_algebra(g: LieAlgebra, h: Ideal):
     """Quotient by an ideal; returns (algebra, projection LieHom)."""
     if h.parent is not g:
         raise NotAnIdeal("ideal does not belong to this algebra")
-    module0 = FpModule(g.rank, tuple(g.module.relations) + tuple(h.sub.gens),
-                       g.base_modulus)
+    module0 = FpModule.from_terms(
+        g.rank, g.module.relations + tuple(terms(v) for v in h.sub.gens),
+        g.base_modulus)
     alg, proj_rows, lifts = _transport(module0, g._br, g._sym, f"{g.name}/h",
                                        check=True)
     hom = LieHom(g, alg, proj_rows)

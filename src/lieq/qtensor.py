@@ -17,8 +17,9 @@ finite instantiation spans the whole lattice; the brute-force oracle in
 * alternating closure: [b, e](x)[b, e] = 0.
 
 Every relation and every bracket constant is a sparse term list, written
-family by family with the two layout helpers below; a relation becomes a
-dense row only where it enters ``FpModule``.
+family by family with the two layout helpers below. The relations reach
+``FpModule.from_terms``, and its Hermite form, as these term lists; no
+relation is ever a dense row.
 
 The Lie bracket on symbols follows the product formulas (pure*pure,
 brace*pure, brace*brace), expanded bilinearly through structure constants;
@@ -269,8 +270,9 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
     rels += [tensor(be_h[i][j], be_g[i][j])
              for i in range(p) for j in range(n) if be_h[i][j]]
 
-    # the one place relations become dense rows
-    module = FpModule(nsym, [dense(r, nsym) for r in rels], g.base_modulus)
+    # the relations go to the module, and on to its Hermite form, as the
+    # sparse term lists they are; no relation is ever a dense row
+    module = FpModule.from_terms(nsym, rels, g.base_modulus)
 
     # bracket constants on symbols, each one sparse term list
     brackets = {}

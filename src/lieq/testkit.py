@@ -177,27 +177,50 @@ def brute_module_quotient(ambient_orders: Sequence[int],
 # ---------------------------------------------------------------------------
 # brute product presentations
 
+class BracketTable:
+    """The elements of a small finite algebra and the brackets among them.
+
+    ``elems`` lists the elements in ``FiniteEnumeration.elements`` order, and
+    ``br[x][y]`` is the index of the reduced bracket of elements x and y:
+    |g|^2 calls of ``g.bracket``. It depends on the algebra only, so the
+    (q, kind) products of one algebra can share one table.
+    """
+
+    def __init__(self, g: LieAlgebra):
+        if any(o == 0 for o in g.orders) or g.rank and _prod(g.orders) > SIZE_CAP:
+            raise TooLarge("brute products need a small finite algebra")
+        self.g = g
+        self.gmod = gmod = FiniteEnumeration(g.orders if g.rank else [])
+        self.elems = elems = list(gmod.elements())
+        index = {x: i for i, x in enumerate(elems)}
+        self.br = [[index[gmod.reduce(g.bracket(x, y))] for y in elems]
+                   for x in elems]
+
+
 class BruteProduct:
     """Element-level model of a q-tensor/exterior square of a finite algebra.
 
     The ambient is the bilinear stage (tensor square of the module, plus one
     brace block for q >= 1); the remaining relation families are instantiated
-    over every element pair/triple and closed by enumeration. The elements
-    are indexed once and two tables are built over element pairs: the index
-    of the reduced bracket (|g|^2 calls of ``g.bracket``) and the id of the
-    pure tensor, one int per distinct tensor. The two Jacobi-type families
-    are collected as a set of id triples, and the modular combination
+    over every element pair/triple and closed by enumeration. Two tables
+    over element pairs serve them: the ``BracketTable`` of g (pass one to
+    share it between the products of one algebra) and the id of the pure
+    tensor, one int per distinct tensor. The two Jacobi-type families are
+    collected as a set of id triples, and the modular combination
     ``u - v + w`` runs once per distinct triple.
     """
 
-    def __init__(self, g: LieAlgebra, q: int, kind: str):
-        if any(o == 0 for o in g.orders) or g.rank and _prod(g.orders) > SIZE_CAP:
-            raise TooLarge("brute products need a small finite algebra")
+    def __init__(self, g: LieAlgebra, q: int, kind: str, table=None):
+        if table is None:
+            table = BracketTable(g)
+        elif table.g is not g:
+            raise ValueError("bracket table of another algebra")
         self.g = g
         self.q = q
         self.kind = kind
         self.n = g.rank
-        self.gmod = FiniteEnumeration(g.orders if g.rank else [])
+        self.table = table
+        self.gmod = table.gmod
         self.pure_orders = [gcd(g.orders[i], g.orders[j])
                             for i in range(self.n) for j in range(self.n)]
         self.brace = q >= 1
@@ -223,9 +246,7 @@ class BruteProduct:
     def _relation_instances(self):
         orders = self.ambient.orders
         zero = self.ambient.zero()
-        elems = list(self.gmod.elements())
-        index = {x: i for i, x in enumerate(elems)}
-        br = [[index[self._bracket(x, y)] for y in elems] for x in elems]
+        elems, br = self.table.elems, self.table.br
         ids = {}
         ten = [[ids.setdefault(self.tensor_elt(x, y), len(ids)) for y in elems]
                for x in elems]
@@ -278,9 +299,12 @@ class BruteProduct:
         return self.ambient.reduce(vec) in self.sub
 
 
-def brute_q_square(g: LieAlgebra, q: int, kind: str) -> tuple:
-    """Invariant factors of the q-square of a small finite algebra."""
-    return BruteProduct(g, q, kind).invariant_factors()
+def brute_q_square(g: LieAlgebra, q: int, kind: str, table=None) -> tuple:
+    """Invariant factors of the q-square of a small finite algebra.
+
+    ``table``, a ``BracketTable`` of g, is shared rather than rebuilt.
+    """
+    return BruteProduct(g, q, kind, table).invariant_factors()
 
 
 def brute_center(g: LieAlgebra, q: int, kind: str,
@@ -308,7 +332,8 @@ def brute_center(g: LieAlgebra, q: int, kind: str,
 def gamma_relation_rows(A: FiniteEnumeration):
     """Relation rows of the quadratic functor of A, one symbol per element.
 
-    Symbols are indexed in ``A.elements()`` order. The defining families,
+    Symbols are indexed in ``A.elements()`` order; each row is a tuple of
+    sparse (k, c) terms, repeated indices summed. The defining families,
     for a, b, c in A and every scalar lam >= 0, are
       1. [lam a] - lam^2 [a];
       2. [a+b+c] - [a+b] - [a+c] - [b+c] + [a] + [b] + [c];
@@ -339,23 +364,14 @@ def gamma_relation_rows(A: FiniteEnumeration):
     scale = [[index[A.scale(lam, a)] for a in elems] for lam in range(exponent)]
     for ia in range(nsym):
         for lam in range(3 * exponent):
-            row = [0] * nsym
-            row[scale[lam % exponent][ia]] += 1
-            row[ia] -= lam * lam
-            yield row
+            yield ((scale[lam % exponent][ia], 1), (ia, -lam * lam))
     for ia in range(nsym):
         for ib in range(ia, nsym):
             iab = add[ia][ib]
+            add_a, add_b = add[ia], add[ib]
             for ic in range(ib, nsym):
-                row = [0] * nsym
-                row[add[iab][ic]] += 1
-                row[ia] += 1
-                row[ib] += 1
-                row[ic] += 1
-                row[iab] -= 1
-                row[add[ia][ic]] -= 1
-                row[add[ib][ic]] -= 1
-                yield row
+                yield ((add[iab][ic], 1), (ia, 1), (ib, 1), (ic, 1),
+                       (iab, -1), (add_a[ic], -1), (add_b[ic], -1))
 
 
 def brute_gamma(orders: Sequence[int]) -> tuple:

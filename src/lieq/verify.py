@@ -222,10 +222,11 @@ def oracle_rank2_algebras():
 def check_oracle_products(qs=(0, 1, 2, 3, 4)) -> list:
     out = []
     for g in oracle_rank2_algebras():
+        table = testkit.BracketTable(g)
         for q in qs:
             for kind, build in (("tensor", qtensor.q_tensor_product),
                                 ("exterior", qtensor.q_exterior_product)):
-                brute = testkit.brute_q_square(g, q, kind)
+                brute = testkit.brute_q_square(g, q, kind, table)
                 pipe = tuple(sorted(build(g, None, q).invariant_factors()))
                 out.append(_res("10 oracle-products", f"{g.name} q={q} {kind}",
                                 brute == pipe,

@@ -14,6 +14,7 @@ from lieq.exactlin import (
     Submodule,
     block_kernel,
     canonicalize,
+    dense,
     det,
     describe_factors,
     exterior_square_ab,
@@ -304,7 +305,8 @@ def _stacked_kernels(source, blocks):
     rels, rows, off = [], [[] for _ in range(ns)], 0
     for t, mat in blocks:
         for r in t.relations:
-            rels.append([0] * off + list(r) + [0] * (total - off - t.ambient_rank))
+            rels.append([0] * off + list(dense(r, t.ambient_rank))
+                        + [0] * (total - off - t.ambient_rank))
         for row, img in zip(rows, mat):
             row.extend(img)
         off += t.ambient_rank

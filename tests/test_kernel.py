@@ -2,7 +2,11 @@
 
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from lieq import _kernel
+from lieq.exactlin import FpModule, dense, terms
 
 
 def _random_matrix(rng, rows, cols, bound=20):
@@ -16,8 +20,8 @@ def test_hnf_kernel_is_the_row_kernel():
         cols = rng.randint(1, 5)
         nrows = rng.randint(1, 8)
         mat = _random_matrix(rng, nrows, cols, bound=7)
-        basis = _kernel.hnf_rows([list(r) for r in mat], cols)
-        stack = [list(r) + list(unit_vec(nrows, i)) for i, r in enumerate(mat)]
+        basis = _kernel.hnf_rows([terms(r) for r in mat], cols)
+        stack = [terms(list(r) + list(unit_vec(nrows, i))) for i, r in enumerate(mat)]
         ker = augmented_kernel(stack, cols, cols + nrows)
         # every kernel generator annihilates the matrix
         for k in ker:
@@ -41,7 +45,7 @@ def test_hnf_preserves_lattice():
     for _ in range(25):
         cols = rng.randint(1, 5)
         mat = _random_matrix(rng, rng.randint(0, 6), cols, bound=9)
-        reduced = _kernel.hnf_rows([list(r) for r in mat], cols)
+        reduced = _kernel.hnf_rows([terms(r) for r in mat], cols)
         a = FpModule(cols, mat)
         b = FpModule(cols, reduced)
         assert a.invariant_factors == b.invariant_factors
@@ -76,10 +80,104 @@ def test_hnf_rows_is_the_reduced_form_of_the_lattice():
     for _ in range(60):
         cols = rng.randint(1, 6)
         mat = _random_matrix(rng, rng.randint(1, 7), cols, bound=9)
-        reduced = _kernel.hnf_rows([list(r) for r in mat], cols)
-        assert _kernel.hnf_rows(_re_present(rng, mat), cols) == reduced
+        reduced = _kernel.hnf_rows([terms(r) for r in mat], cols)
+        assert _kernel.hnf_rows([terms(r) for r in _re_present(rng, mat)],
+                                cols) == reduced
         pivots = [next(k for k, x in enumerate(r) if x) for r in reduced]
         assert pivots == sorted(set(pivots))
         for i, (row, c) in enumerate(zip(reduced, pivots)):
             assert row[c] > 0
             assert all(0 <= above[c] < row[c] for above in reduced[:i])
+
+
+def reference_hnf_rows(rows, ncols):
+    """The dense Hermite kernel that ``hnf_rows`` replaced, kept verbatim."""
+    pivots = {}
+    for row in rows:
+        r = list(row)
+        c = 0
+        while c < ncols:
+            x = r[c]
+            if x == 0:
+                c += 1
+                continue
+            p = pivots.get(c)
+            if p is None:
+                if x < 0:
+                    for k in range(c, ncols):
+                        r[k] = -r[k]
+                pivots[c] = r
+                break
+            while True:
+                q = r[c] // p[c]
+                if q:
+                    for k in range(c, ncols):
+                        r[k] -= q * p[k]
+                if r[c] == 0:
+                    break
+                p, r = r, p
+                pivots[c] = p
+            # r is now zero at column c; keep scanning it.
+    return reference_reduced(pivots, ncols)
+
+
+def reference_reduced(pivots, ncols):
+    out = []
+    for c in sorted(pivots):
+        p = pivots[c]
+        if p[c] < 0:
+            for k in range(c, ncols):
+                p[k] = -p[k]
+        d = p[c]
+        terms = [(k, p[k]) for k in range(c, ncols) if p[k]]
+        for above in out:
+            f = above[c] // d
+            if f:
+                for k, x in terms:
+                    above[k] -= f * x
+        out.append(p)
+    return out
+
+
+# A term row: (k, c) pairs in any order, with repeated indices and zeros.
+term_stacks = st.integers(1, 7).flatmap(lambda ncols: st.tuples(
+    st.just(ncols),
+    st.lists(st.lists(st.tuples(st.integers(0, ncols - 1), st.integers(-9, 9)),
+                      max_size=2 * ncols),
+             max_size=9)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_stacks)
+def test_term_rows_match_the_dense_reference(stack):
+    ncols, rows = stack
+    dense_rows = [list(dense(r, ncols)) for r in rows]
+    assert _kernel.hnf_rows(rows, ncols) == reference_hnf_rows(dense_rows, ncols)
+
+
+def test_term_rows_match_the_dense_reference_on_re_presentations():
+    """Larger seeded lattices, each row split into shuffled terms."""
+    rng = random.Random(31)
+    for _ in range(40):
+        cols = rng.randint(1, 12)
+        mat = _random_matrix(rng, rng.randint(1, 14), cols, bound=9)
+        rows = []
+        for r in _re_present(rng, mat):
+            row = []
+            for k, x in enumerate(r):
+                if x or rng.random() < 0.2:
+                    part = rng.randint(-3, 3)
+                    row += [(k, part), (k, x - part)]
+            rng.shuffle(row)
+            rows.append(row)
+        want = reference_hnf_rows([list(dense(r, cols)) for r in rows], cols)
+        assert _kernel.hnf_rows(rows, cols) == want
+
+
+def test_from_terms_rejects_an_index_out_of_range():
+    with pytest.raises(ValueError):
+        FpModule.from_terms(3, [((0, 1), (3, 2))])
+    with pytest.raises(ValueError):
+        FpModule.from_terms(3, [((-1, 1),)])
+    assert FpModule.from_terms(3, [((0, 2), (2, 0), (0, 2))]).invariant_factors == \
+        FpModule(3, [(4, 0, 0)]).invariant_factors

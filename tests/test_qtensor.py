@@ -516,6 +516,40 @@ def test_product_module_runs_one_smith_form_on_its_hermite_core(monkeypatch):
     assert len(prod.module.spanning_generators()) == 27
 
 
+def test_product_relations_reach_the_hermite_form_as_terms(monkeypatch):
+    g = strictly_upper(5)
+    calls = []
+    hermite = exactlin.hnf_rows
+
+    def recording_hermite(rows, ncols):
+        rows = list(rows)
+        calls.append((rows, ncols))
+        return hermite(rows, ncols)
+
+    monkeypatch.setattr(exactlin, "hnf_rows", recording_hermite)
+    prod = q_exterior_product(g, None, 2)
+    module_calls = [rows for rows, ncols in calls if ncols == prod.nsym]
+    assert len(module_calls) == 1
+    rows = module_calls[0]
+    assert all(isinstance(r, tuple) and all(
+        isinstance(t, tuple) and len(t) == 2 for t in r) for r in rows)
+    assert rows == list(prod.module.relations)
+    assert len(rows) == 1075
+    assert max(len(r) for r in rows) == 2
+
+
+def test_heisenberg_exterior_squares_have_the_multiplier_rank():
+    """h_(2m+1) over Z at q=0: the Schur multiplier has rank 2m^2 - m - 1
+    (Batten, Moneyhun and Stitzinger 1996), and g' = Z, so g^g has
+    2m^2 - m free factors."""
+    for m in range(2, 11):
+        n = 2 * m + 1
+        g = lie_algebra([0] * n, {(i, m + i): unit_vec(n, n - 1) for i in range(m)},
+                        0, f"h{n}")
+        factors = q_exterior_product(g, None, 0).invariant_factors()
+        assert factors.count(0) == 2 * m * m - m, (m, factors)
+
+
 def test_xi_is_certified_on_generator_pairs(monkeypatch):
     prod = q_exterior_product(strictly_upper(5), None, 2)
     visits = []

@@ -9,6 +9,7 @@ from lieq import _kernel, exactlin, testkit, verify
 from lieq._kernel import hnf_rows
 from lieq.capability import ellis_centers, exterior_center
 from lieq.errors import TooLarge, ValidationError
+from lieq.exactlin import terms
 from lieq.io_catalog import Catalog
 from lieq.liealg import lie_algebra
 from lieq.qtensor import q_exterior_product, q_tensor_product
@@ -368,7 +369,7 @@ def test_gamma_rows_span_the_reference_lattice():
     for orders in groups:
         A = FiniteEnumeration(orders)
         assert hnf_rows(gamma_relation_rows(A), A.size) == \
-            hnf_rows(reference_gamma_rows(A), A.size), orders
+            hnf_rows([terms(r) for r in reference_gamma_rows(A)], A.size), orders
 
 
 # ---------------------------------------------------------------------------
