@@ -12,8 +12,10 @@ Hermite rows also decides membership in submodules -- which is everything
 the Lie-algebraic layers above need. All arithmetic is
 arbitrary-precision; nothing here ever rounds or overflows.
 
-Row-vector convention throughout: vectors are tuples, matrices act on the
-right, ``h(v) = v @ matrix``.
+Row-vector convention throughout: vectors are tuples, and a homomorphism is
+given by the term rows of its generators' images, ``h(v) = sum v_i images[i]``.
+Dense matrices (``IntMatrix``) appear only in ``snf`` and ``det``, the
+Smith-form reference.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from lieq._kernel import hnf_rows, identity_matrix, matmul, snf_with_transforms
+# identity_matrix has no caller here; it stays importable from this module,
+# with matmul and det, for the benchmark's own tests
+from lieq._kernel import identity_matrix  # noqa: F401
+from lieq._kernel import hnf_rows, matmul, snf_with_transforms
 from lieq.errors import NotWellDefined
 
 
@@ -123,10 +128,6 @@ class IntMatrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(identity_matrix(n), ncols=n)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -408,38 +409,52 @@ def canonicalize(ambient_rank: int, relations: Iterable[Sequence[int]],
 class ModuleHom:
     """Homomorphism between finitely presented modules.
 
-    Given on ambient generators by an integer matrix; construction verifies
-    that the source relation lattice maps into the target lattice.
+    ``images`` holds one sparse (k, c) term row per source generator, as
+    ``block_kernel`` takes them: the image of e_i in target coordinates. A
+    row may repeat an index and hold zero coefficients; each is merged once
+    and kept in ``images``. Construction verifies that the source relation
+    lattice maps into the target lattice, summing the images of each lattice
+    row and testing the sum term by term.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "images")
 
     def __init__(self, source: FpModule, target: FpModule,
-                 matrix, check: bool = True):
-        if not isinstance(matrix, IntMatrix):
-            matrix = IntMatrix(matrix, ncols=target.ambient_rank)
-        if matrix.nrows != source.ambient_rank or matrix.ncols != target.ambient_rank:
-            raise ValueError("hom matrix has wrong shape")
+                 images: Iterable, check: bool = True):
+        nt = target.ambient_rank
+        images = [tuple(r) for r in images]
+        if len(images) != source.ambient_rank:
+            raise ValueError("hom needs one image per source generator")
+        if any(not 0 <= k < nt for r in images for k, _ in r):
+            raise ValueError("image index out of target range")
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self.images = tuple(merged(r) for r in images)
         if check:
             for r in source.lattice_rows:
-                img = apply_matrix(r, matrix.rows, target.ambient_rank)
-                if not target.is_lattice_member(img):
+                w = target.witness(self._image_sum(r))
+                if w is not None:
                     raise NotWellDefined(
-                        f"relation {r} maps to {img}, outside the target lattice")
+                        f"relation {r} maps to {w}, outside the target lattice")
+
+    def _image_sum(self, v: Sequence[int]) -> dict:
+        """The image of the dense vector v as a sparse sum {index: coefficient}."""
+        acc = {}
+        for i, c in enumerate(v):
+            if c:
+                add_terms(acc, c, self.images[i])
+        return acc
 
     def __call__(self, v: Sequence[int]) -> tuple:
-        return apply_matrix(v, self.matrix.rows, self.target.ambient_rank)
+        return dense(self._image_sum(v).items(), self.target.ambient_rank)
 
     def image(self) -> "Submodule":
-        return Submodule(self.target, self.matrix.rows)
+        n = self.target.ambient_rank
+        return Submodule(self.target, [dense(r, n) for r in self.images])
 
     def kernel(self) -> "Submodule":
         """Preimage of the target relation lattice, as a source submodule."""
-        return block_kernel(self.source,
-                            [(self.target, [terms(r) for r in self.matrix.rows])])
+        return block_kernel(self.source, [(self.target, self.images)])
 
     def is_surjective(self) -> bool:
         return self.image().same(Submodule.full(self.target))
@@ -589,8 +604,7 @@ class Submodule:
     def as_module_with_embedding(self):
         """(diagonal FpModule, embedding ModuleHom into the ambient)."""
         mod = FpModule.diagonal(self.invariant_factors, self.ambient.base_modulus)
-        emb = ModuleHom(mod, self.ambient, IntMatrix(self.basis(),
-                        ncols=self.ambient.ambient_rank))
+        emb = ModuleHom(mod, self.ambient, [terms(b) for b in self.basis()])
         return mod, emb
 
     def __repr__(self):
@@ -609,7 +623,7 @@ def quotient(module: FpModule, sub: Submodule):
     q = FpModule.from_terms(module.ambient_rank,
                             module.relations + tuple(terms(g) for g in sub.gens),
                             module.base_modulus)
-    proj = ModuleHom(module, q, IntMatrix.identity(module.ambient_rank),
+    proj = ModuleHom(module, q, [((i, 1),) for i in range(module.ambient_rank)],
                      check=False)
     return q, proj
 

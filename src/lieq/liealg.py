@@ -288,7 +288,8 @@ def _transport(module0: FpModule, rows0: dict, br, name: str, check: bool):
     """Re-express sparse bracket rows on the pruned canonical basis.
 
     Returns (algebra, projection_rows, lifts): projection_rows express the
-    old ambient generators in new coordinates, lifts are ambient vectors
+    old ambient generators in new coordinates, as sparse term rows that
+    ``LieHom`` takes; lifts are ambient vectors
     representing the new generators. Transport through a module isomorphism
     keeps closure and Jacobi, so ``check`` is off when ``rows0`` is certified.
     ``br`` is the ``bracket_lookup`` of ``rows0``; the algebra keeps it when
@@ -311,7 +312,7 @@ def _transport(module0: FpModule, rows0: dict, br, name: str, check: bool):
     module = FpModule.diagonal(module0.invariant_factors, module0.base_modulus)
     alg = LieAlgebra(module, new_table, name, check=check,
                      lookup=br if rows == rows0 else None)
-    proj_rows = [module0.canon(unit_vec(n0, i)) for i in range(n0)]
+    proj_rows = [terms(module0.canon(unit_vec(n0, i))) for i in range(n0)]
     return alg, proj_rows, lifts
 
 
@@ -497,14 +498,15 @@ class LieHom:
 
     Source and target only need ``.module`` and ``.bracket_sym``, the sparse
     bracket of two generators; that covers both algebras and the
-    symbol-presented products. The module map and the bracket are checked at
-    construction, on sparse terms.
+    symbol-presented products. ``images`` holds one sparse (k, c) term row
+    per source generator, as ``ModuleHom`` takes them. The module map and the
+    bracket are checked at construction, on sparse terms.
     """
 
-    def __init__(self, source, target, matrix):
+    def __init__(self, source, target, images):
         self.source = source
         self.target = target
-        self.hom = ModuleHom(source.module, target.module, matrix)
+        self.hom = ModuleHom(source.module, target.module, images)
         self.section_vectors = None
         bad = self.bracket_defects(stop_early=True,
                                    generators=source.module.spanning_generators())
@@ -537,7 +539,7 @@ class LieHom:
         sum over i < j of (a_i b_j - a_j b_i) D(g_i, g_j).
         """
         source, target = self.source, self.target
-        images = [terms(r) for r in self.hom.matrix.rows]
+        images = self.hom.images
         gens = range(len(images)) if generators is None else sorted(generators)
         out = []
         for a, i in enumerate(gens):
@@ -720,7 +722,7 @@ def validate_q_crossed(xm: QCrossedModule) -> ValidationReport:
     C = action.constants
     n = g.rank
     nh = acted.module.ambient_rank
-    images = [terms(row) for row in mu.hom.matrix.rows]  # mu(h_j), sparse
+    images = mu.hom.images  # mu(h_j), sparse
     # mu(e_i.h_j) - [e_i, mu(h_j)]
     for i in range(n):
         for j in range(nh):

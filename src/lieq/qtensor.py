@@ -51,7 +51,6 @@ from typing import Optional, Sequence
 from lieq.errors import BracketNotWellDefined, NotAbelianInput
 from lieq.exactlin import (
     FpModule,
-    IntMatrix,
     ModuleHom,
     Submodule,
     add_terms,
@@ -65,7 +64,6 @@ from lieq.exactlin import (
     tensor_square_ab,
     terms,
     unit_vec,
-    vec_add,
     vec_scale,
 )
 from lieq.liealg import (
@@ -149,15 +147,6 @@ class QProduct:
         return [unit_vec(self.nsym, self.sym_pure(i, j))
                 for i in range(self.p) for j in range(self.n)]
 
-    # -- elements ---------------------------------------------------------
-
-    def tensor_of(self, hcoords: Sequence[int], gvec: Sequence[int]) -> tuple:
-        """Symbol expansion of (ideal element)(x)(algebra element)."""
-        return dense(tensor_terms(self.n, terms(hcoords), terms(gvec)), self.nsym)
-
-    def brace_of(self, hcoords: Sequence[int]) -> tuple:
-        return dense(brace_terms(self.p, self.n, terms(hcoords)), self.nsym)
-
     # -- bracket ------------------------------------------------------------
 
     def bracket_sym(self, s: int, t: int) -> tuple:
@@ -176,14 +165,12 @@ class QProduct:
         """The homomorphism onto the parent sending b(x)e to [b, e], {b} to q b."""
         if self._xi is None:
             g = self.algebra
-            rows = []
-            for i in range(self.p):
-                for j in range(self.n):
-                    rows.append(g.bracket(self.ideal.basis[i], unit_vec(self.n, j)))
+            basis = [terms(b) for b in self.ideal.basis]
+            rows = [bracket_terms(g.bracket_sym, b, _unit(j))
+                    for b in basis for j in range(self.n)]
             if self.has_braces:
-                for i in range(self.p):
-                    rows.append(vec_scale(self.q, self.ideal.basis[i]))
-            self._xi = LieHom(self, g, IntMatrix(rows, ncols=self.n))
+                rows += [[(k, self.q * c) for k, c in b] for b in basis]
+            self._xi = LieHom(self, g, rows)
         return self._xi
 
     # -- validation ----------------------------------------------------------
@@ -347,7 +334,7 @@ def tensor_to_exterior(tensor: QProduct, exterior: QProduct) -> ModuleHom:
     if tensor.nsym != exterior.nsym or tensor.q != exterior.q:
         raise ValueError("products are not comparable")
     return ModuleHom(tensor.module, exterior.module,
-                     IntMatrix.identity(tensor.nsym), check=True)
+                     [_unit(s) for s in range(tensor.nsym)], check=True)
 
 
 def check_brace_identity(prod: QProduct):
@@ -355,7 +342,8 @@ def check_brace_identity(prod: QProduct):
     if not prod.has_braces:
         raise ValueError("brace identity needs q >= 1")
     witnesses = []
-    for s, img in enumerate(prod.xi().hom.matrix.rows):
+    for s, row in enumerate(prod.xi().hom.images):
+        img = dense(row, prod.n)
         coords = prod.ideal.coords(img)
         if coords is None:
             witnesses.append((s, img))
@@ -473,19 +461,18 @@ def gamma_map(g: LieAlgebra, q: int) -> GammaMap:
     gm = gamma(base)
     gmq = gm.reduced_mod(k)
     prod = q_tensor_product(g, None, q)
-    lifts = base.canonical_basis()
+    lifts = [terms(v) for v in base.canonical_basis()]
     rows = []
     for s in gm.summands:
         if s[0] == "diag":
             li = lifts[s[1]]
-            rows.append(prod.tensor_of(li, li))
+            rows.append(tensor_terms(prod.n, li, li))
         else:
             li, lj = lifts[s[1]], lifts[s[2]]
-            rows.append(vec_add(prod.tensor_of(li, lj), prod.tensor_of(lj, li)))
-    hom_reduced = ModuleHom(gmq.module, prod.module,
-                            IntMatrix(rows, ncols=prod.nsym), check=True)
-    hom = ModuleHom(gm.module, prod.module,
-                    IntMatrix(rows, ncols=prod.nsym), check=True)
+            rows.append(tensor_terms(prod.n, li, lj) + tensor_terms(prod.n, lj, li))
+    # both maps send the functor's generators to the same term rows
+    hom_reduced = ModuleHom(gmq.module, prod.module, rows, check=True)
+    hom = ModuleHom(gm.module, prod.module, rows, check=True)
     return GammaMap(base, gm, gmq, k, prod, hom, hom_reduced)
 
 
@@ -554,7 +541,7 @@ def gamma_sequence_check(g: LieAlgebra, q: int) -> GammaSequenceReport:
     ker = proj.kernel()
     exact = img.same(ker)
     prod = gm.product
-    gens = [terms(r) for r in gm.hom.matrix.rows]
+    gens = gm.hom.images
     trivial = True
     for a, u in enumerate(gens):
         for v in gens[a:]:
@@ -587,28 +574,20 @@ def right_exact_check(g: LieAlgebra, h: Ideal, q: int,
     gbar, pi = quotient_algebra(g, h)
     p3 = q_exterior_product(gbar, None, q)
 
-    rows1 = []
-    for i in range(p1.p):
-        emb = h.basis[i]
-        for j in range(p1.n):
-            rows1.append(p2.tensor_of(emb, unit_vec(p1.n, j)))
+    # h-symbols into g-symbols: b_i(x)e_j to (b_i as a vector of g)(x)e_j
+    emb = [terms(b) for b in h.basis]
+    rows1 = [tensor_terms(p2.n, b, _unit(j)) for b in emb for j in range(p1.n)]
     if p1.has_braces:
-        for i in range(p1.p):
-            rows1.append(p2.brace_of(h.basis[i]))
-    m1 = ModuleHom(p1.module, p2.module, IntMatrix(rows1, ncols=p2.nsym),
-                   check=True)
+        rows1 += [brace_terms(p2.p, p2.n, b) for b in emb]
+    m1 = ModuleHom(p1.module, p2.module, rows1, check=True)
 
-    proj_rows = [pi(unit_vec(g.rank, u)) for u in range(g.rank)]
-    rows2 = []
-    for u in range(p2.p):
-        pu = proj_rows[u]
-        for j in range(p2.n):
-            rows2.append(p3.tensor_of(pu, proj_rows[j]))
+    # g-symbols into gbar-symbols through the projection on both slots
+    proj = pi.hom.images
+    rows2 = [tensor_terms(p3.n, proj[u], proj[j])
+             for u in range(p2.p) for j in range(p2.n)]
     if p2.has_braces:
-        for u in range(p2.p):
-            rows2.append(p3.brace_of(proj_rows[u]))
-    m2 = ModuleHom(p2.module, p3.module, IntMatrix(rows2, ncols=p3.nsym),
-                   check=True)
+        rows2 += [brace_terms(p3.p, p3.n, proj[u]) for u in range(p2.p)]
+    m2 = ModuleHom(p2.module, p3.module, rows2, check=True)
 
     details = {
         "first_factors": list(p1.invariant_factors()),
@@ -629,7 +608,7 @@ def right_exact_check(g: LieAlgebra, h: Ideal, q: int,
         ker = Submodule(p2.module, lattice_intersection(
             p2.module, list(pure2), list(ker_gens)))
         img = Submodule(p2.module, lattice_intersection(
-            p2.module, list(pure2), [tuple(r) for r in m1.matrix.rows]))
+            p2.module, list(pure2), m1.image().gens))
         exact = img.same(ker)
         # The image of the first algebra's own brace-free part can be
         # strictly smaller than the kernel; record that comparison too.

@@ -22,7 +22,6 @@ import itertools
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from lieq._kernel import hnf_rows
 from lieq.errors import TooLarge
 from lieq.exactlin import FpModule
 from lieq.liealg import LieAlgebra
@@ -385,5 +384,4 @@ def brute_gamma(orders: Sequence[int]) -> tuple:
     A = FiniteEnumeration(orders)
     if A.size > GAMMA_CAP:
         raise TooLarge(f"module of order {A.size} exceeds {GAMMA_CAP}")
-    reduced = hnf_rows(gamma_relation_rows(A), A.size)
-    return FpModule(A.size, reduced).invariant_factors
+    return FpModule.from_terms(A.size, gamma_relation_rows(A)).invariant_factors

@@ -7,11 +7,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lieq.errors import NotWellDefined
 from lieq.exactlin import (
     FpModule,
     IntMatrix,
     ModuleHom,
     Submodule,
+    apply_matrix,
     block_kernel,
     canonicalize,
     dense,
@@ -44,12 +46,12 @@ matrices = st.integers(1, 5).flatmap(
 def test_snf_zero_matrix():
     d, u, v = snf(IntMatrix([[0, 0], [0, 0]]))
     assert d == IntMatrix([[0, 0], [0, 0]])
-    assert u == IntMatrix.identity(2)
-    assert v == IntMatrix.identity(2)
+    assert u == IntMatrix([[1, 0], [0, 1]])
+    assert v == IntMatrix([[1, 0], [0, 1]])
 
 
 def test_snf_identity():
-    m = IntMatrix.identity(3)
+    m = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     d, u, v = snf(m)
     assert d == m
 
@@ -277,11 +279,11 @@ def test_basis_is_a_function_of_the_submodule(data):
 
 def test_kernel_examples():
     z6 = FpModule(1, [], 6)
-    assert kernel(ModuleHom(z6, z6, [[1]])).is_zero()
+    assert kernel(ModuleHom(z6, z6, [terms([1])])).is_zero()
     z = FpModule(1, [])
-    assert kernel(ModuleHom(z, z, [[0]])).invariant_factors == (0,)
+    assert kernel(ModuleHom(z, z, [terms([0])])).invariant_factors == (0,)
     # multiplication by 2 on Z/6: enumerating residues gives {0, 3} = Z/2
-    k = kernel(ModuleHom(z6, z6, [[2]]))
+    k = kernel(ModuleHom(z6, z6, [terms([2])]))
     assert k.invariant_factors == (2,)
     assert k.contains_vec((3,)) and not k.contains_vec((1,))
     brute = [x for x in range(6) if (2 * x) % 6 == 0]
@@ -311,7 +313,7 @@ def _stacked_kernels(source, blocks):
             row.extend(img)
         off += t.ambient_rank
     stacked = FpModule(total, rels, source.base_modulus)
-    via_hom = ModuleHom(source, stacked, IntMatrix(rows, ncols=total),
+    via_hom = ModuleHom(source, stacked, [terms(r) for r in rows],
                         check=False).kernel()
     stack = rows + [list(r) for r in stacked.lattice_rows]
     if stack and total:
@@ -359,8 +361,57 @@ def test_block_kernel_zero_rank_and_zero_module_blocks():
 def test_hom_validation_rejects_bad_maps():
     z2 = FpModule(1, [], 2)
     z = FpModule(1, [])
-    with pytest.raises(Exception):
-        ModuleHom(z2, z, [[1]])  # 2*1 = 0 must map to 0 in Z
+    with pytest.raises(NotWellDefined, match=r"relation \(2,\) maps to \(2,\)"):
+        ModuleHom(z2, z, [terms([1])])  # 2*1 = 0 must map to 0 in Z
+    with pytest.raises(ValueError, match="one image per source generator"):
+        ModuleHom(z, z, [])
+    with pytest.raises(ValueError, match="one image per source generator"):
+        ModuleHom(z, z, [((0, 1),), ()])
+    # an index outside the target is rejected even with coefficient 0
+    for row in (((1, 1),), ((-1, 1),), ((0, 1), (1, 0))):
+        with pytest.raises(ValueError, match="image index out of target range"):
+            ModuleHom(z, z, [row])
+
+
+def _messy_terms(rng, vec):
+    """vec as shuffled terms with split coefficients, zeros and cancelling pairs."""
+    out = []
+    for k, c in enumerate(vec):
+        a = rng.randint(-3, 3)
+        out += [(k, a), (k, c - a)] if rng.random() < 0.5 else [(k, c)]
+        if rng.random() < 0.3:
+            out += [(k, 0)]
+        if rng.random() < 0.3:
+            out += [(k, 5), (k, -5)]
+    rng.shuffle(out)
+    return out
+
+
+def test_hom_on_messy_term_rows_matches_the_dense_map():
+    rng = random.Random(1601)
+    for _ in range(40):
+        m = rng.choice([0, 0, 4, 6])
+        src_ord = [rng.choice([0, 2, 3, 4, 6]) for _ in range(rng.randint(1, 3))]
+        tgt_ord = [rng.choice([0, 2, 4, 6]) for _ in range(rng.randint(1, 3))]
+        src = FpModule.diagonal(src_ord, m)
+        tgt = FpModule.diagonal(tgt_ord, m)
+        ns, nt = len(src_ord), len(tgt_ord)
+        # d * e_i must map into the target lattice, d the order of e_i
+        rows = []
+        for d in (gcd(d, m) for d in src_ord):
+            row = []
+            for o in (gcd(o, m) for o in tgt_ord):
+                step = 1 if d == 0 else (0 if o == 0 else o // gcd(o, d))
+                row.append(step * rng.randint(-3, 3))
+            rows.append(row)
+        h = ModuleHom(src, tgt, [_messy_terms(rng, r) for r in rows])
+        assert h.images == tuple(terms(r) for r in rows)
+        assert h.image().gens == tuple(tuple(r) for r in rows)
+        ker = h.kernel()
+        for v in itertools.product(range(-1, 6), repeat=ns):
+            img = apply_matrix(v, rows, nt)
+            assert h(v) == img
+            assert ker.contains_vec(v) == tgt.is_lattice_member(img), (rows, v)
 
 
 def _combination(coeffs, rows, n):
@@ -399,7 +450,7 @@ def test_first_isomorphism(ns, nt, rows):
     src = FpModule(ns, [])  # free source: any matrix is a valid hom
     tgt = FpModule(nt, [[3 if i == j else 0 for j in range(nt)]
                         for i in range(nt)])
-    h = ModuleHom(src, tgt, rows)
+    h = ModuleHom(src, tgt, [terms(r) for r in rows])
     ker = h.kernel()
     q, _ = quotient(src, ker)
     assert q.invariant_factors == h.image().invariant_factors

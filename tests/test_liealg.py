@@ -8,7 +8,8 @@ import pytest
 
 from lieq import liealg
 from lieq.errors import NotAnIdeal, ValidationError
-from lieq.exactlin import FpModule, ModuleHom, unit_vec, vec_add, vec_addmul, vec_sub
+from lieq.exactlin import (FpModule, ModuleHom, terms, unit_vec, vec_add, vec_addmul,
+                            vec_sub)
 from lieq.io_catalog import Catalog, abelian, heisenberg, sl2, strictly_upper
 from lieq.liealg import (
     Ideal,
@@ -333,7 +334,7 @@ def dense_bracket_defects(hom):
     """Every generator pair, each side of hom([x,y]) = [hom x, hom y] dense."""
     n = hom.source.module.ambient_rank
     m = hom.target.module.ambient_rank
-    images = hom.hom.matrix.rows
+    images = hom.hom.image().gens
     out = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -349,12 +350,13 @@ def dense_bracket_defects(hom):
 
 def _perturbed(hom, rng):
     """A copy of hom with one image row shifted, its checks bypassed."""
-    rows = [list(r) for r in hom.hom.matrix.rows]
+    rows = [list(r) for r in hom.hom.image().gens]
     row = rng.randrange(len(rows))
     for k in range(len(rows[row])):
         rows[row][k] += rng.randint(-2, 2)
     bad = copy.copy(hom)
-    bad.hom = ModuleHom(hom.hom.source, hom.hom.target, rows, check=False)
+    bad.hom = ModuleHom(hom.hom.source, hom.hom.target, [terms(r) for r in rows],
+                        check=False)
     return bad
 
 
@@ -395,12 +397,12 @@ def _shifted_by_module_hom(hom, rng):
             step = 1 if d == 0 else (0 if o == 0 else o // gcd(o, d))
             y[j] = step * rng.choice((-1, 1, 2))
         ys.append(y)
-    rows = [list(r) for r in hom.hom.matrix.rows]
+    rows = [list(r) for r in hom.hom.image().gens]
     for s, row in enumerate(rows):
         for c, y in zip(src.canon(unit_vec(n, s)), ys):
             vec_addmul(row, c, y)
     bad = copy.copy(hom)
-    bad.hom = ModuleHom(src, tgt, rows)
+    bad.hom = ModuleHom(src, tgt, [terms(r) for r in rows])
     return bad
 
 
@@ -424,6 +426,16 @@ def test_generator_pair_walk_agrees_with_full_walk():
                     failing += bool(full) and len(gens) < hom.source.nsym
     assert cases >= 100
     assert failing >= 20
+
+
+def test_lie_hom_rejects_a_module_map_that_breaks_the_bracket():
+    # e1, e2 fixed and the central e3 sent to 0: a module map of heisenberg,
+    # but hom([e1, e2]) = 0 while [hom e1, hom e2] = e3
+    g = h3()
+    with pytest.raises(ValidationError) as err:
+        LieHom(g, g, [((0, 1),), ((1, 1),), ()])
+    assert [(i.kind, i.where, i.witness) for i in err.value.report.issues] == [
+        ("bracket", (0, 1), (0, 0, -1))]
 
 
 # -- derivations ------------------------------------------------------------------------
@@ -494,7 +506,7 @@ def test_identity_crossed_module():
     constants = [[g.bracket(unit_vec(n, i), unit_vec(n, j)) for j in range(n)]
                  for i in range(n)]
     action = LieAction(g, g, constants)
-    mu = LieHom(g, g, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    mu = LieHom(g, g, [terms([1 if i == j else 0 for j in range(n)]) for i in range(n)])
     assert validate_q_crossed(QCrossedModule(mu, action, 0)).ok
 
 
@@ -505,7 +517,7 @@ def test_ideal_inclusion_crossed_module():
     sub_alg = lie_algebra(list(sub_mod.invariant_factors), {}, 0, "z")
     constants = [[zc.gb[j][i] for i in range(zc.p)] for j in range(g.rank)]
     action = LieAction(g, sub_alg, constants)
-    mu = LieHom(sub_alg, g, [list(b) for b in zc.basis])
+    mu = LieHom(sub_alg, g, [terms(b) for b in zc.basis])
     assert validate_q_crossed(QCrossedModule(mu, action, 0)).ok
 
 
@@ -567,7 +579,7 @@ def test_crossed_module_condition_i_fails():
     # Z acting on Z by the identity, mu the identity: mu is not equivariant
     z = lie_algebra([0], {}, 0, "Z")
     action = LieAction(z, z, [[(1,)]])
-    mu = LieHom(z, z, [[1]])
+    mu = LieHom(z, z, [terms([1])])
     assert _issues(validate_q_crossed(QCrossedModule(mu, action, 0))) == [
         ("crossed-i", (0, 0), (1,))]
 
@@ -577,7 +589,7 @@ def test_crossed_module_condition_ii_fails():
     g = h3()
     constants = [[g.bracket_sym(i, j) for j in range(3)] for i in range(3)]
     action = LieAction(g, g, constants)
-    mu = LieHom(g, g, [[0, 0, 0]] * 3)
+    mu = LieHom(g, g, [terms([0, 0, 0])] * 3)
     assert _issues(validate_q_crossed(QCrossedModule(mu, action, 0))) == [
         ("crossed-ii", (0, 1), (0, 0, -1)), ("crossed-ii", (1, 0), (0, 0, 1))]
 

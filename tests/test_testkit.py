@@ -66,7 +66,7 @@ def test_product_oracle_uses_no_lattice_reduction(monkeypatch):
         raise AssertionError("the product oracle reached the pipeline")
 
     g = Catalog.get("heisenberg@Z/2")
-    monkeypatch.setattr(testkit, "hnf_rows", forbidden)
+    monkeypatch.setattr(exactlin, "hnf_rows", forbidden)
     monkeypatch.setattr(testkit, "FpModule", forbidden)
     monkeypatch.setattr(_kernel, "hnf_rows", forbidden)
     monkeypatch.setattr(exactlin, "snf_with_transforms", forbidden)
