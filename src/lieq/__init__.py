@@ -22,12 +22,9 @@ from lieq.exactlin import (  # noqa: F401
     IntMatrix,
     ModuleHom,
     Submodule,
-    canonicalize,
     is_free_over,
-    kernel,
     quotient,
     snf,
-    submodule,
 )
 from lieq.io_catalog import Catalog, load, parse, serialize, write_report  # noqa: F401
 from lieq.liealg import (  # noqa: F401

@@ -14,6 +14,10 @@ arbitrary-precision; nothing here ever rounds or overflows.
 
 Row-vector convention throughout: vectors are tuples, and a homomorphism is
 given by the term rows of its generators' images, ``h(v) = sum v_i images[i]``.
+Every list of generators is a list of term rows: a homomorphism's images, a
+submodule's generators (``Submodule.gens``), kernel bases and relations. A
+single element that a query takes or returns is a dense tuple
+(``contains_vec``, ``solve``, ``canon``, ``Submodule.basis``).
 Dense matrices (``IntMatrix``) appear only in ``snf`` and ``det``, the
 Smith-form reference.
 """
@@ -196,9 +200,10 @@ def augmented_kernel(stack: Iterable, left: int, width: int) -> list:
     (x_i @ M | x_i) over rows (L | 0), ``left`` columns wide on the left,
     these are a basis of { x : x @ M in the row lattice of L }: in echelon
     form, the rows with a zero left part span the part of the stack's lattice
-    that is zero on the left.
+    that is zero on the left. Each is returned as term rows, indexed from the
+    first right column.
     """
-    return [tuple(r[left:]) for r in hnf_rows(stack, width) if not any(r[:left])]
+    return [terms(r[left:]) for r in hnf_rows(stack, width) if not any(r[:left])]
 
 
 def hermite_coords(rows: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[tuple]:
@@ -397,12 +402,6 @@ class FpModule:
                 f"factors={list(self.invariant_factors)})")
 
 
-def canonicalize(ambient_rank: int, relations: Iterable[Sequence[int]],
-                 base_modulus: int = 0) -> FpModule:
-    """Present a quotient module and compute its invariant-factor form."""
-    return FpModule(ambient_rank, relations, base_modulus)
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms
 
@@ -449,8 +448,7 @@ class ModuleHom:
         return dense(self._image_sum(v).items(), self.target.ambient_rank)
 
     def image(self) -> "Submodule":
-        n = self.target.ambient_rank
-        return Submodule(self.target, [dense(r, n) for r in self.images])
+        return Submodule(self.target, self.images)
 
     def kernel(self) -> "Submodule":
         """Preimage of the target relation lattice, as a source submodule."""
@@ -461,10 +459,6 @@ class ModuleHom:
 
     def __repr__(self):
         return f"ModuleHom({self.source!r} -> {self.target!r})"
-
-
-def kernel(h: ModuleHom) -> "Submodule":
-    return h.kernel()
 
 
 def block_kernel(source: FpModule, blocks) -> "Submodule":
@@ -499,19 +493,25 @@ def block_kernel(source: FpModule, blocks) -> "Submodule":
 # submodules and quotients
 
 class Submodule:
-    """Submodule of an FpModule generated by explicit ambient vectors.
+    """Submodule of an FpModule generated by explicit ambient elements.
 
-    Keeps the ambient module, the generators, and (lazily) Hermite rows and
-    an abstract presentation with a canonical generating basis, so a
-    submodule doubles as a module-with-embedding.
+    ``gens`` holds one sparse (k, c) term row per generator, the ``terms``
+    vocabulary that ``FpModule.from_terms`` and ``ModuleHom`` take: a row
+    may repeat an index (the terms are summed) and hold zero coefficients,
+    and every index must lie in [0, ambient_rank). The rows are kept as
+    given. Keeps the ambient module, the generators, and (lazily) Hermite
+    rows and an abstract presentation with a canonical generating basis, so
+    a submodule doubles as a module-with-embedding. The single elements that
+    queries take and return (``contains_vec``, ``solve``, ``basis``) are
+    dense tuples.
     """
 
-    def __init__(self, ambient: FpModule, gens: Iterable[Sequence[int]]):
+    def __init__(self, ambient: FpModule, gens: Iterable):
+        n = ambient.ambient_rank
         self.ambient = ambient
-        self.gens = tuple(tuple(int(x) for x in g) for g in gens)
-        for g in self.gens:
-            if len(g) != ambient.ambient_rank:
-                raise ValueError("generator length does not match ambient rank")
+        self.gens = tuple(tuple(g) for g in gens)
+        if any(not 0 <= k < n for g in self.gens for k, _ in g):
+            raise ValueError("generator index out of ambient range")
         self._hermite = None
         self._abstract = None
         self._basis = None
@@ -526,7 +526,7 @@ class Submodule:
         Lie-algebra module is); then basis vectors are the ambient units.
         """
         n = ambient.ambient_rank
-        sub = cls(ambient, [unit_vec(n, i) for i in range(n)])
+        sub = cls(ambient, [((i, 1),) for i in range(n)])
         if ambient.orders == ambient.invariant_factors:
             sub._is_full = True
             sub._basis = [unit_vec(n, i) for i in range(n)]
@@ -538,22 +538,23 @@ class Submodule:
         return hermite_coords(self._hermite_rows(), v) is not None
 
     def contains(self, other: "Submodule") -> bool:
-        return all(self.contains_vec(g) for g in other.gens)
+        n = other.ambient.ambient_rank
+        return all(self.contains_vec(dense(g, n)) for g in other.gens)
 
     def same(self, other: "Submodule") -> bool:
         """Equality of Hermite rows; both must live in one ambient module."""
         return self._hermite_rows() == other._hermite_rows()
 
     def is_zero(self) -> bool:
-        return all(self.ambient.is_lattice_member(g) for g in self.gens)
+        return all(self.ambient.is_lattice_sum(g) for g in self.gens)
 
     # -- abstract structure --------------------------------------------------
 
     def _hermite_rows(self) -> list:
         """Reduced row Hermite form of the sub-lattice plus the ambient lattice."""
         if self._hermite is None:
-            rows = hnf_rows([terms(r) for r in self.gens + self.ambient.lattice_rows],
-                            self.ambient.ambient_rank)
+            lattice = tuple(terms(r) for r in self.ambient.lattice_rows)
+            rows = hnf_rows(self.gens + lattice, self.ambient.ambient_rank)
             self._hermite = [tuple(r) for r in rows]
         return self._hermite
 
@@ -612,35 +613,29 @@ class Submodule:
                 f"of {self.ambient!r})")
 
 
-def submodule(module: FpModule, gens: Iterable[Sequence[int]]) -> Submodule:
-    return Submodule(module, gens)
-
-
 def quotient(module: FpModule, sub: Submodule):
     """Quotient module plus the projection homomorphism."""
     if sub.ambient is not module:
         raise ValueError("submodule does not live in the given module")
     q = FpModule.from_terms(module.ambient_rank,
-                            module.relations + tuple(terms(g) for g in sub.gens),
+                            module.relations + sub.gens,
                             module.base_modulus)
     proj = ModuleHom(module, q, [((i, 1),) for i in range(module.ambient_rank)],
                      check=False)
     return q, proj
 
 
-def lattice_intersection(module: FpModule,
-                         gens_a: Sequence[Sequence[int]],
-                         gens_b: Sequence[Sequence[int]]) -> list:
-    """Generators of (span(gens_a)+L) intersect (span(gens_b)+L).
+def lattice_intersection(module: FpModule, gens_a: Sequence, gens_b: Sequence) -> list:
+    """Term rows generating (span(gens_a)+L) intersect (span(gens_b)+L).
 
+    ``gens_a`` and ``gens_b`` are term rows, as ``Submodule`` takes them.
     The stack (a | a) over (b | 0): a row with zero left part is some
     x @ a == -y @ b, and its right part is that common element.
     """
     n = module.ambient_rank
     lattice = [terms(r) for r in module.lattice_rows]
-    stack = [a + tuple((n + k, c) for k, c in a)
-             for a in [terms(a) for a in gens_a] + lattice]
-    stack += [terms(b) for b in gens_b] + lattice
+    stack = [(*a, *((n + k, c) for k, c in a)) for a in [*gens_a, *lattice]]
+    stack += [*gens_b, *lattice]
     return augmented_kernel(stack, n, 2 * n)
 
 

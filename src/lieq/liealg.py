@@ -434,7 +434,26 @@ class Ideal:
 
 
 def ideal_from_gens(g: LieAlgebra, gens) -> Ideal:
+    """The ideal spanned by ``gens``, sparse (k, c) term rows of g.
+
+    Raises ``NotAnIdeal`` when the span is not bracket-closed with g.
+    """
     return Ideal(g, Submodule(g.module, gens))
+
+
+def hash_rows(g: LieAlgebra, h: Ideal, q: int) -> list:
+    """Term rows generating h #_q g, in the product's symbol order.
+
+    The rows [b_i, e_j] for every basis vector b_i of h and generator e_j of
+    g, i major, then q b_i for each i when q >= 1: the images of the symbols
+    b_i(x)e_j and {b_i} under xi.
+    """
+    basis = [terms(b) for b in h.basis]
+    rows = [bracket_terms(g.bracket_sym, b, ((j, 1),)) for b in basis
+            for j in range(g.rank)]
+    if q >= 1:
+        rows += [tuple((k, q * c) for k, c in b) for b in basis]
+    return rows
 
 
 def hash_product(g: LieAlgebra, h: Optional[Ideal], q: int) -> Ideal:
@@ -445,14 +464,7 @@ def hash_product(g: LieAlgebra, h: Optional[Ideal], q: int) -> Ideal:
     """
     if h is None:
         h = Ideal.whole(g)
-    n = g.rank
-    gens = []
-    for b in h.basis:
-        for j in range(n):
-            gens.append(g.bracket(b, unit_vec(n, j)))
-        if q:
-            gens.append(vec_scale(q, b))
-    return Ideal(g, Submodule(g.module, gens))
+    return Ideal(g, Submodule(g.module, hash_rows(g, h, q)))
 
 
 def derived_ideal(g: LieAlgebra) -> Ideal:
@@ -481,7 +493,7 @@ def quotient_algebra(g: LieAlgebra, h: Ideal):
     if h.parent is not g:
         raise NotAnIdeal("ideal does not belong to this algebra")
     module0 = FpModule.from_terms(
-        g.rank, g.module.relations + tuple(terms(v) for v in h.sub.gens),
+        g.rank, g.module.relations + h.sub.gens,
         g.base_modulus)
     alg, proj_rows, lifts = _transport(module0, g._br, g._sym, f"{g.name}/h",
                                        check=True)
@@ -747,9 +759,9 @@ def validate_q_crossed(xm: QCrossedModule) -> ValidationReport:
             if w is not None:
                 report.add("crossed-ii", (j, l), w)
     for kgen in mu.kernel().gens:
-        w = vec_scale(q, kgen)
-        if not acted.module.is_lattice_member(w):
-            report.add("crossed-iii", (tuple(kgen),), w)
+        if not acted.module.is_lattice_sum((k, q * c) for k, c in kgen):
+            kvec = dense(kgen, nh)
+            report.add("crossed-iii", (kvec,), vec_scale(q, kvec))
     return report
 
 

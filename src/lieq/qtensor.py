@@ -63,8 +63,6 @@ from lieq.exactlin import (
     quotient,
     tensor_square_ab,
     terms,
-    unit_vec,
-    vec_scale,
 )
 from lieq.liealg import (
     Ideal,
@@ -76,6 +74,7 @@ from lieq.liealg import (
     bracket_lookup,
     bracket_terms,
     closure_defects,
+    hash_rows,
     jacobi_defects,
     q_abelianization,
     quotient_algebra,
@@ -144,8 +143,8 @@ class QProduct:
         return names
 
     def pure_units(self) -> list:
-        return [unit_vec(self.nsym, self.sym_pure(i, j))
-                for i in range(self.p) for j in range(self.n)]
+        """The pure symbols b_i(x)e_j as ((s, 1),) term rows, in symbol order."""
+        return [_unit(self.sym_pure(i, j)) for i in range(self.p) for j in range(self.n)]
 
     # -- bracket ------------------------------------------------------------
 
@@ -165,12 +164,7 @@ class QProduct:
         """The homomorphism onto the parent sending b(x)e to [b, e], {b} to q b."""
         if self._xi is None:
             g = self.algebra
-            basis = [terms(b) for b in self.ideal.basis]
-            rows = [bracket_terms(g.bracket_sym, b, _unit(j))
-                    for b in basis for j in range(self.n)]
-            if self.has_braces:
-                rows += [[(k, self.q * c) for k, c in b] for b in basis]
-            self._xi = LieHom(self, g, rows)
+            self._xi = LieHom(self, g, hash_rows(g, self.ideal, self.q))
         return self._xi
 
     # -- validation ----------------------------------------------------------
@@ -604,18 +598,17 @@ def right_exact_check(g: LieAlgebra, h: Ideal, q: int,
         # Brace-free slice of the same two induced maps: the kernel of the
         # restriction must match the brace-free part of the full image.
         pure2 = p2.pure_units()
-        ker_gens = m2.kernel().gens
         ker = Submodule(p2.module, lattice_intersection(
-            p2.module, list(pure2), list(ker_gens)))
+            p2.module, pure2, m2.kernel().gens))
         img = Submodule(p2.module, lattice_intersection(
-            p2.module, list(pure2), m1.image().gens))
+            p2.module, pure2, m1.images))
         exact = img.same(ker)
         # The image of the first algebra's own brace-free part can be
         # strictly smaller than the kernel; record that comparison too.
-        literal = Submodule(p2.module, [m1(uvec) for uvec in p1.pure_units()])
+        literal = Submodule(p2.module, [m1.images[s] for ((s, _),) in p1.pure_units()])
         details["literal_image_exact"] = literal.same(ker)
-        image3 = Submodule(p3.module, [m2(uvec) for uvec in pure2])
-        surj = all(image3.contains_vec(w) for w in p3.pure_units())
+        image3 = Submodule(p3.module, [m2.images[s] for ((s, _),) in pure2])
+        surj = image3.contains(Submodule(p3.module, p3.pure_units()))
         label = "right-exact(curly)"
     else:
         raise ValueError("kind must be 'exterior' or 'curly'")
@@ -661,8 +654,7 @@ def abelian_square_check(g: LieAlgebra, q: int) -> AbelianSquareReport:
     abelian = all(pt.module.is_lattice_sum(w) for w in pt._br.values()) and \
         all(pe.module.is_lattice_sum(w) for w in pe._br.values())
     if q >= 1:
-        gq, _ = quotient(g.module, Submodule(
-            g.module, [vec_scale(q, unit_vec(g.rank, i)) for i in range(g.rank)]))
+        gq, _ = quotient(g.module, Submodule(g.module, [((i, q),) for i in range(g.rank)]))
         lead = [g.module.invariant_factors]
     else:
         gq = g.module

@@ -15,19 +15,16 @@ from lieq.exactlin import (
     Submodule,
     apply_matrix,
     block_kernel,
-    canonicalize,
     dense,
     det,
     describe_factors,
     exterior_square_ab,
     hermite_coords,
     is_free_over,
-    kernel,
     lambda_q_modulus,
     merged_factors,
     quotient,
     snf,
-    submodule,
     tensor_square_ab,
     terms,
     unit_vec,
@@ -114,9 +111,9 @@ def test_snf_determinantal_divisors(rows):
 # -- canonicalization ----------------------------------------------------------
 
 def test_canonicalize_examples():
-    assert canonicalize(1, [], 0).invariant_factors == (0,)
-    assert canonicalize(1, [[2]], 0).invariant_factors == (2,)
-    m = canonicalize(2, [[2, 0], [0, 4]], 0)
+    assert FpModule(1, [], 0).invariant_factors == (0,)
+    assert FpModule(1, [[2]], 0).invariant_factors == (2,)
+    m = FpModule(2, [[2, 0], [0, 4]], 0)
     assert m.invariant_factors == (2, 4)
     # independent oracle: the same lattice inside (Z/8)^2, order census
     assert brute_module_quotient([8, 8], [(2, 0), (0, 4)]) == (2, 4)
@@ -195,20 +192,33 @@ def test_core_smith_form_matches_the_full_one_on_any_matrix(rows, base, rng):
 
 def test_submodule_examples():
     z2 = FpModule(2, [])
-    assert submodule(z2, []).is_zero()
+    assert Submodule(z2, []).is_zero()
     z = FpModule(1, [])
-    s = submodule(z, [(2,)])
+    s = Submodule(z, [terms((2,))])
     assert s.invariant_factors == (0,)
     assert s.basis() == [(2,)] or s.basis() == [(-2,)]
     z4 = FpModule(1, [], 4)
-    s = submodule(z4, [(2,)])
+    s = Submodule(z4, [terms((2,))])
     assert s.invariant_factors == (2,)
     assert s.contains_vec((2,)) and not s.contains_vec((1,))
 
 
+def test_submodule_takes_term_rows_inside_the_ambient_rank():
+    z2 = FpModule(2, [])
+    # repeated indices are summed and zero coefficients allowed
+    messy = Submodule(z2, [((1, 3), (0, 0), (1, -1), (1, 0))])
+    assert messy.same(Submodule(z2, [((1, 2),)]))
+    assert messy.basis() == [(0, 2)]
+    assert Submodule(z2, [((0, 0),)]).is_zero()
+    # an index outside [0, 2) is rejected, even with coefficient 0
+    for row in (((2, 1),), ((2, 0),), ((-1, 1),), ((0, 1), (2, 0))):
+        with pytest.raises(ValueError, match="generator index out of ambient range"):
+            Submodule(z2, [row])
+
+
 def test_submodule_solve_and_embedding():
     z4sq = FpModule(2, [], 4)
-    s = Submodule(z4sq, [(1, 1), (2, 0)])
+    s = Submodule(z4sq, [terms((1, 1)), terms((2, 0))])
     mod, emb = s.as_module_with_embedding()
     for t, b in enumerate(s.basis()):
         assert emb(unit_vec(mod.ambient_rank, t)) == b
@@ -266,24 +276,24 @@ def test_basis_is_a_function_of_the_submodule(data):
                                     max_size=len(other)))
         other.append([sum(c * g[k] for c, g in zip(coeffs, other))
                       for k in range(n)])
-    a, b = Submodule(ambient, gens), Submodule(ambient, other)
+    a, b = Submodule(ambient, map(terms, gens)), Submodule(ambient, map(terms, other))
     assert a.same(b)
     assert a.basis() == b.basis()
     assert a.invariant_factors == b.invariant_factors
     for v in a.basis():
         assert next(x for x in v if x) > 0
-    assert Submodule(ambient, a.basis()).same(a)
+    assert Submodule(ambient, map(terms, a.basis())).same(a)
 
 
 # -- kernels -------------------------------------------------------------------
 
 def test_kernel_examples():
     z6 = FpModule(1, [], 6)
-    assert kernel(ModuleHom(z6, z6, [terms([1])])).is_zero()
+    assert ModuleHom(z6, z6, [terms([1])]).kernel().is_zero()
     z = FpModule(1, [])
-    assert kernel(ModuleHom(z, z, [terms([0])])).invariant_factors == (0,)
+    assert ModuleHom(z, z, [terms([0])]).kernel().invariant_factors == (0,)
     # multiplication by 2 on Z/6: enumerating residues gives {0, 3} = Z/2
-    k = kernel(ModuleHom(z6, z6, [terms([2])]))
+    k = ModuleHom(z6, z6, [terms([2])]).kernel()
     assert k.invariant_factors == (2,)
     assert k.contains_vec((3,)) and not k.contains_vec((1,))
     brute = [x for x in range(6) if (2 * x) % 6 == 0]
@@ -321,7 +331,7 @@ def _stacked_kernels(source, blocks):
         sols = [u[i] for i in range(len(stack)) if not any(d[i])]
     else:
         sols = [unit_vec(len(stack), i) for i in range(len(stack))]
-    return via_hom, Submodule(source, [x[:ns] for x in sols])
+    return via_hom, Submodule(source, [terms(x[:ns]) for x in sols])
 
 
 @settings(max_examples=80, deadline=None)
@@ -404,9 +414,14 @@ def test_hom_on_messy_term_rows_matches_the_dense_map():
                 step = 1 if d == 0 else (0 if o == 0 else o // gcd(o, d))
                 row.append(step * rng.randint(-3, 3))
             rows.append(row)
-        h = ModuleHom(src, tgt, [_messy_terms(rng, r) for r in rows])
+        messy = [_messy_terms(rng, r) for r in rows]
+        h = ModuleHom(src, tgt, messy)
         assert h.images == tuple(terms(r) for r in rows)
-        assert h.image().gens == tuple(tuple(r) for r in rows)
+        assert tuple(dense(r, nt) for r in h.image().gens) == tuple(tuple(r) for r in rows)
+        # a submodule takes the same messy rows and spans the same image
+        sub = Submodule(tgt, messy)
+        assert sub.same(h.image())
+        assert sub.basis() == h.image().basis()
         ker = h.kernel()
         for v in itertools.product(range(-1, 6), repeat=ns):
             img = apply_matrix(v, rows, nt)
@@ -426,7 +441,7 @@ def test_submodule_solve_recombines_over_the_basis(data):
     n = ambient.ambient_rank
     gens = data.draw(st.lists(st.lists(vectors, min_size=n, max_size=n),
                               max_size=4))
-    sub = Submodule(ambient, gens)
+    sub = Submodule(ambient, map(terms, gens))
     # membership oracle through the Smith form of the bigger lattice
     oracle = FpModule(n, list(ambient.lattice_rows) + gens)
     spanning = gens + [list(r) for r in ambient.lattice_rows]
@@ -460,13 +475,13 @@ def test_first_isomorphism(ns, nt, rows):
 
 def test_quotient_examples():
     z = FpModule(1, [])
-    q, _ = quotient(z, submodule(z, [(2,)]))
+    q, _ = quotient(z, Submodule(z, [terms((2,))]))
     assert q.invariant_factors == (2,)
     z4sq = FpModule(2, [], 4)
-    q, _ = quotient(z4sq, submodule(z4sq, [(1, 1)]))
+    q, _ = quotient(z4sq, Submodule(z4sq, [terms((1, 1))]))
     assert q.invariant_factors == (4,)
     m = FpModule(2, [[2, 0]])
-    q, _ = quotient(m, submodule(m, []))
+    q, _ = quotient(m, Submodule(m, []))
     assert q.invariant_factors == m.invariant_factors
 
 

@@ -22,7 +22,7 @@ def test_hnf_kernel_is_the_row_kernel():
         mat = _random_matrix(rng, nrows, cols, bound=7)
         basis = _kernel.hnf_rows([terms(r) for r in mat], cols)
         stack = [terms(list(r) + list(unit_vec(nrows, i))) for i, r in enumerate(mat)]
-        ker = augmented_kernel(stack, cols, cols + nrows)
+        ker = [dense(r, nrows) for r in augmented_kernel(stack, cols, cols + nrows)]
         # every kernel generator annihilates the matrix
         for k in ker:
             prod = [sum(k[i] * mat[i][j] for i in range(nrows))

@@ -8,8 +8,8 @@ import pytest
 
 from lieq import liealg
 from lieq.errors import NotAnIdeal, ValidationError
-from lieq.exactlin import (FpModule, ModuleHom, terms, unit_vec, vec_add, vec_addmul,
-                            vec_sub)
+from lieq.exactlin import (FpModule, ModuleHom, dense, terms, unit_vec, vec_add,
+                            vec_addmul, vec_sub)
 from lieq.io_catalog import Catalog, abelian, heisenberg, sl2, strictly_upper
 from lieq.liealg import (
     Ideal,
@@ -290,7 +290,7 @@ def test_is_q_perfect():
 def test_ideal_rejects_non_ideal():
     g = h3()
     with pytest.raises(NotAnIdeal):
-        ideal_from_gens(g, [(1, 0, 0)])  # span(e1) is not bracket-closed
+        ideal_from_gens(g, [terms((1, 0, 0))])  # span(e1) is not bracket-closed
 
 
 def test_quotient_algebra_examples():
@@ -334,7 +334,7 @@ def dense_bracket_defects(hom):
     """Every generator pair, each side of hom([x,y]) = [hom x, hom y] dense."""
     n = hom.source.module.ambient_rank
     m = hom.target.module.ambient_rank
-    images = hom.hom.image().gens
+    images = [dense(r, m) for r in hom.hom.image().gens]
     out = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -350,7 +350,7 @@ def dense_bracket_defects(hom):
 
 def _perturbed(hom, rng):
     """A copy of hom with one image row shifted, its checks bypassed."""
-    rows = [list(r) for r in hom.hom.image().gens]
+    rows = [list(dense(r, hom.hom.target.ambient_rank)) for r in hom.hom.image().gens]
     row = rng.randrange(len(rows))
     for k in range(len(rows[row])):
         rows[row][k] += rng.randint(-2, 2)
@@ -397,7 +397,7 @@ def _shifted_by_module_hom(hom, rng):
             step = 1 if d == 0 else (0 if o == 0 else o // gcd(o, d))
             y[j] = step * rng.choice((-1, 1, 2))
         ys.append(y)
-    rows = [list(r) for r in hom.hom.image().gens]
+    rows = [list(dense(r, tgt.ambient_rank)) for r in hom.hom.image().gens]
     for s, row in enumerate(rows):
         for c, y in zip(src.canon(unit_vec(n, s)), ys):
             vec_addmul(row, c, y)
@@ -473,6 +473,23 @@ def test_derivations_h3_mod2_vs_enumeration():
     for d in der.orders:
         order *= d
     assert order == count
+
+
+def test_derivations_reject_a_commutator_outside_the_kernel(monkeypatch):
+    # Composition forged to E00 on odd calls and 0 on even ones: the first
+    # commutator is E00, which breaks the Leibniz identity on [e1, e2] = e3.
+    calls = []
+
+    def forged(d1, d2, n):
+        calls.append(None)
+        odd = len(calls) % 2
+        return tuple(tuple(int(odd and i == j == 0) for j in range(n)) for i in range(n))
+
+    monkeypatch.setattr(liealg, "_compose_matrices", forged)
+    with pytest.raises(ValidationError) as exc:
+        derivations(h3())
+    issue = exc.value.report.issues[0]
+    assert str(issue) == "commutator-closure(0, 1): witness (1, 0, 0, 0, 0, 0, 0, 0, 0)"
 
 
 def test_inner_derivations_are_derivations():
@@ -606,7 +623,7 @@ def test_quotient_factors_split_for_abelian_summands():
     from lieq.exactlin import merged_factors
     g = lie_algebra([2, 4, 0], {}, 0, "ab")
     for keep in ((0,), (1,), (2,), (0, 1), (1, 2)):
-        gens = [unit_vec(3, i) for i in keep]
+        gens = [terms(unit_vec(3, i)) for i in keep]
         h = ideal_from_gens(g, gens)
         q, _ = quotient_algebra(g, h)
         assert merged_factors([h.orders, q.orders]) == g.orders, keep
