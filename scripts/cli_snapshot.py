@@ -6,7 +6,9 @@ Usage (from the repository root):
 
 For each of the 14 catalog algebras it writes `centers`, `product --kind
 tensor`, `product --kind exterior` and `capability`, all at `--q
-0,1,2,3,4,6`, plus `verify catalog --oracle`: 57 files. Run it on two
+0,1,2,3,4,6`, plus `show` and `validate`; it writes `show` and `validate`
+for the two algebra files `tests/golden/*.lieq` too, and `verify catalog
+--oracle`: 89 files. Run it on two
 checkouts and compare with `diff -r` to see whether a change kept every
 report byte-identical. The commands run in process through `lieq.cli.main`;
 the file holds what the command writes to stdout.
@@ -22,6 +24,7 @@ from lieq.cli import main
 from lieq.io_catalog import Catalog
 
 QS = "0,1,2,3,4,6"
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
 def _slug(name: str) -> str:
@@ -38,6 +41,11 @@ def _commands():
         for kind in ("tensor", "exterior"):
             yield f"product_{kind}_{slug}", ["product", spec, "--q", QS, "--kind", kind]
         yield f"capability_{slug}", ["capability", spec, "--q", QS]
+        yield f"show_{slug}", ["show", spec]
+        yield f"validate_{slug}", ["validate", spec]
+    for path in sorted(GOLDEN.glob("*.lieq")):
+        yield f"show_file_{path.stem}", ["show", str(path)]
+        yield f"validate_file_{path.stem}", ["validate", str(path)]
     yield "verify_catalog_oracle", ["verify", "catalog", "--oracle"]
 
 

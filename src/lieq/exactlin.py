@@ -49,16 +49,8 @@ def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_neg(a):
-    return tuple(-x for x in a)
-
-
 def vec_scale(c, a):
     return tuple(c * x for x in a)
-
-
-def vec_is_zero(a) -> bool:
-    return all(x == 0 for x in a)
 
 
 def vec_addmul(acc: list, c: int, row: Sequence) -> None:

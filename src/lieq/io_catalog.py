@@ -139,11 +139,11 @@ def parse(text: str, name: str = "g") -> LieAlgebra:
     return lie_algebra(orders, brackets, ring, name)
 
 
-def _format_combination(vec, names) -> str:
+def _format_combination(row, names) -> str:
+    """Text of a merged sparse (k, c) term row over the generator names."""
     terms = []
-    for c, nm in zip(vec, names):
-        if c == 0:
-            continue
+    for k, c in row:
+        nm = names[k]
         if c == 1:
             term = nm
         elif c == -1:
@@ -156,7 +156,7 @@ def _format_combination(vec, names) -> str:
             terms.append(f"- {term[1:]}")
         else:
             terms.append(term)
-    return " ".join(terms) if terms else "0"
+    return " ".join(terms)
 
 
 def serialize(g: LieAlgebra) -> str:
@@ -167,13 +167,9 @@ def serialize(g: LieAlgebra) -> str:
         f"generators: {' '.join(names)}",
         f"orders: {' '.join(str(o) for o in g.orders)}",
     ]
-    for i in range(g.rank):
-        for j in range(i + 1, g.rank):
-            vec = g.table[i][j]
-            if any(vec):
-                lines.append(
-                    f"bracket: [{names[i]},{names[j]}] = "
-                    f"{_format_combination(vec, names)}")
+    for (i, j), row in sorted(g._br.items()):
+        lines.append(f"bracket: [{names[i]},{names[j]}] = "
+                     f"{_format_combination(row, names)}")
     return "\n".join(lines) + "\n"
 
 

@@ -3,9 +3,12 @@
 An algebra is stored on the canonical (pruned, diagonal) basis of its
 underlying module; arbitrary input presentations are brought to that form at
 construction and the structure constants transported through the basis
-change. Every algebraic identity -- Jacobi, torsion compatibility, action
-axioms, crossed-module conditions -- is checked modulo the relation lattice,
-which is where the identities live for a finitely presented module.
+change. Structure constants -- of a bracket and of an action -- are sparse
+(k, c) term rows; dense vectors appear only at ``lie_algebra``'s input, in
+``bracket`` queries and in the ``table`` view. Every algebraic identity --
+Jacobi, torsion compatibility, action axioms, crossed-module conditions -- is
+checked modulo the relation lattice, which is where the identities live for a
+finitely presented module.
 """
 
 from __future__ import annotations
@@ -27,11 +30,8 @@ from lieq.exactlin import (
     quotient,
     terms,
     unit_vec,
-    vec_is_zero,
-    vec_neg,
     vec_scale,
     vec_sub,
-    vec_zero,
 )
 
 
@@ -76,20 +76,24 @@ class ValidationReport:
 # [s, t] by increasing k. Algebras and products share this representation and
 # the expansion and certification below.
 
-def _checked_table(table, n: int) -> tuple:
-    """(int tuples, sparse rows) of a dense n by n table, checked alternating."""
-    full = tuple(tuple(tuple(int(x) for x in table[i][j]) for j in range(n))
-                 for i in range(n))
-    if any(not vec_is_zero(full[i][i]) for i in range(n)):
-        raise ValueError("diagonal bracket must vanish")
-    rows = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if full[j][i] != vec_neg(full[i][j]):
-                raise ValueError("bracket table is not antisymmetric")
-            if any(full[i][j]):
-                rows[(i, j)] = terms(full[i][j])
-    return full, rows
+def _checked_rows(rows: dict, n: int) -> dict:
+    """Bracket rows on n generators, each merged, empty rows dropped.
+
+    Keys (i, j) need 0 <= i < j < n and every term index k needs 0 <= k < n,
+    even where its coefficient is 0; anything else raises ``ValueError``.
+    Repeated indices are summed. The result lists its keys in sorted order.
+    """
+    out = {}
+    for (i, j) in sorted(rows):
+        if not 0 <= i < j < n:
+            raise ValueError(f"bracket row ({i}, {j}) needs 0 <= i < j < {n}")
+        row = tuple(rows[(i, j)])
+        if any(not 0 <= k < n for k, _ in row):
+            raise ValueError(f"bracket row ({i}, {j}) has a term index outside [0, {n})")
+        row = merged(row)
+        if row:
+            out[(i, j)] = row
+    return out
 
 
 def bracket_lookup(rows: dict):
@@ -219,16 +223,16 @@ def _certify(module: FpModule, rows: dict, br, subject: str) -> ValidationReport
 class LieAlgebra:
     """Structure constants on the canonical basis of a presented module.
 
-    ``table[i][j]`` is the coordinate vector of [e_i, e_j]; the table is
-    antisymmetric with zero diagonal, so the bracket is alternating by
-    construction (as required over rings where 2 is not invertible). The
-    bracket itself is read from sparse rows ``{(i, j): ((k, c), ...)}``,
-    i < j, built once from the table: the representation ``QProduct`` uses,
-    certified by the same closure and Jacobi walks. ``lookup`` is the
-    ``bracket_lookup`` of those rows when the caller already holds one.
+    ``rows`` maps (i, j), i < j, to [e_i, e_j] as sparse (k, c) terms, the
+    representation ``QProduct`` uses, certified by the same closure and
+    Jacobi walks; absent pairs bracket to zero. Only i < j is stored, so the
+    bracket is alternating by construction (as required over rings where 2
+    is not invertible). The rows are merged and checked by ``_checked_rows``
+    and are all the algebra stores. ``lookup`` is the ``bracket_lookup`` of
+    those rows when the caller already holds one.
     """
 
-    def __init__(self, module: FpModule, table, name: str = "g",
+    def __init__(self, module: FpModule, rows: dict, name: str = "g",
                  check: bool = True, lookup=None):
         n = module.ambient_rank
         # Downstream code reads ambient coordinates as canonical ones: orders[i]
@@ -242,7 +246,7 @@ class LieAlgebra:
             raise ValueError("LieAlgebra module must be in pruned diagonal form")
         self.module = module
         self.name = name
-        self.table, self._br = _checked_table(table, n)
+        self._br = _checked_rows(rows, n)
         self._sym = bracket_lookup(self._br) if lookup is None else lookup
         # Whole-algebra products keyed (kind, q) and their centers keyed
         # (kind, q, brace); products over proper ideals are not kept.
@@ -266,6 +270,13 @@ class LieAlgebra:
     def base_modulus(self) -> int:
         return self.module.base_modulus
 
+    @property
+    def table(self) -> tuple:
+        """The dense n by n table of [e_i, e_j], built from the rows on each read."""
+        n = self.rank
+        return tuple(tuple(dense(self._sym(i, j), n) for j in range(n))
+                     for i in range(n))
+
     def bracket(self, u: Sequence[int], v: Sequence[int]) -> tuple:
         return dense(bracket_terms(self.bracket_sym, terms(u), terms(v)), self.rank)
 
@@ -287,10 +298,11 @@ class LieAlgebra:
 def _transport(module0: FpModule, rows0: dict, br, name: str, check: bool):
     """Re-express sparse bracket rows on the pruned canonical basis.
 
-    Returns (algebra, projection_rows, lifts): projection_rows express the
-    old ambient generators in new coordinates, as sparse term rows that
-    ``LieHom`` takes; lifts are ambient vectors
-    representing the new generators. Transport through a module isomorphism
+    The new row (a, b) is [lift_a, lift_b] in canonical coordinates. Returns
+    (algebra, projection_rows, lifts): projection_rows express the old
+    ambient generators in new coordinates, as sparse term rows that
+    ``LieHom`` takes; lifts are ambient vectors representing the new
+    generators. Transport through a module isomorphism
     keeps closure and Jacobi, so ``check`` is off when ``rows0`` is certified.
     ``br`` is the ``bracket_lookup`` of ``rows0``; the algebra keeps it when
     its rows come out unchanged.
@@ -300,25 +312,26 @@ def _transport(module0: FpModule, rows0: dict, br, name: str, check: bool):
     lifts = module0.canonical_basis()
     lift_terms = [terms(v) for v in lifts]
     rows = {}
-    new_table = [[vec_zero(k) for _ in range(k)] for _ in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
             w = bracket_terms(br, lift_terms[a], lift_terms[b])
-            w = module0.canon(dense(w, n0))
-            new_table[a][b] = w
-            new_table[b][a] = vec_neg(w)
-            if any(w):
-                rows[(a, b)] = terms(w)
+            w = terms(module0.canon(dense(w, n0)))
+            if w:
+                rows[(a, b)] = w
     module = FpModule.diagonal(module0.invariant_factors, module0.base_modulus)
-    alg = LieAlgebra(module, new_table, name, check=check,
+    alg = LieAlgebra(module, rows, name, check=check,
                      lookup=br if rows == rows0 else None)
     proj_rows = [terms(module0.canon(unit_vec(n0, i))) for i in range(n0)]
     return alg, proj_rows, lifts
 
 
-def from_module_data(module0: FpModule, table0, name: str = "g") -> LieAlgebra:
-    """Validate a bracket table on an arbitrary presentation, then canonize."""
-    _, rows0 = _checked_table(table0, module0.ambient_rank)
+def from_module_data(module0: FpModule, rows0: dict, name: str = "g") -> LieAlgebra:
+    """Validate bracket rows on an arbitrary presentation, then canonize.
+
+    ``rows0`` follows ``LieAlgebra``'s row contract on the ambient generators
+    of ``module0``.
+    """
+    rows0 = _checked_rows(rows0, module0.ambient_rank)
     br = bracket_lookup(rows0)
     report = _certify(module0, rows0, br, name)
     if not report.ok:
@@ -329,21 +342,29 @@ def from_module_data(module0: FpModule, table0, name: str = "g") -> LieAlgebra:
 
 def lie_algebra(orders: Sequence[int], brackets: Optional[dict] = None,
                 modulus: int = 0, name: str = "g") -> LieAlgebra:
-    """Build an algebra from per-generator orders and sparse brackets.
+    """Build an algebra from per-generator orders and dense bracket vectors.
 
-    ``brackets`` maps index pairs (i, j), i < j, to coordinate vectors of
-    [e_i, e_j]; unspecified brackets are zero, antisymmetry is filled in.
+    ``brackets`` maps index pairs (i, j) to the length-n coordinate vector of
+    [e_i, e_j]; (j, i) stands for the negated vector on (i, j).
+    Unspecified brackets are zero. A pair on the diagonal or outside
+    [0, n), an unordered pair given twice, or a vector whose length is not n
+    raises ``ValueError``. This is the one dense input: each vector becomes
+    a term row here.
     """
     n = len(orders)
-    module0 = FpModule.diagonal(orders, modulus)
-    table = [[vec_zero(n) for _ in range(n)] for _ in range(n)]
+    rows = {}
     for (i, j), vec in (brackets or {}).items():
         if i == j:
             raise ValueError("diagonal bracket must vanish")
-        entry = tuple(int(x) for x in vec)
-        table[i][j] = entry
-        table[j][i] = vec_neg(entry)
-    return from_module_data(module0, table, name)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"bracket pair ({i}, {j}) outside [0, {n})")
+        if len(vec) != n:
+            raise ValueError(f"bracket ({i}, {j}) has length {len(vec)}, not {n}")
+        key, sign = ((i, j), 1) if i < j else ((j, i), -1)
+        if key in rows:
+            raise ValueError(f"bracket pair {key} given twice")
+        rows[key] = tuple((k, sign * int(c)) for k, c in enumerate(vec) if c)
+    return from_module_data(FpModule.diagonal(orders, modulus), rows, name)
 
 
 def validate(g: LieAlgebra) -> ValidationReport:
@@ -581,29 +602,15 @@ class LieHom:
 # ---------------------------------------------------------------------------
 # actions and crossed modules
 
-def _sparse_constant(entry, n: int) -> tuple:
-    """An action constant as nonzero (k, c) terms by increasing k.
-
-    ``entry`` is a dense length-n vector or (k, c) terms, repeats summed.
-    """
-    entry = tuple(entry)
-    if entry and isinstance(entry[0], int):
-        if len(entry) != n:
-            raise ValueError("action constant has the wrong length")
-        return terms(tuple(map(int, entry)))
-    if any(not 0 <= k < n for k, _ in entry):
-        raise ValueError("action constant index out of range")
-    return merged((k, int(c)) for k, c in entry)
-
-
 class LieAction:
     """A left action of an algebra on a bracketed module object.
 
     ``constants[i][j]`` is e_i acting on the j-th generator of the acted
-    object, stored as sparse rows ((k, c), ...): the nonzero acted
-    coordinates c by increasing k. Callers may pass each entry either as such
-    terms (a repeated k is summed) or as a dense coordinate vector. The acted
-    object needs ``.module`` and ``.bracket_sym``, like ``LieHom``'s source.
+    object, given as sparse (k, c) terms: a repeated k is summed, a zero c is
+    allowed, and an index k outside the acted rank raises ``ValueError``.
+    Each constant is stored merged: the nonzero acted coordinates c by
+    increasing k. The acted object needs ``.module`` and ``.bracket_sym``,
+    like ``LieHom``'s source.
 
     The constants are immutable, so the validation report is computed once,
     by the first ``validate`` call (``check=True`` makes it at construction);
@@ -615,11 +622,12 @@ class LieAction:
         self.actor = actor
         self.acted = acted
         nh = acted.module.ambient_rank
-        rows = [list(row) for row in constants]
+        rows = [[tuple(c) for c in row] for row in constants]
         if len(rows) != actor.rank or any(len(row) != nh for row in rows):
             raise ValueError("action constants must be actor rank by acted rank")
-        self.constants = tuple(tuple(_sparse_constant(c, nh) for c in row)
-                               for row in rows)
+        if any(not 0 <= k < nh for row in rows for c in row for k, _ in c):
+            raise ValueError("action constant index out of range")
+        self.constants = tuple(tuple(merged(c) for c in row) for row in rows)
         self._report = None
         if check:
             report = self.validate()
@@ -717,9 +725,6 @@ class QCrossedModule:
         self.action = action
         self.q = int(q)
 
-    def validate(self) -> ValidationReport:
-        return validate_q_crossed(self)
-
 
 def validate_q_crossed(xm: QCrossedModule) -> ValidationReport:
     """Equivariance, Peiffer identity and q-torsion of the kernel.
@@ -771,8 +776,8 @@ def validate_q_crossed(xm: QCrossedModule) -> ValidationReport:
 class DerivationAlgebra(LieAlgebra):
     """Derivations of an algebra, with the witnessing matrices attached."""
 
-    def __init__(self, module, table, matrices, sub, name, check=True):
-        super().__init__(module, table, name, check=check)
+    def __init__(self, module, rows, matrices, sub, name, check=True):
+        super().__init__(module, rows, name, check=check)
         self.matrices = matrices
         self.sub = sub
 
@@ -817,7 +822,7 @@ def derivations(m: LieAlgebra) -> DerivationAlgebra:
     mats = [tuple(tuple(b[i * n + j] for j in range(n)) for i in range(n))
             for b in basis]
     k = len(basis)
-    table = [[vec_zero(k) for _ in range(k)] for _ in range(k)]
+    rows = {}
     for s in range(k):
         for t in range(s + 1, k):
             comm = vec_sub(
@@ -827,10 +832,9 @@ def derivations(m: LieAlgebra) -> DerivationAlgebra:
             if coords is None:
                 raise ValidationError(ValidationReport(
                     "derivations", [ValidationIssue("commutator-closure", (s, t), comm)]))
-            table[s][t] = tuple(coords)
-            table[t][s] = vec_neg(coords)
+            rows[(s, t)] = terms(coords)
     module = FpModule.diagonal(sub.invariant_factors, m.base_modulus)
-    return DerivationAlgebra(module, table, mats, sub, f"Der({m.name})")
+    return DerivationAlgebra(module, rows, mats, sub, f"Der({m.name})")
 
 
 def adjoint_matrix(m: LieAlgebra, v: Sequence[int]) -> tuple:
@@ -867,10 +871,9 @@ def inner_q_derivations(m: LieAlgebra, q: int):
 def direct_sum_algebras(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
     if a.base_modulus != b.base_modulus:
         raise ValueError("mixed base rings")
-    na, nb = a.rank, b.rank
-    orders = list(a.orders) + list(b.orders)
-    brackets = {(i, j): a.table[i][j] + vec_zero(nb) for i, j in a._br}
-    brackets.update(((na + i, na + j), vec_zero(na) + b.table[i][j])
-                    for i, j in b._br)
-    return lie_algebra(orders, brackets, a.base_modulus,
-                       name or f"{a.name}+{b.name}")
+    na = a.rank
+    rows = dict(a._br)
+    rows.update(((na + i, na + j), tuple((na + k, c) for k, c in row))
+                for (i, j), row in b._br.items())
+    module = FpModule.diagonal(a.orders + b.orders, a.base_modulus)
+    return from_module_data(module, rows, name or f"{a.name}+{b.name}")

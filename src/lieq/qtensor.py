@@ -470,11 +470,6 @@ def gamma_map(g: LieAlgebra, q: int) -> GammaMap:
     return GammaMap(base, gm, gmq, k, prod, hom, hom_reduced)
 
 
-def gamma_map_i(g: LieAlgebra, q: int) -> ModuleHom:
-    """The comparison map from the integer functor (see ``gamma_map``)."""
-    return gamma_map(g, q).hom
-
-
 # ---------------------------------------------------------------------------
 # sequence checks
 

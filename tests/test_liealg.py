@@ -41,6 +41,12 @@ def h3():
     return Catalog.get("heisenberg")
 
 
+def rows_of(table):
+    """The sparse bracket rows of a dense n by n table: its upper triangle."""
+    n = len(table)
+    return {(i, j): terms(table[i][j]) for i in range(n) for j in range(i + 1, n)}
+
+
 # -- validation -----------------------------------------------------------------
 
 def test_validate_abelian_and_heisenberg():
@@ -67,7 +73,7 @@ def test_constructor_rejects_non_diagonal_module():
     # (the q=0 tensor square came out as (2, 2, 2, 2)).
     module = FpModule(2, [(4, 0), (0, 2)])
     with pytest.raises(ValueError, match="pruned diagonal form"):
-        LieAlgebra(module, [[(0, 0), (2, 0)], [(-2, 0), (0, 0)]])
+        LieAlgebra(module, rows_of([[(0, 0), (2, 0)], [(-2, 0), (0, 0)]]))
     # the same Lie ring built on its canonical basis
     g = lie_algebra([4, 2], {(0, 1): (2, 0)})
     assert g.orders == (2, 4)
@@ -78,7 +84,7 @@ def test_constructor_accepts_any_presentation_of_a_diagonal_lattice():
     # 2Z x 4Z given as 2e1 + 4e2, 4e2: the reduced Hermite rows are the d_i * e_i
     module = FpModule(2, [(2, 4), (0, 4)])
     assert module.lattice_rows == ((2, 0), (0, 4))
-    g = LieAlgebra(module, [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
+    g = LieAlgebra(module, rows_of([[(0, 0), (0, 0)], [(0, 0), (0, 0)]]))
     assert g.module.lattice_rows == ((2, 0), (0, 4))
     assert q_tensor_product(g, None, 0).invariant_factors() == (2, 2, 2, 4)
 
@@ -89,14 +95,45 @@ def test_torsion_compatible_solvable_over_z2():
     assert not g.is_abelian()
 
 
-def test_from_module_data_rejects_malformed_tables():
-    module = FpModule.diagonal([0, 0])
+def test_lie_algebra_rejects_malformed_brackets():
     # [e1, e1] = e2 would otherwise be dropped
     with pytest.raises(ValueError, match="diagonal bracket must vanish"):
-        from_module_data(module, [[(0, 1), (0, 0)], [(0, 0), (0, 0)]])
-    # [e1, e2] = e1 but [e2, e1] = e2: only the upper triangle would be kept
-    with pytest.raises(ValueError, match="not antisymmetric"):
-        from_module_data(module, [[(0, 0), (1, 0)], [(0, 1), (0, 0)]])
+        lie_algebra([0, 0], {(0, 0): (0, 1)})
+    # one unordered pair twice: the second silently won, [e1, e2] = -e3
+    with pytest.raises(ValueError, match="given twice"):
+        lie_algebra([0, 0, 0], {(0, 1): (0, 0, 1), (1, 0): (0, 0, 1)})
+    # vectors that are not of the rank: zero-padded, truncated or IndexError
+    for vec in ((1,), (0, 0, 1, 0), (0, 0, 0, 1)):
+        with pytest.raises(ValueError, match="length"):
+            lie_algebra([0, 0, 0], {(0, 1): vec})
+    # pair indices outside [0, n): (-1, 0) wrapped around to [e2, e1]
+    for key in ((-1, 0), (0, 5)):
+        with pytest.raises(ValueError, match="outside"):
+            lie_algebra([0, 0], {key: (0, 0)})
+
+
+@pytest.mark.parametrize("build", [
+    lambda rows: LieAlgebra(FpModule.diagonal([0, 0, 0]), rows),
+    lambda rows: from_module_data(FpModule(3, [(2, 2, 0)]), rows),
+])
+def test_bracket_rows_need_ordered_pairs_and_indices_in_range(build):
+    for key in ((0, 0), (1, 0), (-1, 1), (1, 3)):
+        with pytest.raises(ValueError, match="needs 0 <= i < j < 3"):
+            build({key: ((2, 1),)})
+    # a term index outside [0, 3), even with coefficient 0
+    for row in (((3, 1),), ((3, 0),), ((-1, 1),), ((2, 1), (5, 0))):
+        with pytest.raises(ValueError, match="term index outside"):
+            build({(0, 1): row})
+
+
+def test_messy_rows_equal_their_merged_form():
+    module = FpModule.diagonal([0, 0, 0])
+    messy = {(1, 2): (), (0, 2): ((1, 2), (1, -2), (0, 0)),
+             (0, 1): ((2, 0), (2, 3), (1, 0), (2, -2))}
+    g = LieAlgebra(module, messy)
+    merged_g = LieAlgebra(module, {(0, 1): ((2, 1),)})
+    assert g._br == merged_g._br == {(0, 1): ((2, 1),)}
+    assert g.table == merged_g.table == heisenberg().table
 
 
 def dense_bracket_of_vectors(table, u, v, n):
@@ -201,19 +238,19 @@ def test_sparse_validation_matches_dense_reference():
         if g.rank >= 2:
             tables += [_shifted_table(g, rng) for _ in range(6)]
         for table in tables:
-            bad = LieAlgebra(g.module, table, name, check=False)
+            bad = LieAlgebra(g.module, rows_of(table), name, check=False)
             issues = validate(bad).issues
             assert issues == dense_validate_table(g.module, bad.table, name).issues, name
             kinds.append({i.kind for i in issues})
             if issues:
                 with pytest.raises(ValidationError) as err:
-                    LieAlgebra(g.module, table, name)
+                    LieAlgebra(g.module, rows_of(table), name)
                 assert err.value.report.issues == issues
     # presentations whose lattice rows have several terms, through from_module_data
     for _ in range(40):
         module, table = _random_presentation(rng)
         try:
-            from_module_data(module, table, "p")
+            from_module_data(module, rows_of(table), "p")
             issues = []
         except ValidationError as err:
             issues = err.report.issues
@@ -520,7 +557,7 @@ def test_inner_q_derivations_examples():
 def test_identity_crossed_module():
     g = h3()
     n = g.rank
-    constants = [[g.bracket(unit_vec(n, i), unit_vec(n, j)) for j in range(n)]
+    constants = [[terms(g.bracket(unit_vec(n, i), unit_vec(n, j))) for j in range(n)]
                  for i in range(n)]
     action = LieAction(g, g, constants)
     mu = LieHom(g, g, [terms([1 if i == j else 0 for j in range(n)]) for i in range(n)])
@@ -559,11 +596,11 @@ def _issues(report):
 def test_action_actor_relations_fire():
     # Z/2 acting on Z by the identity: 2 e1 acts as 2, not 0
     z2, z = lie_algebra([2], {}, 0, "Z/2"), lie_algebra([0], {}, 0, "Z")
-    action = LieAction(z2, z, [[(1,)]], check=False)
+    action = LieAction(z2, z, [[((0, 1),)]], check=False)
     assert _issues(action.validate()) == [
         ("action-actor-relations", ((2,), 0), (2,))]
     with pytest.raises(ValidationError):
-        LieAction(z2, z, [[(1,)]])
+        LieAction(z2, z, [[((0, 1),)]])
 
 
 def test_action_acted_relations_fire():
@@ -579,7 +616,7 @@ def test_action_acted_relations_fire():
 def test_action_axiom_1_fires():
     # heisenberg acting on Z with only the central e3 acting nontrivially
     z = lie_algebra([0], {}, 0, "Z")
-    action = LieAction(h3(), z, [[(0,)], [(0,)], [(1,)]], check=False)
+    action = LieAction(h3(), z, [[()], [()], [((0, 1),)]], check=False)
     assert _issues(action.validate()) == [("action-axiom-1", (0, 1, 0), (1,))]
 
 
@@ -587,7 +624,7 @@ def test_action_axiom_2_fires():
     # Z acting on heisenberg by the identity map, which is no derivation
     g = h3()
     z = lie_algebra([0], {}, 0, "Z")
-    action = LieAction(z, g, [[unit_vec(3, j) for j in range(3)]], check=False)
+    action = LieAction(z, g, [[terms(unit_vec(3, j)) for j in range(3)]], check=False)
     assert _issues(action.validate()) == [
         ("action-axiom-2", (0, 0, 1), (0, 0, -1))]
 
@@ -595,7 +632,7 @@ def test_action_axiom_2_fires():
 def test_crossed_module_condition_i_fails():
     # Z acting on Z by the identity, mu the identity: mu is not equivariant
     z = lie_algebra([0], {}, 0, "Z")
-    action = LieAction(z, z, [[(1,)]])
+    action = LieAction(z, z, [[((0, 1),)]])
     mu = LieHom(z, z, [terms([1])])
     assert _issues(validate_q_crossed(QCrossedModule(mu, action, 0))) == [
         ("crossed-i", (0, 0), (1,))]
@@ -615,6 +652,14 @@ def test_direct_sum_algebras():
     g = direct_sum_algebras(Catalog.get("Z/2"), h3())
     assert g.rank == 4
     assert validate(g).ok
+    # b's rows shifted past a's generators, then canonized: Z/2 comes first
+    g = direct_sum_algebras(h3(), Catalog.get("Z/2"))
+    assert g.orders == (2, 0, 0, 0) and g.name == "heisenberg+Z/2"
+    zero = (0, 0, 0, 0)
+    assert g.table == ((zero, zero, zero, zero),
+                       (zero, zero, zero, (0, 0, -1, 0)),
+                       (zero, zero, zero, zero),
+                       (zero, (0, 0, 1, 0), zero, zero))
 
 
 def test_quotient_factors_split_for_abelian_summands():
@@ -633,11 +678,20 @@ def test_action_rejects_misshapen_constants():
     z = lie_algebra([0], {}, 0, "Z")
     g = h3()
     with pytest.raises(ValueError):
-        LieAction(z, g, [[(0, 0, 0)] * 2])  # one constant short
-    with pytest.raises(ValueError):
-        LieAction(z, g, [[(0, 0)] * 3])  # dense constants of the wrong length
-    with pytest.raises(ValueError):
-        LieAction(z, g, [[((3, 1),), (), ()]])  # sparse index out of range
+        LieAction(z, g, [[()] * 2])  # one constant short
+    # a term index out of range, even with coefficient 0 or beside a valid term
+    for bad in (((3, 1),), ((3, 0),), ((-1, 1),), ((2, 1), (5, 0))):
+        with pytest.raises(ValueError, match="index out of range"):
+            LieAction(z, g, [[(), bad, ()]])
+
+
+def test_action_merges_messy_constants():
+    z = lie_algebra([0], {}, 0, "Z")
+    g = h3()
+    # repeats summed, zeros dropped, a cancelling constant empty
+    messy = LieAction(z, g, [[((2, 1), (2, 1), (0, 0)), ((1, 3), (1, -3)), ()]],
+                      check=False)
+    assert messy.constants == ((((2, 2),), (), ()),)
 
 
 def test_algebras_and_products_pickle():

@@ -42,7 +42,6 @@ from lieq.qtensor import (
     curly_image,
     gamma,
     gamma_map,
-    gamma_map_i,
     gamma_sequence_check,
     product_action,
     q_exterior_product,
@@ -206,8 +205,8 @@ def test_gamma_map_example():
     proj = tensor_to_exterior(gm.product, q_exterior_product(z, None, 2))
     for row in gm.hom.image().gens:
         assert proj.kernel().contains_vec(dense(row, gm.product.nsym))
-    assert gamma_map_i(z, 2).source is gm.gamma.module or \
-        gamma_map_i(z, 2).source.invariant_factors == (4,)
+    assert gamma_map(z, 2).hom.source is gm.gamma.module or \
+        gamma_map(z, 2).hom.source.invariant_factors == (4,)
 
 
 def test_gamma_sequence_checks():
@@ -427,14 +426,30 @@ def test_corrupted_bracket_trips_closure_and_jacobi():
 
 def test_product_of_unchecked_non_jacobi_table_raises():
     # the negative-control table: the Jacobi sum on e1, e2, e3 is -e3
-    table = [[(0, 0, 0), (0, 0, 1), (1, 0, 0)],
-             [(0, 0, -1), (0, 0, 0), (0, 0, 0)],
-             [(-1, 0, 0), (0, 0, 0), (0, 0, 0)]]
-    g = LieAlgebra(FpModule.diagonal([0, 0, 0]), table, "bad", check=False)
+    rows = {(0, 1): ((2, 1),), (0, 2): ((0, 1),)}
+    g = LieAlgebra(FpModule.diagonal([0, 0, 0]), rows, "bad", check=False)
     for build in (q_tensor_product, q_exterior_product):
         for q in (0, 2):
             with pytest.raises(BracketNotWellDefined):
                 build(g, None, q)
+
+
+def test_product_build_raises_when_closure_holds_and_jacobi_fails(monkeypatch):
+    # No real table reaches this raise: every non-Jacobi table tried fails
+    # closure first. So the build's brackets get two extra rows on a free
+    # module, where closure is empty: [s0, s1] = s2 and [s2, s3] = s0, whose
+    # Jacobi sum on (s0, s1, s3) is [s2, s3] = s0.
+    class CorruptedProduct(qtensor.QProduct):
+        def __init__(self, kind, q, g, h, module, brackets):
+            brackets = {**brackets, (0, 1): ((2, 1),), (2, 3): ((0, 1),)}
+            super().__init__(kind, q, g, h, module, brackets)
+
+    monkeypatch.setattr(qtensor, "QProduct", CorruptedProduct)
+    g = lie_algebra([0, 0])  # built here, so no memoized product is reused
+    with pytest.raises(BracketNotWellDefined) as err:
+        q_tensor_product(g, None, 0)
+    assert str(err.value) == \
+        "bracket fails Jacobi at symbols (0, 1, 3): (1, 0, 0, 0)"
 
 
 def _shifted_between_free_symbols(prod, free, rng):
