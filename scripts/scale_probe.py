@@ -1,0 +1,81 @@
+"""Build the squares and centers of large algebras; print their invariants.
+
+Usage (from the repository root):
+
+    PYTHONPATH=src python3 scripts/scale_probe.py L40 h21 n7
+
+Each argument names one algebra built in code: ``L<n>`` is filiform L_n,
+``h<n>`` (n odd) is Heisenberg h_n and ``n<k>`` is ``strictly_upper(k)``.
+The builders are those of ``perfbench/workloads.py``. For each algebra the
+script builds the four q-tensor and q-exterior squares at q in {0, 2}, each
+followed by xi, then runs ``center_report`` at q in {0, 2}.
+
+stdout is one JSON object: per algebra, the invariant factors of each square,
+the invariant factors of ker xi, and the canonical center results. It holds
+no timing, so two checkouts can be compared with ``diff``. stderr gets the
+time of each step and the peak resident set size of the process.
+"""
+
+import json
+import resource
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from lieq import capability, io_catalog, qtensor  # noqa: E402
+from perfbench.workloads import canon_centers, filiform, heisenberg_odd  # noqa: E402
+
+QS = (0, 2)
+BUILDERS = {"L": filiform, "h": lambda n: heisenberg_odd((n - 1) // 2),
+            "n": io_catalog.strictly_upper}
+
+
+def build(name: str):
+    kind, size = name[:1], name[1:]
+    if kind not in BUILDERS or not size.isdigit() \
+            or (kind == "h" and int(size) % 2 == 0):
+        raise SystemExit(f"unknown algebra {name!r}: use L<n>, h<odd n> or n<k>")
+    return BUILDERS[kind](int(size))
+
+
+def _timed(label: str, fn):
+    start = time.perf_counter()
+    out = fn()
+    print(f"{label}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
+    return out
+
+
+def probe(name: str) -> dict:
+    g = _timed(f"{name} build", lambda: build(name))
+    squares = {}
+    for q in QS:
+        for kind in ("tensor", "exterior"):
+            def square(q=q, kind=kind):
+                prod = getattr(qtensor, f"q_{kind}_product")(g, None, q)
+                ker = prod.xi().kernel()
+                return {"factors": list(prod.invariant_factors()),
+                        "xi_kernel": list(ker.invariant_factors)}
+            squares[f"{kind} q={q}"] = _timed(f"{name} {kind} q={q}", square)
+    centers = {f"q={q}": _timed(f"{name} centers q={q}",
+                                lambda q=q: canon_centers(capability.center_report(g, q)))
+               for q in QS}
+    return {"squares": squares, "centers": centers}
+
+
+def main(names) -> int:
+    if not names:
+        print("usage: scale_probe.py NAME [NAME ...]", file=sys.stderr)
+        return 2
+    start = time.perf_counter()
+    out = {name: probe(name) for name in names}
+    print(json.dumps(out, indent=1, sort_keys=True))
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"total: {time.perf_counter() - start:.3f} s, peak RSS {peak_mb:.1f} MB",
+          file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -4,7 +4,7 @@ A finitely presented module is a quotient of Z^n (or (Z/m)^n, realized over Z
 by appending m*e_i relations) by the lattice spanned by its relation rows,
 kept as sparse (k, c) term rows (``terms``): the Hermite kernel takes them
 as they are. Lattice rows are the reduced row Hermite form, unique for the
-lattice, as dense tuples. Its
+lattice, as merged term rows: a row's pivot is its first term. Its
 unit pivots eliminate generators outright; the Smith normal form of what is
 left, the core, yields canonical coordinates and invariant factors, and the
 eliminated generators get theirs by back-substitution. Back-substitution on
@@ -14,10 +14,13 @@ arbitrary-precision; nothing here ever rounds or overflows.
 
 Row-vector convention throughout: vectors are tuples, and a homomorphism is
 given by the term rows of its generators' images, ``h(v) = sum v_i images[i]``.
-Every list of generators is a list of term rows: a homomorphism's images, a
-submodule's generators (``Submodule.gens``), kernel bases and relations. A
-single element that a query takes or returns is a dense tuple
-(``contains_vec``, ``solve``, ``canon``, ``Submodule.basis``).
+Every list of rows is a list of term rows: a homomorphism's images, a
+submodule's generators (``Submodule.gens``), kernel bases, relations,
+lattice and Hermite rows, Smith columns and lifts; ``combination`` sums
+them. A single element that a query takes or returns is a dense tuple
+(``contains_vec``, ``solve``, ``canon``, ``lift_pruned``,
+``Submodule.basis``). ``hnf_rows`` returns dense rows, and each caller here
+converts them to term rows once.
 Dense matrices (``IntMatrix``) appear only in ``snf`` and ``det``, the
 Smith-form reference.
 """
@@ -36,10 +39,6 @@ from lieq.errors import NotWellDefined
 
 # ---------------------------------------------------------------------------
 # vector / matrix helpers
-
-def vec_zero(n: int) -> tuple:
-    return (0,) * n
-
 
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
@@ -62,7 +61,7 @@ def vec_addmul(acc: list, c: int, row: Sequence) -> None:
 
 
 def apply_matrix(v: Sequence, rows: Sequence[Sequence], ncols: int) -> tuple:
-    """Row vector times matrix, exploiting sparsity of v."""
+    """Row vector times matrix, exploiting sparsity of v (benchmark and tests only)."""
     acc = [0] * ncols
     for i, c in enumerate(v):
         if c:
@@ -97,6 +96,15 @@ def merged(row) -> tuple:
     acc = {}
     add_terms(acc, 1, row)
     return tuple((k, c) for k, c in sorted(acc.items()) if c)
+
+
+def combination(coeffs, rows) -> dict:
+    """Sum of c * rows[i] over the (i, c) terms of coeffs, {index: coefficient}."""
+    acc = {}
+    for i, c in coeffs:
+        if c:
+            add_terms(acc, c, rows[i])
+    return acc
 
 
 def dense(row, n: int) -> tuple:
@@ -198,21 +206,23 @@ def augmented_kernel(stack: Iterable, left: int, width: int) -> list:
     return [terms(r[left:]) for r in hnf_rows(stack, width) if not any(r[:left])]
 
 
-def hermite_coords(rows: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[tuple]:
+def hermite_coords(rows: Sequence, v: Sequence[int]) -> Optional[tuple]:
     """The alpha with ``alpha @ rows == v`` for Hermite ``rows``, or None.
 
-    Back-substitution: divide exactly at each pivot; nothing may be left.
+    ``rows`` are merged term rows in echelon order, each led by its pivot;
+    ``v`` is a dense vector. Back-substitution: divide exactly at each
+    pivot; nothing may be left.
     """
     r = list(v)
     alpha = []
     for row in rows:
-        c = next(k for k, x in enumerate(row) if x)
-        a, rem = divmod(r[c], row[c])
+        c, p = row[0]
+        a, rem = divmod(r[c], p)
         if rem:
             return None
         if a:
-            for k in range(c, len(r)):
-                r[k] -= a * row[k]
+            for k, x in row:
+                r[k] -= a * x
         alpha.append(a)
     return None if any(r) else tuple(alpha)
 
@@ -226,7 +236,10 @@ class FpModule:
     ``relations`` holds the presenting rows as sparse (k, c) term rows, the
     ``terms`` vocabulary, whether they came in dense (``FpModule(n, rows)``)
     or as terms (``FpModule.from_terms``); ``lattice_rows`` holds the
-    reduced Hermite form as dense tuples.
+    reduced Hermite form as merged term rows, each led by its pivot. The
+    Smith columns (one term row over invariant-factor indices per ambient
+    generator) and the lifts of the canonical generators (term rows over
+    ambient generators) are term rows too.
 
     ``base_modulus`` 0 means base ring Z; m >= 2 means Z/m, realized by
     silently appending m*e_i relations for every ambient generator so a
@@ -291,29 +304,27 @@ class FpModule:
         self.relations = tuple(rels)
         if m:
             rels += [((i, m),) for i in range(n)]
-        self.lattice_rows = tuple(tuple(r) for r in hnf_rows(rels, n))
+        self.lattice_rows = tuple(terms(r) for r in hnf_rows(rels, n))
         units, core = [], []
         for row in self.lattice_rows:
-            c = next(k for k, x in enumerate(row) if x)
-            (units if row[c] == 1 else core).append((c, row))
-        unit_cols = {c for c, _ in units}
+            (units if row[0][1] == 1 else core).append(row)
+        unit_cols = {row[0][0] for row in units}
         self._gens = gens = tuple(k for k in range(n) if k not in unit_cols)
-        d, _, v, vinv = snf_with_transforms([[row[k] for k in gens] for _, row in core],
-                                            len(core), len(gens))
+        core = [[r.get(k, 0) for k in gens] for r in map(dict, core)]
+        d, _, v, vinv = snf_with_transforms(core, len(core), len(gens))
         core_orders = [d[i][i] if i < len(core) else 0 for i in range(len(gens))]
         self.orders = (1,) * len(units) + tuple(core_orders)
         self.invariant_factors = tuple(o for o in core_orders if o != 1)
         keep = [i for i, o in enumerate(core_orders) if o != 1]
         w_cols = [None] * n
         for k, vk in zip(gens, v):
-            w_cols[k] = tuple(vk[i] for i in keep)
-        for c, row in units:
-            acc = [0] * len(keep)
-            for k in gens:
-                vec_addmul(acc, -row[k], w_cols[k])
-            w_cols[c] = tuple(acc)
+            w_cols[k] = tuple((j, vk[i]) for j, i in enumerate(keep) if vk[i])
+        for row in units:
+            w_cols[row[0][0]] = merged(combination(((k, -x) for k, x in row[1:]),
+                                                   w_cols).items())
         self._w_cols = tuple(w_cols)
-        self._lifts = tuple(dense(zip(gens, vinv[i]), n) for i in keep)
+        self._lifts = tuple(tuple((k, x) for k, x in zip(gens, vinv[i]) if x)
+                            for i in keep)
 
     # -- constructors -------------------------------------------------------
 
@@ -328,9 +339,6 @@ class FpModule:
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
-
-    def zero(self) -> tuple:
-        return vec_zero(self.ambient_rank)
 
     def spanning_generators(self) -> tuple:
         """Indices of ambient generators whose classes generate the module.
@@ -347,7 +355,8 @@ class FpModule:
         cols = self._w_cols
         for i, c in terms:
             if c:
-                vec_addmul(acc, c, cols[i])
+                for j, x in cols[i]:
+                    acc[j] += c * x
         return acc
 
     def witness(self, acc: dict) -> Optional[tuple]:
@@ -382,10 +391,10 @@ class FpModule:
 
     def lift_pruned(self, coords: Sequence[int]) -> tuple:
         """Ambient vector representing canonical coordinates."""
-        return apply_matrix(coords, self._lifts, self.ambient_rank)
+        return dense(combination(enumerate(coords), self._lifts).items(), self.ambient_rank)
 
     def canonical_basis(self) -> list:
-        """Ambient representatives of the canonical generators."""
+        """Ambient representatives of the canonical generators, as term rows."""
         return list(self._lifts)
 
     def __repr__(self):
@@ -423,21 +432,15 @@ class ModuleHom:
         self.images = tuple(merged(r) for r in images)
         if check:
             for r in source.lattice_rows:
-                w = target.witness(self._image_sum(r))
+                w = target.witness(combination(r, self.images))
                 if w is not None:
                     raise NotWellDefined(
-                        f"relation {r} maps to {w}, outside the target lattice")
-
-    def _image_sum(self, v: Sequence[int]) -> dict:
-        """The image of the dense vector v as a sparse sum {index: coefficient}."""
-        acc = {}
-        for i, c in enumerate(v):
-            if c:
-                add_terms(acc, c, self.images[i])
-        return acc
+                        f"relation {dense(r, source.ambient_rank)} maps to {w}, "
+                        "outside the target lattice")
 
     def __call__(self, v: Sequence[int]) -> tuple:
-        return dense(self._image_sum(v).items(), self.target.ambient_rank)
+        return dense(combination(enumerate(v), self.images).items(),
+                     self.target.ambient_rank)
 
     def image(self) -> "Submodule":
         return Submodule(self.target, self.images)
@@ -491,7 +494,7 @@ class Submodule:
     vocabulary that ``FpModule.from_terms`` and ``ModuleHom`` take: a row
     may repeat an index (the terms are summed) and hold zero coefficients,
     and every index must lie in [0, ambient_rank). The rows are kept as
-    given. Keeps the ambient module, the generators, and (lazily) Hermite
+    given. Keeps the ambient module, the generators, and (lazily) Hermite term
     rows and an abstract presentation with a canonical generating basis, so
     a submodule doubles as a module-with-embedding. The single elements that
     queries take and return (``contains_vec``, ``solve``, ``basis``) are
@@ -542,12 +545,12 @@ class Submodule:
 
     # -- abstract structure --------------------------------------------------
 
-    def _hermite_rows(self) -> list:
-        """Reduced row Hermite form of the sub-lattice plus the ambient lattice."""
+    def _hermite_rows(self) -> tuple:
+        """Reduced Hermite term rows of the sub-lattice plus the ambient lattice."""
         if self._hermite is None:
-            lattice = tuple(terms(r) for r in self.ambient.lattice_rows)
-            rows = hnf_rows(self.gens + lattice, self.ambient.ambient_rank)
-            self._hermite = [tuple(r) for r in rows]
+            rows = hnf_rows(self.gens + self.ambient.lattice_rows,
+                            self.ambient.ambient_rank)
+            self._hermite = tuple(terms(r) for r in rows)
         return self._hermite
 
     @property
@@ -557,7 +560,8 @@ class Submodule:
             # Hermite rows are independent, so each ambient lattice row has
             # unique coordinates, and those span the relations.
             hermite = self._hermite_rows()
-            rels = [hermite_coords(hermite, r) for r in self.ambient.lattice_rows]
+            n = self.ambient.ambient_rank
+            rels = [hermite_coords(hermite, dense(r, n)) for r in self.ambient.lattice_rows]
             self._abstract = FpModule(len(hermite), rels, self.ambient.base_modulus)
         return self._abstract
 
@@ -576,7 +580,7 @@ class Submodule:
         """
         if self._basis is None:
             n = self.ambient.ambient_rank
-            vecs = [apply_matrix(alpha, self._hermite_rows(), n)
+            vecs = [dense(combination(alpha, self._hermite_rows()).items(), n)
                     for alpha in self.abstract.canonical_basis()]
             self._signs = [-1 if next(x for x in v if x) < 0 else 1 for v in vecs]
             self._basis = [vec_scale(s, v) for s, v in zip(self._signs, vecs)]
@@ -609,8 +613,7 @@ def quotient(module: FpModule, sub: Submodule):
     """Quotient module plus the projection homomorphism."""
     if sub.ambient is not module:
         raise ValueError("submodule does not live in the given module")
-    q = FpModule.from_terms(module.ambient_rank,
-                            module.relations + sub.gens,
+    q = FpModule.from_terms(module.ambient_rank, module.lattice_rows + sub.gens,
                             module.base_modulus)
     proj = ModuleHom(module, q, [((i, 1),) for i in range(module.ambient_rank)],
                      check=False)
@@ -625,9 +628,8 @@ def lattice_intersection(module: FpModule, gens_a: Sequence, gens_b: Sequence) -
     x @ a == -y @ b, and its right part is that common element.
     """
     n = module.ambient_rank
-    lattice = [terms(r) for r in module.lattice_rows]
-    stack = [(*a, *((n + k, c) for k, c in a)) for a in [*gens_a, *lattice]]
-    stack += [*gens_b, *lattice]
+    stack = [(*a, *((n + k, c) for k, c in a)) for a in [*gens_a, *module.lattice_rows]]
+    stack += [*gens_b, *module.lattice_rows]
     return augmented_kernel(stack, n, 2 * n)
 
 

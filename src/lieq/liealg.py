@@ -146,13 +146,12 @@ def closure_defects(module: FpModule, rows: dict, br) -> list:
     nbrs = _neighbours(rows, module.ambient_rank)
     out = []
     for r in module.lattice_rows:
-        support = terms(r)
-        for s in sorted({s for u, _ in support for s in nbrs[u]}):
+        for s in sorted({s for u, _ in r for s in nbrs[u]}):
             acc = {}
-            add_bracket(acc, 1, br, support, ((s, 1),))
+            add_bracket(acc, 1, br, r, ((s, 1),))
             w = module.witness(acc)
             if w is not None:
-                out.append(((tuple(r), s), w))
+                out.append(((dense(r, module.ambient_rank), s), w))
     return out
 
 
@@ -239,8 +238,7 @@ class LieAlgebra:
         # must kill e_i, so the lattice must be spanned by the rows d_i * e_i.
         # Lattice rows are the reduced Hermite form, unique for the lattice,
         # so any presentation of that lattice gives exactly those rows.
-        diagonal_rows = tuple(vec_scale(d, unit_vec(n, i))
-                              for i, d in enumerate(module.orders) if d)
+        diagonal_rows = tuple(((i, d),) for i, d in enumerate(module.orders) if d)
         if module.orders != module.invariant_factors \
                 or module.lattice_rows != diagonal_rows:
             raise ValueError("LieAlgebra module must be in pruned diagonal form")
@@ -301,20 +299,20 @@ def _transport(module0: FpModule, rows0: dict, br, name: str, check: bool):
     The new row (a, b) is [lift_a, lift_b] in canonical coordinates. Returns
     (algebra, projection_rows, lifts): projection_rows express the old
     ambient generators in new coordinates, as sparse term rows that
-    ``LieHom`` takes; lifts are ambient vectors representing the new
-    generators. Transport through a module isomorphism
-    keeps closure and Jacobi, so ``check`` is off when ``rows0`` is certified.
+    ``LieHom`` takes; lifts are the term rows of ``canonical_basis``, ambient
+    elements representing the new generators. Transport through a module
+    isomorphism keeps closure and Jacobi, so ``check`` is off when ``rows0``
+    is certified.
     ``br`` is the ``bracket_lookup`` of ``rows0``; the algebra keeps it when
     its rows come out unchanged.
     """
     n0 = module0.ambient_rank
     k = module0.rank
     lifts = module0.canonical_basis()
-    lift_terms = [terms(v) for v in lifts]
     rows = {}
     for a in range(k):
         for b in range(a + 1, k):
-            w = bracket_terms(br, lift_terms[a], lift_terms[b])
+            w = bracket_terms(br, lifts[a], lifts[b])
             w = terms(module0.canon(dense(w, n0)))
             if w:
                 rows[(a, b)] = w
@@ -513,9 +511,8 @@ def quotient_algebra(g: LieAlgebra, h: Ideal):
     """Quotient by an ideal; returns (algebra, projection LieHom)."""
     if h.parent is not g:
         raise NotAnIdeal("ideal does not belong to this algebra")
-    module0 = FpModule.from_terms(
-        g.rank, g.module.relations + h.sub.gens,
-        g.base_modulus)
+    module0 = FpModule.from_terms(g.rank, g.module.lattice_rows + h.sub.gens,
+                                  g.base_modulus)
     alg, proj_rows, lifts = _transport(module0, g._br, g._sym, f"{g.name}/h",
                                        check=True)
     hom = LieHom(g, alg, proj_rows)
@@ -661,23 +658,21 @@ class LieAction:
         nh = hmod.ambient_rank
         C = self.constants
         for r in g.module.lattice_rows:
-            support = terms(r)
             for j in range(nh):
                 acc = {}
-                for i, ci in support:
+                for i, ci in r:
                     add_terms(acc, ci, C[i][j])
                 w = hmod.witness(acc)
                 if w is not None:
-                    report.add("action-actor-relations", (tuple(r), j), w)
+                    report.add("action-actor-relations", (dense(r, n), j), w)
         for s in hmod.lattice_rows:
-            support = terms(s)
             for i in range(n):
                 acc = {}
-                for j, cj in support:
+                for j, cj in s:
                     add_terms(acc, cj, C[i][j])
                 w = hmod.witness(acc)
                 if w is not None:
-                    report.add("action-acted-relations", (i, tuple(s)), w)
+                    report.add("action-acted-relations", (i, dense(s, nh)), w)
         # [e_i, e_k].h_j - e_i.(e_k.h_j) + e_k.(e_i.h_j)
         for i in range(n):
             for k in range(i + 1, n):
@@ -857,9 +852,8 @@ def inner_q_derivations(m: LieAlgebra, q: int):
     lifts = proj.section_vectors
     n = m.rank
     # [lift, e_j] as sparse terms, straight from the bracket rows
-    constants = [[[(k, c * x) for i, c in enumerate(lift) if c
-                   for k, x in m.bracket_sym(i, j)] for j in range(n)]
-                 for lift in lifts]
+    constants = [[[(k, c * x) for i, c in lift for k, x in m.bracket_sym(i, j)]
+                  for j in range(n)] for lift in lifts]
     action = LieAction(ider, m, constants, check=True)
     xm = QCrossedModule(proj, action, q)
     return ider, xm

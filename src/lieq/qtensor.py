@@ -455,7 +455,7 @@ def gamma_map(g: LieAlgebra, q: int) -> GammaMap:
     gm = gamma(base)
     gmq = gm.reduced_mod(k)
     prod = q_tensor_product(g, None, q)
-    lifts = [terms(v) for v in base.canonical_basis()]
+    lifts = base.canonical_basis()
     rows = []
     for s in gm.summands:
         if s[0] == "diag":

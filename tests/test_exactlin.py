@@ -146,17 +146,17 @@ def _check_core_smith(m, vectors):
     """Orders, lifts and membership of m against the full lattice's Smith form."""
     n = m.ambient_rank
     rows = m.lattice_rows
-    d, _, _ = snf(IntMatrix(rows, ncols=n))
+    d, _, _ = snf(IntMatrix([dense(r, n) for r in rows], ncols=n))
     assert m.orders == tuple(d[i][i] if i < len(rows) else 0 for i in range(n))
     for t, lift in enumerate(m.canonical_basis()):
-        assert m.canon(lift) == unit_vec(m.rank, t)
+        assert m.canon(dense(lift, n)) == unit_vec(m.rank, t)
     for v in vectors:
         assert m.is_lattice_member(v) == (hermite_coords(rows, v) is not None)
 
 
 def _lattice_and_random_vectors(rng, m):
     n = m.ambient_rank
-    rows = m.lattice_rows
+    rows = [dense(r, n) for r in m.lattice_rows]
     out = []
     for _ in range(6):
         out.append(tuple(rng.randint(-6, 6) for _ in range(n)))
@@ -175,7 +175,7 @@ def test_core_smith_form_matches_the_full_one():
         m = FpModule(n, relations, rng.choice((0, 2, 3, 4)))
         rings.add(m.base_modulus)
         _check_core_smith(m, _lattice_and_random_vectors(rng, m))
-        units = sum(next(x for x in r if x) == 1 for r in m.lattice_rows)
+        units = sum(next(x for x in dense(r, n) if x) == 1 for r in m.lattice_rows)
         cores += 0 < units < len(m.lattice_rows)
     assert rings == {0, 2, 3, 4}
     assert cores >= 50
@@ -260,7 +260,7 @@ def test_basis_is_a_function_of_the_submodule(data):
     # Same sub-lattice, other generators: permute, negate, add multiples of
     # the other generators and of ambient relations, append a combination.
     other = [list(g) for g in data.draw(st.permutations(gens))]
-    lattice = list(ambient.lattice_rows)
+    lattice = [dense(r, n) for r in ambient.lattice_rows]
     for i, g in enumerate(other):
         if data.draw(st.booleans()):
             other[i] = g = [-x for x in g]
@@ -325,7 +325,7 @@ def _stacked_kernels(source, blocks):
     stacked = FpModule(total, rels, source.base_modulus)
     via_hom = ModuleHom(source, stacked, [terms(r) for r in rows],
                         check=False).kernel()
-    stack = rows + [list(r) for r in stacked.lattice_rows]
+    stack = rows + [list(dense(r, total)) for r in stacked.lattice_rows]
     if stack and total:
         d, u, _ = snf(IntMatrix(stack, ncols=total))
         sols = [u[i] for i in range(len(stack)) if not any(d[i])]
@@ -443,8 +443,8 @@ def test_submodule_solve_recombines_over_the_basis(data):
                               max_size=4))
     sub = Submodule(ambient, map(terms, gens))
     # membership oracle through the Smith form of the bigger lattice
-    oracle = FpModule(n, list(ambient.lattice_rows) + gens)
-    spanning = gens + [list(r) for r in ambient.lattice_rows]
+    oracle = FpModule(n, [dense(r, n) for r in ambient.lattice_rows] + gens)
+    spanning = gens + [list(dense(r, n)) for r in ambient.lattice_rows]
     inside = _combination(data.draw(st.lists(
         vectors, min_size=len(spanning), max_size=len(spanning))), spanning, n)
     anywhere = tuple(data.draw(st.lists(vectors, min_size=n, max_size=n)))
@@ -516,3 +516,26 @@ def test_lambda_q_modulus():
     assert lambda_q_modulus(0, 0) == 0
     assert lambda_q_modulus(6, 4) == 2
     assert lambda_q_modulus(5, 2) == 1
+
+
+# -- input checks -----------------------------------------------------------------
+
+def _foreign_quotient():
+    return quotient(FpModule(1, []), Submodule(FpModule(1, []), []))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: IntMatrix([[1, 2], [3]]), "ragged matrix"),
+    (lambda: IntMatrix([[1, 2]]) * IntMatrix([[1, 2]]), "dimension mismatch"),
+    (lambda: det(IntMatrix([[1, 2]])), "non-square"),
+    (lambda: FpModule(2, [(1, 2, 3)]), "relation length does not match"),
+    (lambda: FpModule.from_terms(2, [((2, 1),)]), "relation index out of ambient range"),
+    (lambda: FpModule.from_terms(-1, []), "negative ambient rank"),
+    (lambda: FpModule(1, [], 1), "base modulus must be 0"),
+    (lambda: FpModule.from_terms(1, [], -2), "base modulus must be 0"),
+    (_foreign_quotient, "does not live in the given module"),
+], ids=["ragged", "matmul-shape", "det-shape", "relation-length", "relation-index",
+        "negative-rank", "modulus-1", "modulus-negative", "foreign-submodule"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -83,9 +83,9 @@ def test_constructor_rejects_non_diagonal_module():
 def test_constructor_accepts_any_presentation_of_a_diagonal_lattice():
     # 2Z x 4Z given as 2e1 + 4e2, 4e2: the reduced Hermite rows are the d_i * e_i
     module = FpModule(2, [(2, 4), (0, 4)])
-    assert module.lattice_rows == ((2, 0), (0, 4))
+    assert tuple(dense(r, 2) for r in module.lattice_rows) == ((2, 0), (0, 4))
     g = LieAlgebra(module, rows_of([[(0, 0), (0, 0)], [(0, 0), (0, 0)]]))
-    assert g.module.lattice_rows == ((2, 0), (0, 4))
+    assert tuple(dense(r, 2) for r in g.module.lattice_rows) == ((2, 0), (0, 4))
     assert q_tensor_product(g, None, 0).invariant_factors() == (2, 2, 2, 4)
 
 
@@ -157,7 +157,7 @@ def dense_validate_table(module, table, subject):
     """Torsion compatibility over every (row, generator) pair, Jacobi over every triple."""
     n = module.ambient_rank
     report = ValidationReport(subject)
-    for r in module.lattice_rows:
+    for r in [dense(r, n) for r in module.lattice_rows]:
         for j in range(n):
             w = dense_bracket_of_vectors(table, r, unit_vec(n, j), n)
             if not module.is_lattice_member(w):
@@ -211,7 +211,7 @@ def test_spanning_generators_generate_the_module():
         rings.add(module.base_modulus)
         n = module.ambient_rank
         gens = module.spanning_generators()
-        units = [r for r in module.lattice_rows
+        units = [r for r in [dense(r, n) for r in module.lattice_rows]
                  if next(x for x in r if x) == 1]
         pivots = [next(k for k, x in enumerate(r) if x) for r in units]
         assert sorted(set(range(n)) - set(gens)) == sorted(pivots)
@@ -356,7 +356,7 @@ def test_quotient_algebra_sections_project_to_generators():
         for h in ideals:
             alg, proj = quotient_algebra(g, h)
             canon = alg.module.canon
-            lifts = proj.section_vectors
+            lifts = [dense(v, g.rank) for v in proj.section_vectors]
             assert len(lifts) == alg.rank
             for a in range(alg.rank):
                 assert canon(proj(lifts[a])) == unit_vec(alg.rank, a)

@@ -2,13 +2,20 @@
 
 ``IntMatrix`` is the public input and output type of ``exactlin.snf`` and
 ``exactlin.det``. No module map, product or algebra holds one: homomorphisms
-keep sparse (k, c) term rows, like every other layer.
+keep sparse (k, c) term rows, like every other layer. So do modules and
+submodules: their lattice and Hermite rows, Smith columns and lifts are
+merged term rows, while a single element a query takes or returns stays a
+dense tuple.
 """
 
 import ast
 from pathlib import Path
 
 import lieq
+from lieq.exactlin import merged
+from lieq.io_catalog import heisenberg, strictly_upper
+from lieq.liealg import center
+from lieq.qtensor import q_exterior_product
 
 SRC = Path(lieq.__file__).resolve().parent
 NAME = "IntMatrix"
@@ -60,3 +67,27 @@ def test_the_walk_sees_imports_calls_and_names():
               "        return isinstance(m, IntMatrix)\n")
     assert int_matrix_uses(source) == [("", "import"), ("f", "call"),
                                        ("H", "name"), ("H", "name")]
+
+
+def _merged_term_rows(rows, nonzero: bool) -> bool:
+    """Whether every row is a tuple of merged (k, c) terms, empty only if allowed."""
+    return all(isinstance(r, tuple) and (r or not nonzero)
+               and all(isinstance(t, tuple) and len(t) == 2 for t in r)
+               and r == merged(r) for r in rows)
+
+
+def test_modules_and_submodules_keep_term_rows():
+    prod = q_exterior_product(strictly_upper(5), None, 2)
+    z = center(heisenberg())
+    modules = [prod.module, z.ambient, z.abstract]
+    assert any(m.invariant_factors for m in modules)
+    for m in modules:
+        assert isinstance(m.lattice_rows, tuple)
+        assert _merged_term_rows(m.lattice_rows, nonzero=True)
+        assert _merged_term_rows(m.canonical_basis(), nonzero=True)
+        assert len(m._w_cols) == m.ambient_rank
+        assert _merged_term_rows(m._w_cols, nonzero=False)
+    hermite = z._hermite_rows()
+    assert hermite and _merged_term_rows(hermite, nonzero=True)
+    # a single element stays dense
+    assert all(isinstance(x, int) for v in z.basis() for x in v)

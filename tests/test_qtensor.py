@@ -339,7 +339,7 @@ def dense_closure_defects(prod):
     br = _dense_brackets(prod)
     n = prod.nsym
     out = []
-    for r in prod.module.lattice_rows:
+    for r in [dense(r, n) for r in prod.module.lattice_rows]:
         for s in range(n):
             acc = [0] * n
             for u, cu in enumerate(r):
@@ -479,7 +479,7 @@ def test_generator_walk_agrees_with_full_walk_after_closure():
                 prod = build(g, None, q)
                 gens = prod.module.spanning_generators()
                 support = {k for r in prod.module.lattice_rows
-                           for k, x in enumerate(r) if x}
+                           for k, x in enumerate(dense(r, prod.nsym)) if x}
                 free = [k for k in range(prod.nsym) if k not in support]
                 bad = [_corrupted(prod, rng) for _ in range(4)]
                 if len(free) >= 2:
@@ -661,12 +661,12 @@ def dense_action_report(action):
     act = action.act
     g, acted, hmod = action.actor, action.acted, action.acted.module
     n, nh = g.rank, hmod.ambient_rank
-    for r in g.module.lattice_rows:
+    for r in [dense(r, n) for r in g.module.lattice_rows]:
         for j in range(nh):
             w = act(r, unit_vec(nh, j))
             if not hmod.is_lattice_member(w):
                 report.add("action-actor-relations", (tuple(r), j), w)
-    for s in hmod.lattice_rows:
+    for s in [dense(s, nh) for s in hmod.lattice_rows]:
         for i in range(n):
             w = act(unit_vec(n, i), s)
             if not hmod.is_lattice_member(w):
@@ -818,7 +818,7 @@ def test_product_lattices_stay_reduced_and_small_on_conjugates():
         for (build, q), factors in want.items():
             prod = build(g, None, q)
             assert prod.invariant_factors() == factors
-            rows = prod.module.lattice_rows
+            rows = [dense(r, prod.nsym) for r in prod.module.lattice_rows]
             for i, row in enumerate(rows):
                 c = next(k for k, x in enumerate(row) if x)
                 assert row[c] > 0
