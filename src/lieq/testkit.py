@@ -12,14 +12,18 @@ Product oracles use no Hermite or Smith form, only element enumeration, and
 each stage costs about the size of the relation subgroup, not of the
 ambient: the closure adds one coset at a time, so every element is made by
 one addition, and the torsion sizes come from extending that subgroup by the
-p^k e_i. The quadratic functor oracle (``brute_gamma``) is a lattice over
-Z, so it reduces its relation rows instead.
+p^k e_i. Every relation family but the brace one depends on the algebra
+alone, so a ``BracketTable`` walks them once and the (q, kind) products of
+one algebra share them. The quadratic functor oracle (``brute_gamma``) is a
+lattice over Z, so it reduces its relation rows instead, after dropping the
+instances that the others already span (``gamma_relation_rows``).
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from lieq.errors import TooLarge
@@ -176,13 +180,46 @@ def brute_module_quotient(ambient_orders: Sequence[int],
 # ---------------------------------------------------------------------------
 # brute product presentations
 
+def _jacobi_instances(br, ten, tensors, orders) -> set:
+    """Both Jacobi-type families on the pure block, one id triple at a time.
+
+    ``br`` is the bracket table and ``ten`` the pure-tensor id table of
+    ``BracketTable``, ``tensors`` the distinct pure tensors and ``orders``
+    the pure slot orders. The instances are collected as a set of id
+    triples, and the modular combination ``u - v + w`` runs once per
+    distinct triple.
+    """
+    idx = range(len(br))
+    cols = [[row[x] for row in br] for x in idx]
+    triples = set()
+    for x in idx:
+        tx, bx = ten[x], br[x]
+        for xp in idx:
+            # [x,x'] (x) y - x (x) [x',y] + x' (x) [x,y], over every y
+            txp = ten[xp]
+            triples.update(zip(ten[bx[xp]], [tx[b] for b in br[xp]],
+                               [txp[b] for b in bx]))
+    for x in idx:
+        tx, cx = ten[x], cols[x]
+        for y in idx:
+            # x (x) [y,y'] - [y',x] (x) y + [y,x] (x) y', over every y'
+            triples.update(zip([tx[b] for b in br[y]], [ten[b][y] for b in cx],
+                               ten[br[y][x]]))
+    return {tuple((a - b + c) % o for a, b, c, o in
+                  zip(tensors[i], tensors[j], tensors[k], orders))
+            for i, j, k in triples}
+
+
 class BracketTable:
     """The elements of a small finite algebra and the brackets among them.
 
     ``elems`` lists the elements in ``FiniteEnumeration.elements`` order, and
     ``br[x][y]`` is the index of the reduced bracket of elements x and y:
-    |g|^2 calls of ``g.bracket``. It depends on the algebra only, so the
-    (q, kind) products of one algebra can share one table.
+    |g|^2 calls of ``g.bracket``. Every relation family of a q-square except
+    the brace one lives on the n^2 pure slots x (x) y and depends on g
+    alone, so the table also holds those instances (``pure_instances``),
+    built on first use by one walk of the Jacobi-type families. The (q, kind)
+    products of one algebra share one table, and with it that walk.
     """
 
     def __init__(self, g: LieAlgebra):
@@ -194,6 +231,40 @@ class BracketTable:
         index = {x: i for i, x in enumerate(elems)}
         self.br = [[index[gmod.reduce(g.bracket(x, y))] for y in elems]
                    for x in elems]
+        n = g.rank
+        self.pure_orders = tuple(gcd(g.orders[i], g.orders[j])
+                                 for i in range(n) for j in range(n))
+
+    def pure_tensor(self, x, y) -> tuple:
+        """x (x) y on the n^2 pure slots."""
+        n, orders = self.g.rank, self.pure_orders
+        return tuple((x[i] * y[j]) % orders[i * n + j]
+                     for i in range(n) for j in range(n))
+
+    @cached_property
+    def tensor_ids(self) -> tuple:
+        """(tensors, ten): the distinct pure tensors, and ``ten[x][y]``, the
+        index of x (x) y among them, for element indices x and y."""
+        ids = {}
+        ten = [[ids.setdefault(self.pure_tensor(x, y), len(ids))
+                for y in self.elems] for x in self.elems]
+        return list(ids), ten
+
+    @cached_property
+    def pure_instances(self) -> dict:
+        """The q-free relation instances on the pure slots, by kind.
+
+        Both Jacobi-type families, plus the diagonal family of the kind:
+        x (x) x for the exterior kind, and [x,y] (x) [x,y] for the tensor
+        kind (the alternating closure of the symbol bracket: brackets
+        tensored with themselves die even there).
+        """
+        tensors, ten = self.tensor_ids
+        jacobi = _jacobi_instances(self.br, ten, tensors, self.pure_orders)
+        brackets = {b for row in self.br for b in row}
+        return {"exterior": jacobi | {tensors[ten[x][x]]
+                                      for x in range(len(self.elems))},
+                "tensor": jacobi | {tensors[ten[b][b]] for b in brackets}}
 
 
 class BruteProduct:
@@ -201,12 +272,12 @@ class BruteProduct:
 
     The ambient is the bilinear stage (tensor square of the module, plus one
     brace block for q >= 1); the remaining relation families are instantiated
-    over every element pair/triple and closed by enumeration. Two tables
-    over element pairs serve them: the ``BracketTable`` of g (pass one to
-    share it between the products of one algebra) and the id of the pure
-    tensor, one int per distinct tensor. The two Jacobi-type families are
-    collected as a set of id triples, and the modular combination
-    ``u - v + w`` runs once per distinct triple.
+    over every element pair/triple and closed by enumeration. All but the
+    brace family come from the ``BracketTable`` of g, which also holds the
+    tables over element pairs: pass one to share it, and the instances with
+    it, between the products of one algebra. A product pads those instances
+    with n zero brace slots when q >= 1 and adds only its own brace family
+    {[x,y]} - q (x (x) y).
     """
 
     def __init__(self, g: LieAlgebra, q: int, kind: str, table=None):
@@ -220,20 +291,14 @@ class BruteProduct:
         self.n = g.rank
         self.table = table
         self.gmod = table.gmod
-        self.pure_orders = [gcd(g.orders[i], g.orders[j])
-                            for i in range(self.n) for j in range(self.n)]
         self.brace = q >= 1
-        orders = self.pure_orders + (list(g.orders) if self.brace else [])
+        orders = list(table.pure_orders) + (list(g.orders) if self.brace else [])
         self.ambient = FiniteEnumeration(orders)
         self.sub = subgroup_closure(self.ambient, self._relation_instances())
 
     def tensor_elt(self, x, y) -> tuple:
-        n = self.n
-        vec = [(x[i] * y[j]) % self.pure_orders[i * n + j] if self.pure_orders[i * n + j] else 0
-               for i in range(n) for j in range(n)]
-        if self.brace:
-            vec += [0] * n
-        return tuple(vec)
+        vec = self.table.pure_tensor(x, y)
+        return vec + (0,) * self.n if self.brace else vec
 
     def brace_elt(self, x) -> tuple:
         vec = [0] * (self.n * self.n) + list(x)
@@ -243,52 +308,20 @@ class BruteProduct:
         return self.gmod.reduce(self.g.bracket(x, y))
 
     def _relation_instances(self):
-        orders = self.ambient.orders
-        zero = self.ambient.zero()
-        elems, br = self.table.elems, self.table.br
-        ids = {}
-        ten = [[ids.setdefault(self.tensor_elt(x, y), len(ids)) for y in elems]
-               for x in elems]
-        tensors = list(ids)
-        idx = range(len(elems))
-        cols = [[row[x] for row in br] for x in idx]
-
-        triples = set()
-        for x in idx:
-            tx, bx = ten[x], br[x]
-            for xp in idx:
-                # [x,x'] (x) y - x (x) [x',y] + x' (x) [x,y], over every y
-                txp = ten[xp]
-                triples.update(zip(ten[bx[xp]], [tx[b] for b in br[xp]],
-                                   [txp[b] for b in bx]))
-        for x in idx:
-            tx, cx = ten[x], cols[x]
-            for y in idx:
-                # x (x) [y,y'] - [y',x] (x) y + [y,x] (x) y', over every y'
-                triples.update(zip([tx[b] for b in br[y]], [ten[b][y] for b in cx],
-                                   ten[br[y][x]]))
-
-        def comb(u, v, w):
-            return tuple((a - b + c) % o for a, b, c, o in zip(u, v, w, orders))
-
-        seen = {comb(tensors[i], tensors[j], tensors[k]) for i, j, k in triples}
-        if self.brace:
-            q = self.q
-            braces = [self.brace_elt(x) for x in elems]
-            for x in idx:
-                for y in idx:
-                    # {[x,y]} - q (x (x) y)
-                    qt = tuple(q * a for a in tensors[ten[x][y]])
-                    seen.add(comb(braces[br[x][y]], qt, zero))
-        if self.kind == "exterior":
-            for x in idx:
-                seen.add(tensors[ten[x][x]])
+        table = self.table
+        pure = table.pure_instances[self.kind]
+        if not self.brace:
+            seen = set(pure)
         else:
-            # alternating closure of the symbol bracket: brackets tensored
-            # with themselves die even in the tensor kind
-            for b in {b for row in br for b in row}:
-                seen.add(tensors[ten[b][b]])
-        seen.discard(zero)
+            pad = (0,) * self.n
+            seen = {v + pad for v in pure}
+            q, orders, elems = self.q, table.pure_orders, table.elems
+            tensors, ten = table.tensor_ids
+            # {[x,y]} - q (x (x) y), once per distinct (x (x) y, [x,y])
+            pairs = {p for tx, bx in zip(ten, table.br) for p in zip(tx, bx)}
+            seen.update(tuple(-q * a % o for a, o in zip(tensors[t], orders))
+                        + elems[b] for t, b in pairs)
+        seen.discard(self.ambient.zero())
         return seen
 
     def invariant_factors(self) -> tuple:
@@ -331,43 +364,39 @@ def brute_center(g: LieAlgebra, q: int, kind: str,
 def gamma_relation_rows(A: FiniteEnumeration):
     """Relation rows of the quadratic functor of A, one symbol per element.
 
-    Symbols are indexed in ``A.elements()`` order; each row is a tuple of
-    sparse (k, c) terms, repeated indices summed. The defining families,
-    for a, b, c in A and every scalar lam >= 0, are
+    Symbols are indexed in ``A.elements()`` order, so index 0 is the zero
+    element; each row is a tuple of sparse (k, c) terms, repeated indices
+    summed. The defining families, for a, b, c in A and every scalar
+    lam >= 0, are
       1. [lam a] - lam^2 [a];
       2. [a+b+c] - [a+b] - [a+c] - [b+c] + [a] + [b] + [c];
       3. [lam a + b] - [lam a] + lam [a] + (lam - 1) [b] - lam [a+b].
-    Only families 1 and 2 are instantiated. With the cross-effect
-    c(a, b) = [a+b] - [a] - [b], family 2 is c(a+b, c) - c(a, c) - c(b, c),
-    so c is additive in each slot, and family 3 is c(lam a, b) - lam c(a, b).
-    Family 1 at lam = 0 gives [0], so c(0, b) = -[0] lies in the lattice, and
-    c((lam+1) a, b) = c(lam a, b) + c(a, b) modulo family 2: family 3 follows
-    by induction on lam.
+    With the cross-effect c(x, y) = [x+y] - [x] - [y], family 2 is
+    c(a+b, c) - c(a, c) - c(b, c), so c is additive in each slot modulo
+    family 2. At a = 0 the row is -c(0, c) = [0], so [0] and every c(0, y)
+    lie in the lattice. Family 3 is c(lam a, b) - lam c(a, b), which follows
+    from additivity by induction on lam.
 
-    Finite scalar ranges give the full lattice over every lam >= 0. Let e be
-    the exponent of A and write lam = r + e t with 0 <= r < e, so lam a = r a.
-    For fixed r and a, a family-1 row is then R0 + t R1 + t^2 R2 with integer
-    rows R_i. In the binomial basis, t^2 = t + 2 C(t, 2) with C(t, 2) an
-    integer, so
-      R(t) = R(0) + t (R(1) - R(0)) + C(t, 2) (R(2) - 2 R(1) + R(0)):
-    the rows at t in {0, 1, 2} span every t, hence lam runs over [0, 3e). A
-    family-2 row is symmetric in (a, b, c), so index-ordered triples
-    a <= b <= c give every row. No scalar or triple outside these ranges
-    adds to the lattice.
+    The same induction, with [(k+1) a] = [k a] + [a] + c(k a, a) and
+    c(k a, a) = k c(a, a), gives [k a] = k [a] + C(k, 2) c(a, a) for every
+    k >= 0. So the family-1 row at lam is C(lam, 2) ([2a] - 4 [a]), a
+    multiple of the family-1 row at lam = 2. The rows are therefore: [0],
+    the family-1 row at lam = 2 for each nonzero a (at a = 0 it is -3 [0]),
+    and family 2 over index-ordered triples a <= b <= c of nonzero
+    elements. A family-2 row is symmetric in (a, b, c), and one with a zero
+    entry is [0], so no other instance adds to the lattice.
     """
     elems = list(A.elements())
     index = {e: i for i, e in enumerate(elems)}
     nsym = len(elems)
-    exponent = lcm(*A.orders) if A.orders else 1
     add = [[index[A.add(a, b)] for b in elems] for a in elems]
-    scale = [[index[A.scale(lam, a)] for a in elems] for lam in range(exponent)]
-    for ia in range(nsym):
-        for lam in range(3 * exponent):
-            yield ((scale[lam % exponent][ia], 1), (ia, -lam * lam))
-    for ia in range(nsym):
+    yield ((0, 1),)
+    for ia in range(1, nsym):
+        yield ((add[ia][ia], 1), (ia, -4))
+    for ia in range(1, nsym):
+        add_a = add[ia]
         for ib in range(ia, nsym):
-            iab = add[ia][ib]
-            add_a, add_b = add[ia], add[ib]
+            iab, add_b = add_a[ib], add[ib]
             for ic in range(ib, nsym):
                 yield ((add[iab][ic], 1), (ia, 1), (ib, 1), (ic, 1),
                        (iab, -1), (add_a[ic], -1), (add_b[ic], -1))

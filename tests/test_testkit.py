@@ -34,6 +34,20 @@ def test_finite_enumeration():
         FiniteEnumeration([2] * 13)
 
 
+def test_input_checks_raise():
+    for orders in ([0], [2, -1]):
+        with pytest.raises(ValueError,
+                           match="finite enumeration needs all orders >= 1"):
+            FiniteEnumeration(orders)
+    # equal constants, another algebra object: the table's shared relation
+    # instances belong to the object it was built from
+    g = lie_algebra([2, 2], {(0, 1): (0, 1)}, 2, "solv")
+    twin = lie_algebra([2, 2], {(0, 1): (0, 1)}, 2, "solv")
+    table = testkit.BracketTable(g)
+    with pytest.raises(ValueError, match="bracket table of another algebra"):
+        BruteProduct(twin, 0, "tensor", table)
+
+
 def test_brute_module_quotient_examples():
     assert brute_module_quotient([4], []) == (4,)
     assert brute_module_quotient([4], [(2,)]) == (2,)
@@ -277,20 +291,43 @@ def reference_gamma_rows(A):
 
 
 def test_relation_instances_match_reference():
+    """Each product with a table of its own, and with one ``BracketTable``
+    shared by every (q, kind) product of its algebra.
+
+    The largest q comes first, so the shared q-free instances serve a padded
+    ambient before an unpadded one; a product that changed them, or padded
+    them wrongly, would differ from the reference.
+    """
     algs = verify.oracle_rank2_algebras()
     z2 = [g for g in algs if g.orders[0] == 2]
     z3 = [g for g in algs if g.orders[0] == 3]
     assert len(z2) == 5
-    cases = [(g, q) for g in z2 for q in range(5)]
+    cases = [(g, range(5)) for g in z2]
     nonabelian_z3 = [g for g in z3 if g.name in
                      ("rank2[0,1]@Z/3", "rank2[1,0]@Z/3", "rank2[1,2]@Z/3")]
-    cases += [(g, q) for g in [Catalog.get("heisenberg@Z/2")] + nonabelian_z3
-              for q in (0, 2)]
-    for g, q in cases:
-        for kind in ("tensor", "exterior"):
-            prod = BruteProduct(g, q, kind)
-            assert prod._relation_instances() == \
-                reference_relation_instances(prod), (g.name, q, kind)
+    cases += [(g, (0, 2)) for g in [Catalog.get("heisenberg@Z/2")] + nonabelian_z3]
+    for g, qs in cases:
+        table = testkit.BracketTable(g)
+        for q in sorted(qs, reverse=True):
+            for kind in ("tensor", "exterior"):
+                for prod in (BruteProduct(g, q, kind),
+                             BruteProduct(g, q, kind, table)):
+                    assert prod._relation_instances() == \
+                        reference_relation_instances(prod), (g.name, q, kind)
+
+
+def test_oracle_sweep_walks_the_jacobi_families_once_per_algebra(monkeypatch):
+    walks = []
+    walk = testkit._jacobi_instances
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(testkit, "_jacobi_instances", counted)
+    results = verify.check_oracle_products()
+    assert len(results) == 150 and all(r.ok for r in results)
+    assert len(walks) == len(verify.oracle_rank2_algebras()) == 15
 
 
 def test_relation_instances_match_reference_past_size_cap(monkeypatch):
@@ -370,6 +407,37 @@ def test_gamma_rows_span_the_reference_lattice():
         A = FiniteEnumeration(orders)
         assert hnf_rows(gamma_relation_rows(A), A.size) == \
             hnf_rows([terms(r) for r in reference_gamma_rows(A)], A.size), orders
+
+
+def test_gamma_rows_span_the_dropped_instances_past_exponent_8():
+    """The groups of order <= 16 too wide for the reference lattice.
+
+    The rows of ``gamma_relation_rows`` must span what they leave out: the
+    family-1 rows at every lam in [0, 3e), e the exponent, and the family-2
+    rows with a = 0. A row lies in the lattice when adding it leaves the
+    Hermite form unchanged; the form of the new rows stands for the rows.
+    """
+    groups = list(verify._abelian_groups_up_to(16))
+    assert len(groups) == 25
+    assert sum(1 for orders in groups
+               for _ in gamma_relation_rows(FiniteEnumeration(orders))) == 6605
+    wide = [orders for orders in groups if lcm(*orders) > 8]
+    assert len(wide) == 8
+    for orders in wide:
+        A = FiniteEnumeration(orders)
+        n = A.size
+        elems = list(A.elements())
+        index = {e: i for i, e in enumerate(elems)}
+        hermite = hnf_rows(gamma_relation_rows(A), n)
+        rows = [terms(r) for r in hermite]
+        dropped = [((index[A.scale(lam, a)], 1), (index[a], -lam * lam))
+                   for a in elems for lam in range(3 * lcm(*orders))]
+        dropped += [((index[A.add(b, c)], 1), (0, 1), (index[b], 1),
+                     (index[c], 1), (index[b], -1), (index[c], -1),
+                     (index[A.add(b, c)], -1))
+                    for b in elems for c in elems]
+        for row in dropped:
+            assert hnf_rows(rows + [row], n) == hermite, (orders, row)
 
 
 # ---------------------------------------------------------------------------
