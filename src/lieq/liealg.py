@@ -9,6 +9,25 @@ change. Structure constants -- of a bracket and of an action -- are sparse
 Jacobi, torsion compatibility, action axioms, crossed-module conditions -- is
 checked modulo the relation lattice, which is where the identities live for a
 finitely presented module.
+
+Certification follows one rule, proved here once. The lattice checks come
+first: a bracket sends lattice rows into the lattice (closure), a
+homomorphism sends the source lattice into the target lattice, and an action
+sends the lattice rows of either side into the acted lattice. Every map an
+identity is built from then descends to the presented modules, so each
+identity -- Jacobi, bracket preservation, the action axioms, equivariance,
+Peiffer -- is a multilinear map on them: linear in each acted argument, and
+in the lattice once one argument is. Such a map vanishes when it vanishes on
+all tuples from a generating set, and ``FpModule.spanning_generators`` (every
+generator but the unit pivots of the reduced lattice rows) is one, so each
+identity is walked on those generators only. Where the map D is alternating
+in two arguments (D(x, x) = 0, so D(y, x) = -D(x, y)), increasing pairs
+suffice: Jacobi in all three, bracket preservation, and each action axiom in
+its two like arguments. The Peiffer identity mu(h).h' = [h, h'] is not
+alternating, so it walks every ordered pair, the diagonal included. Inputs
+must be certified: the algebras and products an identity brackets in are
+closed, and a crossed module's mu is a ``LieHom``. Without the lattice checks
+the walks prove nothing, so a report lists those failures and is not ok.
 """
 
 from __future__ import annotations
@@ -155,33 +174,22 @@ def closure_defects(module: FpModule, rows: dict, br) -> list:
     return out
 
 
-def jacobi_defects(module: FpModule, rows: dict, br, stop_early: bool = False,
-                   generators=None) -> list:
+def jacobi_defects(module: FpModule, rows: dict, br) -> list:
     """((s, t, r), witness) for Jacobi failures modulo the lattice.
 
     ``br`` is the ``bracket_lookup`` of ``rows``, which the caller keeps.
-    Only triples s < t < r containing a nonzero pair can fail, since every
-    term of the Jacobi sum has an inner bracket of two of them. They are
-    streamed in lexicographic order: all r > t when [s, t] is nonzero, else
-    the neighbours of s or t beyond t. ``generators`` limits s, t and r to
-    the given generator indices; the default is every generator.
-
-    Once closure holds (``closure_defects`` is empty), walking the module's
-    ``spanning_generators`` certifies all of it. Closure puts [l, x] in the
-    lattice L for every l in L and every x, so the bracket descends to an
-    alternating bilinear map on the module M, and the Jacobi sum descends to
-    a trilinear map on M. That map is alternating too: with [x, x] = 0 the
-    sum on (x, x, z) reads [[x, z], x] + [[z, x], x] = 0, and it is invariant
-    under cyclic shifts. So it vanishes on M when it vanishes on every triple
-    of distinct elements of a generating set. Without closure the restricted
-    walk proves nothing, and a report that must list every defect walks all
-    generators.
+    s < t < r run over the module's spanning generators, which certifies the
+    identity once ``closure_defects`` is empty (the module docstring says
+    why): the Jacobi sum is alternating, since with [x, x] = 0 it reads
+    [[x, z], x] + [[z, x], x] = 0 on (x, x, z), and invariant under cyclic
+    shifts. Only triples containing a nonzero pair can fail, since every
+    term of the sum has an inner bracket of two of them. They are streamed
+    in lexicographic order: all r > t when [s, t] is nonzero, else the
+    neighbours of s or t beyond t.
     """
-    n = module.ambient_rank
-    gens = tuple(range(n)) if generators is None else tuple(sorted(generators))
+    gens = module.spanning_generators()
     keep = set(gens)
-    nbrs = [nb & keep for nb in _neighbours(rows, n)]
-    unit = [((z, 1),) for z in range(n)]
+    nbrs = [nb & keep for nb in _neighbours(rows, module.ambient_rank)]
     out = []
     for a, s in enumerate(gens):
         for b in range(a + 1, len(gens)):
@@ -197,12 +205,10 @@ def jacobi_defects(module: FpModule, rows: dict, br, stop_early: bool = False,
                 for row, z, sign in ((st, r, 1), (rows.get((t, r)), s, 1),
                                      (rows.get((s, r)), t, -1)):
                     if row:
-                        add_bracket(acc, sign, br, row, unit[z])
+                        add_bracket(acc, sign, br, row, ((z, 1),))
                 w = module.witness(acc)
                 if w is not None:
                     out.append(((s, t, r), w))
-                    if stop_early:
-                        return out
     return out
 
 
@@ -538,39 +544,27 @@ class LieHom:
         self.target = target
         self.hom = ModuleHom(source.module, target.module, images)
         self.section_vectors = None
-        bad = self.bracket_defects(stop_early=True,
-                                   generators=source.module.spanning_generators())
+        bad = self.bracket_defects()
         if bad:
             report = ValidationReport("LieHom")
-            for where, witness in bad:
-                report.add("bracket", where, witness)
+            report.add("bracket", *bad[0])
             raise ValidationError(report)
 
     def __call__(self, v):
         return self.hom(v)
 
-    def bracket_defects(self, stop_early: bool = False, generators=None) -> list:
+    def bracket_defects(self) -> list:
         """((i, j), witness) where hom([e_i, e_j]) - [hom e_i, hom e_j] escapes.
 
+        i < j run over the source module's spanning generators, which
+        certifies the bracket (the module docstring says why): the module map
+        is checked first, and the difference of the two sides is alternating.
         Both sides vanish unless [e_i, e_j] is nonzero or both images are, so
-        only those pairs are visited, in lexicographic order. ``generators``
-        limits i and j to the given generator indices; the default is every
-        generator, as a report that must list every defect needs.
-
-        Construction walks the source module's ``spanning_generators`` only,
-        which certifies all pairs. The module map is checked first, so the
-        hom sends the source lattice into the target lattice; source and
-        target are closed under their lattices (algebras and products are
-        certified when built), so hom([x, y]) and [hom x, hom y] both descend
-        to bilinear maps on the source module. Both are alternating, since
-        [x, x] = 0 on each side, and so is their difference D. An alternating
-        bilinear map vanishes on the module when it vanishes on every pair of
-        distinct elements of a generating set: D(sum a_i g_i, sum b_j g_j) is
-        sum over i < j of (a_i b_j - a_j b_i) D(g_i, g_j).
+        only those pairs are visited, in lexicographic order.
         """
         source, target = self.source, self.target
         images = self.hom.images
-        gens = range(len(images)) if generators is None else sorted(generators)
+        gens = source.module.spanning_generators()
         out = []
         for a, i in enumerate(gens):
             img_i = images[i]
@@ -585,8 +579,6 @@ class LieHom:
                 w = target.module.witness(acc)
                 if w is not None:
                     out.append(((i, j), w))
-                    if stop_early:
-                        return out
         return out
 
     def kernel(self) -> Submodule:
@@ -609,10 +601,12 @@ class LieAction:
     increasing k. The acted object needs ``.module`` and ``.bracket_sym``,
     like ``LieHom``'s source.
 
-    The constants are immutable, so the validation report is computed once,
-    by the first ``validate`` call (``check=True`` makes it at construction);
-    later calls return copies of it. The checks walk only nonzero constants
-    and brackets and build a dense witness only for a defect.
+    ``validate`` needs a certified actor and acted object (an algebra, or a
+    product checked when built). It checks both relation lattices on every
+    generator, then walks the axioms with acted generators among the acted
+    module's spanning generators (the module docstring says why). The walks
+    visit only nonzero constants and brackets and build a dense witness only
+    for a defect.
     """
 
     def __init__(self, actor: LieAlgebra, acted, constants, check: bool = True):
@@ -625,7 +619,6 @@ class LieAction:
         if any(not 0 <= k < nh for row in rows for c in row for k, _ in c):
             raise ValueError("action constant index out of range")
         self.constants = tuple(tuple(merged(c) for c in row) for row in rows)
-        self._report = None
         if check:
             report = self.validate()
             if not report.ok:
@@ -645,17 +638,12 @@ class LieAction:
         return tuple(acc)
 
     def validate(self) -> ValidationReport:
-        """The action's report, computed on the first call only."""
-        if self._report is None:
-            self._report = self._check()
-        return ValidationReport(self._report.subject, list(self._report.issues))
-
-    def _check(self) -> ValidationReport:
         """Both relation lattices are respected, and the two action axioms."""
         report = ValidationReport("LieAction")
         g, hmod = self.actor, self.acted.module
         n = g.rank
         nh = hmod.ambient_rank
+        gens = hmod.spanning_generators()
         C = self.constants
         for r in g.module.lattice_rows:
             for j in range(nh):
@@ -677,7 +665,7 @@ class LieAction:
         for i in range(n):
             for k in range(i + 1, n):
                 bik = g.bracket_sym(i, k)
-                for j in range(nh):
+                for j in gens:
                     cij, ckj = C[i][j], C[k][j]
                     if not (bik or cij or ckj):
                         continue
@@ -695,9 +683,9 @@ class LieAction:
         br = self.acted.bracket_sym
         for i in range(n):
             ci = C[i]
-            for j in range(nh):
+            for a, j in enumerate(gens):
                 cij = ci[j]
-                for l in range(j + 1, nh):
+                for l in gens[a + 1:]:
                     bjl, cil = br(j, l), ci[l]
                     if not (bjl or cij or cil):
                         continue
@@ -724,7 +712,10 @@ class QCrossedModule:
 def validate_q_crossed(xm: QCrossedModule) -> ValidationReport:
     """Equivariance, Peiffer identity and q-torsion of the kernel.
 
-    The action's own issues come first, from its report computed once.
+    The action's own issues come first. The actor and the acted object must
+    be certified and ``xm.mu`` a ``LieHom``; equivariance then walks the
+    acted spanning generators and the Peiffer identity every ordered pair of
+    them, as the module docstring sets out.
     """
     report = ValidationReport("QCrossedModule")
     report.issues.extend(xm.action.validate().issues)
@@ -734,10 +725,11 @@ def validate_q_crossed(xm: QCrossedModule) -> ValidationReport:
     C = action.constants
     n = g.rank
     nh = acted.module.ambient_rank
+    gens = acted.module.spanning_generators()
     images = mu.hom.images  # mu(h_j), sparse
     # mu(e_i.h_j) - [e_i, mu(h_j)]
     for i in range(n):
-        for j in range(nh):
+        for j in gens:
             acc = {}
             for k, c in C[i][j]:
                 add_terms(acc, c, images[k])
@@ -746,11 +738,9 @@ def validate_q_crossed(xm: QCrossedModule) -> ValidationReport:
             if w is not None:
                 report.add("crossed-i", (i, j), w)
     # mu(h_j).h_l - [h_j, h_l]
-    for j in range(nh):
+    for j in gens:
         mj = images[j]
-        for l in range(nh):
-            if l == j:
-                continue
+        for l in gens:
             acc = {}
             for m, c in mj:
                 add_terms(acc, c, C[m][l])

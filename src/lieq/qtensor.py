@@ -36,7 +36,7 @@ dense vector until it has a witness to report. A product is certified once,
 when it is built, and a defect raises ``BracketNotWellDefined`` with its
 witness. After closure passes, the build walks Jacobi on triples of the
 module's ``spanning_generators`` only (the symbols that are no unit pivot of
-the reduced lattice rows); ``liealg.jacobi_defects`` says why that
+the reduced lattice rows); the ``liealg`` module docstring says why that
 suffices. On validated algebras the families above have always been found
 closed; the known defect comes from a non-Jacobi table built unchecked.
 """
@@ -180,14 +180,13 @@ class QProduct:
             raise BracketNotWellDefined(
                 f"bracket does not preserve the relation lattice: {defects[0]}")
 
-    def jacobi_defects(self, stop_early: bool = False, generators=None) -> list:
+    def jacobi_defects(self) -> list:
         """((s, t, r), witness) for each Jacobi failure (expected: none).
 
-        ``generators`` limits the walk to those symbols, as in
-        ``liealg.jacobi_defects``; the default is every symbol.
+        The walk of ``liealg.jacobi_defects``, on triples of the module's
+        spanning generators; it certifies Jacobi once closure holds.
         """
-        return jacobi_defects(self.module, self._br, self._sym, stop_early,
-                              generators)
+        return jacobi_defects(self.module, self._br, self._sym)
 
     def __repr__(self):
         return (f"QProduct({self.kind}, q={self.q}, of {self.algebra.name!r}, "
@@ -288,8 +287,7 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
     prod = QProduct(kind, q, g, h, module, brackets)
     prod.validate_bracket_well_defined()
     # closure holds, so Jacobi on generator triples of the module certifies it
-    bad = prod.jacobi_defects(stop_early=True,
-                              generators=module.spanning_generators())
+    bad = prod.jacobi_defects()
     if bad:
         triple, witness = bad[0]
         raise BracketNotWellDefined(

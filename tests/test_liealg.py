@@ -153,18 +153,20 @@ def dense_bracket_of_vectors(table, u, v, n):
     return tuple(acc)
 
 
-def dense_validate_table(module, table, subject):
-    """Torsion compatibility over every (row, generator) pair, Jacobi over every triple."""
+def dense_validate_table(module, table, subject, gens):
+    """Torsion compatibility over every (row, generator) pair, Jacobi over the
+    triples i < j < k of the indices ``gens``."""
     n = module.ambient_rank
+    gens = sorted(gens)
     report = ValidationReport(subject)
     for r in [dense(r, n) for r in module.lattice_rows]:
         for j in range(n):
             w = dense_bracket_of_vectors(table, r, unit_vec(n, j), n)
             if not module.is_lattice_member(w):
                 report.add("torsion", (tuple(r), j), w)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
+    for a, i in enumerate(gens):
+        for b, j in enumerate(gens[a + 1:], a + 1):
+            for k in gens[b + 1:]:
                 w = vec_add(
                     vec_add(dense_bracket_of_vectors(table, table[i][j], unit_vec(n, k), n),
                             dense_bracket_of_vectors(table, table[j][k], unit_vec(n, i), n)),
@@ -229,9 +231,20 @@ def test_spanning_generators_generate_the_module():
     assert rings == {0, 2, 3, 4}
 
 
+def _closed_report_agrees_with_full_walk(issues, module, table, subject):
+    """Once closure passes, the report on spanning generators is ok exactly
+    when the dense walk over every triple is; True when closure passed."""
+    if any(i.kind == "torsion" for i in issues):
+        return False
+    full = dense_validate_table(module, table, subject, range(module.ambient_rank))
+    assert (not issues) == full.ok, subject
+    return True
+
+
 def test_sparse_validation_matches_dense_reference():
     rng = random.Random(20230601)
     kinds = []
+    unit_pivots_closed = 0
     for name in Catalog.names():
         g = Catalog.get(name)
         tables = [g.table]
@@ -240,7 +253,10 @@ def test_sparse_validation_matches_dense_reference():
         for table in tables:
             bad = LieAlgebra(g.module, rows_of(table), name, check=False)
             issues = validate(bad).issues
-            assert issues == dense_validate_table(g.module, bad.table, name).issues, name
+            gens = g.module.spanning_generators()
+            assert issues == dense_validate_table(g.module, bad.table, name,
+                                                  gens).issues, name
+            _closed_report_agrees_with_full_walk(issues, g.module, table, name)
             kinds.append({i.kind for i in issues})
             if issues:
                 with pytest.raises(ValidationError) as err:
@@ -254,10 +270,14 @@ def test_sparse_validation_matches_dense_reference():
             issues = []
         except ValidationError as err:
             issues = err.report.issues
-        assert issues == dense_validate_table(module, table, "p").issues
+        gens = module.spanning_generators()
+        assert issues == dense_validate_table(module, table, "p", gens).issues
+        if _closed_report_agrees_with_full_walk(issues, module, table, "p"):
+            unit_pivots_closed += len(gens) < module.ambient_rank
         kinds.append({i.kind for i in issues})
     assert sum("torsion" in k for k in kinds) >= 5
     assert sum("jacobi" in k for k in kinds) >= 5
+    assert unit_pivots_closed >= 5
 
 
 def test_each_table_is_certified_once(monkeypatch):
@@ -367,14 +387,15 @@ def test_quotient_algebra_sections_project_to_generators():
     assert seen >= 10
 
 
-def dense_bracket_defects(hom):
-    """Every generator pair, each side of hom([x,y]) = [hom x, hom y] dense."""
-    n = hom.source.module.ambient_rank
+def dense_bracket_defects(hom, gens):
+    """Pairs i < j of the indices ``gens``, each side of
+    hom([x,y]) = [hom x, hom y] dense."""
     m = hom.target.module.ambient_rank
     images = [dense(r, m) for r in hom.hom.image().gens]
+    gens = sorted(gens)
     out = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    for a, i in enumerate(gens):
+        for j in gens[a + 1:]:
             lhs = [0] * m
             for k, c in hom.source.bracket_sym(i, j):
                 vec_addmul(lhs, c, images[k])
@@ -383,6 +404,17 @@ def dense_bracket_defects(hom):
             if not hom.target.module.is_lattice_member(diff):
                 out.append(((i, j), diff))
     return out
+
+
+def _full_pairs(hom):
+    return range(hom.source.module.ambient_rank)
+
+
+def _module_map_holds(hom):
+    """Whether hom sends the source lattice into the target lattice."""
+    src = hom.hom.source
+    return all(hom.target.module.is_lattice_member(hom(dense(r, src.ambient_rank)))
+               for r in src.lattice_rows)
 
 
 def _perturbed(hom, rng):
@@ -401,17 +433,21 @@ def test_sparse_bracket_defects_match_dense_reference():
     homs = [build(Catalog.get(name), None, q).xi() for name in Catalog.names()
             for q in (0, 1, 2, 3) for build in (q_tensor_product, q_exterior_product)]
     for hom in homs:
-        assert hom.bracket_defects() == dense_bracket_defects(hom) == []
+        full = dense_bracket_defects(hom, _full_pairs(hom))
+        assert hom.bracket_defects() == full == []
     rng = random.Random(2026)
     nonempty = 0
     for hom in homs:
         if hom.source.module.ambient_rank < 2:
             continue
+        gens = hom.source.module.spanning_generators()
         for _ in range(3):
             bad = _perturbed(hom, rng)
-            want = dense_bracket_defects(bad)
+            want = dense_bracket_defects(bad, gens)
             assert bad.bracket_defects() == want
-            assert bad.bracket_defects(stop_early=True) == want[:1]
+            if _module_map_holds(bad):
+                full = dense_bracket_defects(bad, _full_pairs(bad))
+                assert bool(want) == bool(full)
             nonempty += bool(want)
     assert nonempty >= 5
 
@@ -453,12 +489,11 @@ def test_generator_pair_walk_agrees_with_full_walk():
                 hom = build(g, None, q).xi()
                 gens = hom.source.module.spanning_generators()
                 for bad in [hom] + [_shifted_by_module_hom(hom, rng) for _ in range(6)]:
-                    full = bad.bracket_defects()
-                    on_gens = bad.bracket_defects(generators=gens)
+                    full = dense_bracket_defects(bad, _full_pairs(bad))
+                    on_gens = bad.bracket_defects()
                     assert bool(on_gens) == bool(full), (name, q)
                     assert set(on_gens) <= set(full), (name, q)
-                    if full:
-                        assert full == dense_bracket_defects(bad), (name, q)
+                    assert on_gens == dense_bracket_defects(bad, gens), (name, q)
                     cases += 1
                     failing += bool(full) and len(gens) < hom.source.nsym
     assert cases >= 100
@@ -635,7 +670,7 @@ def test_crossed_module_condition_i_fails():
     action = LieAction(z, z, [[((0, 1),)]])
     mu = LieHom(z, z, [terms([1])])
     assert _issues(validate_q_crossed(QCrossedModule(mu, action, 0))) == [
-        ("crossed-i", (0, 0), (1,))]
+        ("crossed-i", (0, 0), (1,)), ("crossed-ii", (0, 0), (1,))]
 
 
 def test_crossed_module_condition_ii_fails():
@@ -646,6 +681,16 @@ def test_crossed_module_condition_ii_fails():
     mu = LieHom(g, g, [terms([0, 0, 0])] * 3)
     assert _issues(validate_q_crossed(QCrossedModule(mu, action, 0))) == [
         ("crossed-ii", (0, 1), (0, 0, -1)), ("crossed-ii", (1, 0), (0, 0, 1))]
+
+
+def test_crossed_module_peiffer_diagonal_fails():
+    # Z/2 acting on Z/4 by doubling, mu onto Z/2: the one Peiffer failure is
+    # on the diagonal, mu(m).m = 2m while [m, m] = 0
+    z4, z2 = lie_algebra([4], {}, 0, "Z/4"), lie_algebra([2], {}, 0, "Z/2")
+    action = LieAction(z2, z4, [[((0, 2),)]])
+    mu = LieHom(z4, z2, [((0, 1),)])
+    assert _issues(validate_q_crossed(QCrossedModule(mu, action, 0))) == [
+        ("crossed-ii", (0, 0), (2,))]
 
 
 def test_direct_sum_algebras():
