@@ -15,7 +15,6 @@ from lieq.capability import center_report, coincidence_check
 from lieq.errors import LieqError, ValidationError
 from lieq.exactlin import dense, describe_factors
 from lieq.io_catalog import Catalog, report_json, resolve_input, serialize
-from lieq.liealg import validate as validate_algebra
 from lieq.qtensor import q_exterior_product, q_tensor_product
 from lieq.verify import SuiteReport, run_suite, single_algebra_pairs
 
@@ -40,24 +39,20 @@ def _emit(args, payload_json: str, payload_text: str) -> None:
 
 
 def cmd_validate(args) -> int:
+    # the algebra is certified when built; a failure exits 1 from main
     g = resolve_input(args.input)
-    report = validate_algebra(g)
     lines = [
         f"algebra: {g.name}",
         f"ring: {'Z' if not g.base_modulus else f'Z/{g.base_modulus}'}",
         f"invariant factors: {list(g.orders)}",
-        f"validation: {'ok' if report.ok else 'FAILED'}",
+        "validation: ok",
     ]
-    for issue in report.issues:
-        lines.append(f"  {issue}")
     payload = {
         "schema_version": 1, "kind": "validate", "algebra": g.name,
-        "ok": report.ok,
-        "issues": [str(i) for i in report.issues],
-        "invariant_factors": list(g.orders),
+        "ok": True, "issues": [], "invariant_factors": list(g.orders),
     }
     _emit(args, json.dumps(payload, sort_keys=True, indent=2), "\n".join(lines))
-    return 0 if report.ok else 1
+    return 0
 
 
 def cmd_product(args) -> int:
@@ -154,13 +149,11 @@ def cmd_verify(args) -> int:
     if args.input == "catalog":
         entries = Catalog.default_entries()
         pairs = None
-        oracle = args.oracle
     else:
         g = resolve_input(args.input)
         entries = [(g.name, g)]
         pairs = single_algebra_pairs(g.name, g)
-        oracle = args.oracle
-    results = run_suite(entries, qs=tuple(args.q), include_oracle=oracle,
+    results = run_suite(entries, qs=tuple(args.q), include_oracle=args.oracle,
                         right_exact_pairs=pairs)
     suite = SuiteReport(results)
     lines = [r.line() for r in results]

@@ -601,15 +601,16 @@ class LieAction:
     increasing k. The acted object needs ``.module`` and ``.bracket_sym``,
     like ``LieHom``'s source.
 
-    ``validate`` needs a certified actor and acted object (an algebra, or a
-    product checked when built). It checks both relation lattices on every
-    generator, then walks the axioms with acted generators among the acted
-    module's spanning generators (the module docstring says why). The walks
-    visit only nonzero constants and brackets and build a dense witness only
-    for a defect.
+    Building one checks only the shape and the term indices. ``validate``,
+    the action part of a ``QCrossedModule``'s certification, needs a
+    certified actor and acted object (an algebra, or a product checked when
+    built). It checks both relation lattices on every generator, then walks
+    the axioms with acted generators among the acted module's spanning
+    generators (the module docstring says why). The walks visit only nonzero
+    constants and brackets and build a dense witness only for a defect.
     """
 
-    def __init__(self, actor: LieAlgebra, acted, constants, check: bool = True):
+    def __init__(self, actor: LieAlgebra, acted, constants):
         self.actor = actor
         self.acted = acted
         nh = acted.module.ambient_rank
@@ -619,10 +620,6 @@ class LieAction:
         if any(not 0 <= k < nh for row in rows for c in row for k, _ in c):
             raise ValueError("action constant index out of range")
         self.constants = tuple(tuple(merged(c) for c in row) for row in rows)
-        if check:
-            report = self.validate()
-            if not report.ok:
-                raise ValidationError(report)
 
     def act(self, gvec: Sequence[int], hvec: Sequence[int]) -> tuple:
         acc = [0] * self.acted.module.ambient_rank
@@ -701,25 +698,31 @@ class LieAction:
 
 
 class QCrossedModule:
-    """A homomorphism with compatible action whose kernel is q-torsion."""
+    """A homomorphism with compatible action whose kernel is q-torsion,
+    certified once, when built, by ``validate_q_crossed``."""
 
     def __init__(self, mu: LieHom, action: LieAction, q: int):
+        report = validate_q_crossed(mu, action, q)
+        if not report.ok:
+            raise ValidationError(report)
         self.mu = mu
         self.action = action
         self.q = int(q)
 
 
-def validate_q_crossed(xm: QCrossedModule) -> ValidationReport:
-    """Equivariance, Peiffer identity and q-torsion of the kernel.
+def validate_q_crossed(mu: LieHom, action: LieAction, q: int) -> ValidationReport:
+    """The action's issues, then equivariance, the Peiffer identity and
+    q-torsion of the kernel; ``QCrossedModule`` raises unless it is ok.
 
-    The action's own issues come first. The actor and the acted object must
-    be certified and ``xm.mu`` a ``LieHom``; equivariance then walks the
-    acted spanning generators and the Peiffer identity every ordered pair of
-    them, as the module docstring sets out.
+    The action must act on mu's source by mu's target, else ``ValueError``.
+    The actor and the acted object must be certified and ``mu`` a ``LieHom``;
+    equivariance then walks the acted spanning generators and the Peiffer
+    identity every ordered pair of them, as the module docstring sets out.
     """
+    if action.actor is not mu.target or action.acted is not mu.source:
+        raise ValueError("the action must act on mu's source by mu's target")
     report = ValidationReport("QCrossedModule")
-    report.issues.extend(xm.action.validate().issues)
-    mu, action, q = xm.mu, xm.action, xm.q
+    report.issues.extend(action.validate().issues)
     g = action.actor
     acted = action.acted
     C = action.constants
@@ -844,9 +847,7 @@ def inner_q_derivations(m: LieAlgebra, q: int):
     # [lift, e_j] as sparse terms, straight from the bracket rows
     constants = [[[(k, c * x) for i, c in lift for k, x in m.bracket_sym(i, j)]
                   for j in range(n)] for lift in lifts]
-    action = LieAction(ider, m, constants, check=True)
-    xm = QCrossedModule(proj, action, q)
-    return ider, xm
+    return ider, QCrossedModule(proj, LieAction(ider, m, constants), q)
 
 
 # ---------------------------------------------------------------------------

@@ -367,9 +367,8 @@ def product_action(prod: QProduct):
         if prod.has_braces:
             row += [brace_terms(p, n, ab[i]) for i in range(p)]
         constants.append(row)
-    action = LieAction(g, prod, constants, check=True)
-    xm = QCrossedModule(prod.xi(), action, prod.q)
-    return action, xm
+    action = LieAction(g, prod, constants)
+    return action, QCrossedModule(prod.xi(), action, prod.q)
 
 
 def curly_image(prod: QProduct) -> Submodule:

@@ -72,6 +72,22 @@ def test_validate_good_and_bad(capsys, tmp_path):
     assert "jacobi" in err
 
 
+def test_validate_certifies_once(capsys, tmp_path, monkeypatch):
+    # reading the file builds and so certifies the algebra; the command
+    # reports that verdict and walks no identity a second time
+    from lieq import liealg
+    calls = []
+    certify = liealg._certify
+    monkeypatch.setattr(liealg, "_certify",
+                        lambda *args: calls.append(args[3]) or certify(*args))
+    good = tmp_path / "h3.lieq"
+    good.write_text(serialize(Catalog.get("heisenberg")), encoding="utf-8")
+    code, out, _ = run(capsys, "validate", "--format", "json", str(good))
+    assert code == 0 and calls == ["h3"]
+    payload = json.loads(out)
+    assert payload["ok"] is True and payload["issues"] == []
+
+
 def test_syntax_error_is_exit_two(capsys, tmp_path):
     f = tmp_path / "syn.lieq"
     f.write_text("ring: Q\ngenerators: x\n", encoding="utf-8")

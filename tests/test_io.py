@@ -55,6 +55,56 @@ def test_parse_errors():
               "bracket: [x,y] = z\nbracket: [x,z] = x\n")
 
 
+HEAD = "ring: Z\ngenerators: x y z\n"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    # _parse_combination
+    (HEAD + "bracket: [x,y] =  \n", AlgebraSyntaxError,
+     "line 3: empty right-hand side"),
+    (HEAD + "bracket: [x,y] = two*z\n", AlgebraSyntaxError,
+     "line 3: bad coefficient 'two'"),
+    (HEAD + "bracket: [x,y] = 2*w\n", AlgebraSyntaxError,
+     "line 3: unknown generator 'w'"),
+    (HEAD + "bracket: [x,y] = z + 1\n", AlgebraSyntaxError,
+     "line 3: constant terms other than 0 are not elements"),
+    # parse, in the order of its checks
+    ("ring Z\n", AlgebraSyntaxError, "line 1: expected 'key: value', got 'ring Z'"),
+    ("ring: Z\nring: Z\n", AlgebraSyntaxError, "line 2: repeated 'ring:' line"),
+    ("ring: Z/two\n", AlgebraSyntaxError, "line 1: bad modulus in 'Z/two'"),
+    ("ring: Z/1\n", AlgebraSyntaxError, "line 1: modulus must be >= 2"),
+    ("ring: Q\n", AlgebraSyntaxError, "line 1: unknown ring 'Q'"),
+    ("ring: Z\ngenerators: x 2y\n", AlgebraSyntaxError,
+     "line 2: generator names must be identifiers"),
+    ("ring: Z\ngenerators: x x\n", AlgebraSyntaxError,
+     "line 2: duplicate generator name"),
+    (HEAD + "orders: 0 two 0\n", AlgebraSyntaxError,
+     "line 3: orders must be integers"),
+    (HEAD + "orders: 0 -2 0\n", AlgebraSyntaxError,
+     "line 3: orders must be non-negative"),
+    ("ring: Z\nbracket: [x,y] = z\n", AlgebraSyntaxError,
+     "line 2: bracket before generators"),
+    (HEAD + "bracket: x y = z\n", AlgebraSyntaxError,
+     "line 3: malformed bracket line 'bracket: x y = z'"),
+    (HEAD + "bracket: [x,w] = z\n", AlgebraSyntaxError,
+     "line 3: unknown generator in [x,w]"),
+    (HEAD + "bracket: [y,y] = z\n", AlgebraSyntaxError,
+     "line 3: diagonal bracket [y,y] is forbidden (alternating)"),
+    (HEAD + "bracket: [x,y] = z\nbracket: [y,x] = z\n", DuplicateBracket,
+     "line 4: pair [y,x] assigned twice"),
+    (HEAD + "basis: x y z\n", AlgebraSyntaxError, "line 3: unknown key 'basis'"),
+    ("generators: x\n", AlgebraSyntaxError, "line 0: missing 'ring:' line"),
+    ("ring: Z/2\n", AlgebraSyntaxError, "line 0: missing 'generators:' line"),
+    (HEAD + "orders: 0 0\n", AlgebraSyntaxError,
+     "line 0: orders count does not match generators"),
+])
+def test_parse_input_checks(text, error, message):
+    # every raise in parse and _parse_combination, matched by its message
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_parse_rejects_repeated_header_lines(tmp_path, capsys):
     # a second generators line after a bracket line: validate used to crash
     # with an IndexError traceback and exit 1

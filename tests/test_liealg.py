@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from lieq import liealg
+from lieq import liealg, verify
 from lieq.errors import NotAnIdeal, ValidationError
 from lieq.exactlin import (FpModule, ModuleHom, dense, terms, unit_vec, vec_add,
                             vec_addmul, vec_sub)
@@ -34,7 +34,7 @@ from lieq.liealg import (
     validate,
     validate_q_crossed,
 )
-from lieq.qtensor import q_exterior_product, q_tensor_product
+from lieq.qtensor import product_action, q_exterior_product, q_tensor_product
 
 
 def h3():
@@ -583,7 +583,7 @@ def test_inner_q_derivations_examples():
     g = h3()
     ider, xm = inner_q_derivations(g, 0)
     assert ider.orders == (0, 0) and ider.is_abelian()
-    assert validate_q_crossed(xm).ok
+    assert validate_q_crossed(xm.mu, xm.action, xm.q).ok
     assert xm.mu.kernel().same(q_center(g, 0))
 
 
@@ -596,7 +596,8 @@ def test_identity_crossed_module():
                  for i in range(n)]
     action = LieAction(g, g, constants)
     mu = LieHom(g, g, [terms([1 if i == j else 0 for j in range(n)]) for i in range(n)])
-    assert validate_q_crossed(QCrossedModule(mu, action, 0)).ok
+    assert validate_q_crossed(mu, action, 0).ok
+    QCrossedModule(mu, action, 0)  # certified when built
 
 
 def test_ideal_inclusion_crossed_module():
@@ -607,7 +608,8 @@ def test_ideal_inclusion_crossed_module():
     constants = [[zc.gb[j][i] for i in range(zc.p)] for j in range(g.rank)]
     action = LieAction(g, sub_alg, constants)
     mu = LieHom(sub_alg, g, [terms(b) for b in zc.basis])
-    assert validate_q_crossed(QCrossedModule(mu, action, 0)).ok
+    assert validate_q_crossed(mu, action, 0).ok
+    QCrossedModule(mu, action, 0)  # certified when built
 
 
 def test_crossed_module_condition_iii_fails():
@@ -616,7 +618,9 @@ def test_crossed_module_condition_iii_fails():
     zero = lie_algebra([], {}, 2, "0")
     action = LieAction(zero, z2, [])
     mu = LieHom(z2, zero, [[]])
-    rep = validate_q_crossed(QCrossedModule(mu, action, 3))
+    with pytest.raises(ValidationError) as err:
+        QCrossedModule(mu, action, 3)
+    rep = err.value.report
     assert not rep.ok
     assert any(i.kind == "crossed-iii" for i in rep.issues)
 
@@ -631,11 +635,9 @@ def _issues(report):
 def test_action_actor_relations_fire():
     # Z/2 acting on Z by the identity: 2 e1 acts as 2, not 0
     z2, z = lie_algebra([2], {}, 0, "Z/2"), lie_algebra([0], {}, 0, "Z")
-    action = LieAction(z2, z, [[((0, 1),)]], check=False)
+    action = LieAction(z2, z, [[((0, 1),)]])
     assert _issues(action.validate()) == [
         ("action-actor-relations", ((2,), 0), (2,))]
-    with pytest.raises(ValidationError):
-        LieAction(z2, z, [[((0, 1),)]])
 
 
 def test_action_acted_relations_fire():
@@ -643,7 +645,7 @@ def test_action_acted_relations_fire():
     z = lie_algebra([0], {}, 0, "Z")
     mixed = lie_algebra([0, 2], {}, 0, "Z/2+Z")
     assert mixed.orders == (2, 0)
-    action = LieAction(z, mixed, [[((1, 1),), ()]], check=False)
+    action = LieAction(z, mixed, [[((1, 1),), ()]])
     assert _issues(action.validate()) == [
         ("action-acted-relations", (0, (2, 0)), (0, 2))]
 
@@ -651,7 +653,7 @@ def test_action_acted_relations_fire():
 def test_action_axiom_1_fires():
     # heisenberg acting on Z with only the central e3 acting nontrivially
     z = lie_algebra([0], {}, 0, "Z")
-    action = LieAction(h3(), z, [[()], [()], [((0, 1),)]], check=False)
+    action = LieAction(h3(), z, [[()], [()], [((0, 1),)]])
     assert _issues(action.validate()) == [("action-axiom-1", (0, 1, 0), (1,))]
 
 
@@ -659,7 +661,7 @@ def test_action_axiom_2_fires():
     # Z acting on heisenberg by the identity map, which is no derivation
     g = h3()
     z = lie_algebra([0], {}, 0, "Z")
-    action = LieAction(z, g, [[terms(unit_vec(3, j)) for j in range(3)]], check=False)
+    action = LieAction(z, g, [[terms(unit_vec(3, j)) for j in range(3)]])
     assert _issues(action.validate()) == [
         ("action-axiom-2", (0, 0, 1), (0, 0, -1))]
 
@@ -669,7 +671,9 @@ def test_crossed_module_condition_i_fails():
     z = lie_algebra([0], {}, 0, "Z")
     action = LieAction(z, z, [[((0, 1),)]])
     mu = LieHom(z, z, [terms([1])])
-    assert _issues(validate_q_crossed(QCrossedModule(mu, action, 0))) == [
+    with pytest.raises(ValidationError) as err:
+        QCrossedModule(mu, action, 0)
+    assert _issues(err.value.report) == [
         ("crossed-i", (0, 0), (1,)), ("crossed-ii", (0, 0), (1,))]
 
 
@@ -679,7 +683,9 @@ def test_crossed_module_condition_ii_fails():
     constants = [[g.bracket_sym(i, j) for j in range(3)] for i in range(3)]
     action = LieAction(g, g, constants)
     mu = LieHom(g, g, [terms([0, 0, 0])] * 3)
-    assert _issues(validate_q_crossed(QCrossedModule(mu, action, 0))) == [
+    with pytest.raises(ValidationError) as err:
+        QCrossedModule(mu, action, 0)
+    assert _issues(err.value.report) == [
         ("crossed-ii", (0, 1), (0, 0, -1)), ("crossed-ii", (1, 0), (0, 0, 1))]
 
 
@@ -689,8 +695,44 @@ def test_crossed_module_peiffer_diagonal_fails():
     z4, z2 = lie_algebra([4], {}, 0, "Z/4"), lie_algebra([2], {}, 0, "Z/2")
     action = LieAction(z2, z4, [[((0, 2),)]])
     mu = LieHom(z4, z2, [((0, 1),)])
-    assert _issues(validate_q_crossed(QCrossedModule(mu, action, 0))) == [
-        ("crossed-ii", (0, 0), (2,))]
+    with pytest.raises(ValidationError) as err:
+        QCrossedModule(mu, action, 0)
+    assert _issues(err.value.report) == [("crossed-ii", (0, 0), (2,))]
+
+
+def test_crossed_module_rejects_an_action_on_another_object():
+    # xi of the tensor square with the action on the exterior square: the
+    # shapes agree and each walk passes, but the action is not on mu's source
+    g = h3()
+    mu = q_tensor_product(g, None, 0).xi()
+    action, _ = product_action(q_exterior_product(g, None, 0))
+    assert action.acted is not mu.source and action.actor is mu.target
+    with pytest.raises(ValueError, match="mu's source"):
+        validate_q_crossed(mu, action, 0)
+    with pytest.raises(ValueError, match="mu's source"):
+        QCrossedModule(mu, action, 0)
+    # an equal but separately built actor is another object too
+    twin = LieAction(Catalog.get("n3"), mu.source, action.constants)
+    with pytest.raises(ValueError, match="mu's target"):
+        validate_q_crossed(mu, twin, 0)
+
+
+def test_each_crossed_module_validates_its_action_once(monkeypatch):
+    # building a crossed module is its certification; the verify checks
+    # build 104 on the catalog and walk no action a second time
+    calls = []
+    validate_action = LieAction.validate
+
+    def counted(action):
+        calls.append(action)
+        return validate_action(action)
+
+    monkeypatch.setattr(LieAction, "validate", counted)
+    entries = Catalog.default_entries()
+    results = (verify.check_crossed_modules(entries)
+               + verify.check_inner_derivations(entries))
+    assert len(results) == 104 and all(r.ok for r in results)
+    assert len(calls) == len({id(a) for a in calls}) == 104
 
 
 def test_direct_sum_algebras():
@@ -734,8 +776,7 @@ def test_action_merges_messy_constants():
     z = lie_algebra([0], {}, 0, "Z")
     g = h3()
     # repeats summed, zeros dropped, a cancelling constant empty
-    messy = LieAction(z, g, [[((2, 1), (2, 1), (0, 0)), ((1, 3), (1, -3)), ()]],
-                      check=False)
+    messy = LieAction(z, g, [[((2, 1), (2, 1), (0, 0)), ((1, 3), (1, -3)), ()]])
     assert messy.constants == ((((2, 2),), (), ()),)
 
 

@@ -25,7 +25,6 @@ from lieq.liealg import (
     Ideal,
     LieAction,
     LieAlgebra,
-    QCrossedModule,
     ValidationReport,
     center,
     derived_ideal,
@@ -145,7 +144,7 @@ def test_product_action_validates():
         g = Catalog.get(name)
         for q in (0, 2):
             _, xm = product_action(q_tensor_product(g, None, q))
-            assert validate_q_crossed(xm).ok
+            assert validate_q_crossed(xm.mu, xm.action, xm.q).ok
 
 
 def test_product_action_condition_iii_z2():
@@ -153,7 +152,7 @@ def test_product_action_condition_iii_z2():
     _, xm = product_action(q_tensor_product(z2, None, 2))
     ker = xm.mu.kernel()
     assert ker.invariant_factors == (2, 2)
-    assert validate_q_crossed(xm).ok
+    assert validate_q_crossed(xm.mu, xm.action, xm.q).ok
 
 
 def test_curly_image_rejects_a_pure_bracket_with_a_brace_component():
@@ -693,14 +692,14 @@ def dense_action_report(action, gens):
     return report
 
 
-def dense_crossed_report(xm, gens):
+def dense_crossed_report(mu, action, q, gens):
     """The crossed-module checks on dense unit vectors, after the action's,
     with acted generators in the indices ``gens``: the Peiffer identity on
     every ordered pair, the diagonal included."""
     report = ValidationReport("QCrossedModule")
-    report.issues.extend(dense_action_report(xm.action, gens).issues)
+    report.issues.extend(dense_action_report(action, gens).issues)
     gens = sorted(gens)
-    mu, action, acted = xm.mu, xm.action, xm.action.acted
+    acted = action.acted
     g = action.actor
     n, nh = g.rank, acted.module.ambient_rank
     for i in range(n):
@@ -718,22 +717,21 @@ def dense_crossed_report(xm, gens):
             if not acted.module.is_lattice_member(w):
                 report.add("crossed-ii", (j, l), w)
     for kgen in (dense(r, nh) for r in mu.kernel().gens):
-        w = tuple(xm.q * x for x in kgen)
+        w = tuple(q * x for x in kgen)
         if not acted.module.is_lattice_member(w):
             report.add("crossed-iii", (tuple(kgen),), w)
     return report
 
 
 def _corrupted_crossed(xm, rng):
-    """The crossed module with 1-3 random action constants shifted."""
+    """The crossed module's action with 1-3 random constants shifted."""
     action = xm.action
     nh = action.acted.module.ambient_rank
     constants = [list(row) for row in action.constants]
     for _ in range(rng.randint(1, 3)):
         i, j = rng.randrange(len(constants)), rng.randrange(nh)
         constants[i][j] += ((rng.randrange(nh), rng.choice((-2, -1, 1, 2))),)
-    bad = LieAction(action.actor, action.acted, constants, check=False)
-    return QCrossedModule(xm.mu, bad, xm.q)
+    return LieAction(action.actor, action.acted, constants)
 
 
 def _lattices_respected(issues):
@@ -754,14 +752,16 @@ def test_sparse_action_checks_match_dense_reference():
                        for build in (q_tensor_product, q_exterior_product)]
             crossed.append(inner_q_derivations(g, q)[1])
             for xm in crossed:
-                assert validate_q_crossed(xm).ok
+                assert validate_q_crossed(xm.mu, xm.action, xm.q).ok
                 bad = _corrupted_crossed(xm, rng)
-                hmod = bad.action.acted.module
-                issues = validate_q_crossed(bad).issues
+                hmod = bad.acted.module
+                issues = validate_q_crossed(xm.mu, bad, xm.q).issues
                 gens = hmod.spanning_generators()
-                assert issues == dense_crossed_report(bad, gens).issues, (name, q)
+                dense_issues = dense_crossed_report(xm.mu, bad, xm.q, gens).issues
+                assert issues == dense_issues, (name, q)
                 if _lattices_respected(issues):
-                    full = dense_crossed_report(bad, range(hmod.ambient_rank))
+                    full = dense_crossed_report(xm.mu, bad, xm.q,
+                                                range(hmod.ambient_rank))
                     assert (not issues) == full.ok, (name, q)
                     closed += 1
                 nonempty += bool(issues)
@@ -772,8 +772,8 @@ def test_sparse_action_checks_match_dense_reference():
 
 
 def _corrupted_off_generators(xm, rng):
-    """The crossed module with 1-3 action constants shifted, each on an acted
-    symbol outside the spanning generators (a unit pivot)."""
+    """The crossed module's action with 1-3 constants shifted, each on an
+    acted symbol outside the spanning generators (a unit pivot)."""
     action = xm.action
     hmod = action.acted.module
     nh = hmod.ambient_rank
@@ -782,8 +782,7 @@ def _corrupted_off_generators(xm, rng):
     for _ in range(rng.randint(1, 3)):
         i, j = rng.randrange(len(constants)), rng.choice(pivots)
         constants[i][j] += ((rng.randrange(nh), rng.choice((-2, -1, 1, 2))),)
-    bad = LieAction(action.actor, action.acted, constants, check=False)
-    return QCrossedModule(xm.mu, bad, xm.q)
+    return LieAction(action.actor, action.acted, constants)
 
 
 def test_corruption_off_the_spanning_generators_is_caught():
@@ -801,8 +800,9 @@ def test_corruption_off_the_spanning_generators_is_caught():
                     continue
                 for _ in range(2):
                     bad = _corrupted_off_generators(xm, rng)
-                    full = dense_crossed_report(bad, range(hmod.ambient_rank))
-                    report = validate_q_crossed(bad)
+                    full = dense_crossed_report(xm.mu, bad, xm.q,
+                                                range(hmod.ambient_rank))
+                    report = validate_q_crossed(xm.mu, bad, xm.q)
                     assert report.ok == full.ok, (name, q)
                     failing += not full.ok
     assert failing >= 5
