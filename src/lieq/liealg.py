@@ -252,8 +252,10 @@ class LieAlgebra:
         self.name = name
         self._br = _checked_rows(rows, n)
         self._sym = bracket_lookup(self._br) if lookup is None else lookup
-        # Whole-algebra products keyed (kind, q) and their centers keyed
-        # (kind, q, brace); products over proper ideals are not kept.
+        # g as an ideal of itself keyed "whole", whole-algebra products keyed
+        # (kind, q), their centers keyed (kind, q, brace) and g #_q g keyed
+        # ("hash", q); products and hash products over proper ideals are
+        # not kept.
         self._memo = {}
         if check:
             report = _certify(self.module, self._br, self._sym, name)
@@ -445,7 +447,11 @@ class Ideal:
 
     @classmethod
     def whole(cls, g: LieAlgebra) -> "Ideal":
-        return cls(g, Submodule.full(g.module))
+        """g as an ideal of itself, built once and kept in g's memo."""
+        whole = g._memo.get("whole")
+        if whole is None:
+            whole = g._memo["whole"] = cls(g, Submodule.full(g.module))
+        return whole
 
     @property
     def p(self) -> int:
@@ -485,11 +491,16 @@ def hash_product(g: LieAlgebra, h: Optional[Ideal], q: int) -> Ideal:
     """The ideal generated by all [h, g] brackets and all q-multiples of h.
 
     The image of both product-to-algebra homomorphisms lands here; for
-    h = g and q = 0 this is the derived subalgebra.
+    h = g and q = 0 this is the derived subalgebra. The whole-algebra ones
+    (h None) are memoized on g; those over a proper ideal are built anew.
     """
-    if h is None:
-        h = Ideal.whole(g)
-    return Ideal(g, Submodule(g.module, hash_rows(g, h, q)))
+    if h is not None:
+        return Ideal(g, Submodule(g.module, hash_rows(g, h, q)))
+    hp = g._memo.get(("hash", q))
+    if hp is None:
+        hp = g._memo[("hash", q)] = Ideal(
+            g, Submodule(g.module, hash_rows(g, Ideal.whole(g), q)))
+    return hp
 
 
 def derived_ideal(g: LieAlgebra) -> Ideal:

@@ -13,8 +13,10 @@ each stage costs about the size of the relation subgroup, not of the
 ambient: the closure adds one coset at a time, so every element is made by
 one addition, and the torsion sizes come from extending that subgroup by the
 p^k e_i. Every relation family but the brace one depends on the algebra
-alone, so a ``BracketTable`` walks them once and the (q, kind) products of
-one algebra share them. The quadratic functor oracle (``brute_gamma``) is a
+alone, so a ``BracketTable`` walks them once and closes them once per kind,
+and the (q, kind) products of one algebra share that closure: at q = 0 it
+is the relation subgroup, and at q >= 1 a product pads it and extends it by
+its brace family only. The quadratic functor oracle (``brute_gamma``) is a
 lattice over Z, so it reduces its relation rows instead, after dropping the
 instances that the others already span (``gamma_relation_rows``).
 """
@@ -78,7 +80,8 @@ class FiniteEnumeration:
 
 def _extend(ambient: FiniteEnumeration, closed: set,
             gens: Iterable[Sequence[int]]) -> set:
-    """Extend the subgroup ``closed`` in place by each of ``gens``.
+    """Extend the subgroup ``closed`` in place by each of ``gens``, which
+    must be reduced vectors of ``ambient``.
 
     Adding g to a subgroup H gives the disjoint cosets H + c g for
     0 <= c < m, where m is the least c >= 1 with c g in H. For c < m, c g
@@ -87,7 +90,6 @@ def _extend(ambient: FiniteEnumeration, closed: set,
     """
     orders = ambient.orders
     for g in gens:
-        g = ambient.reduce(g)
         if g in closed:
             continue
         old = list(closed)
@@ -101,7 +103,7 @@ def _extend(ambient: FiniteEnumeration, closed: set,
 
 def subgroup_closure(ambient: FiniteEnumeration, gens: Iterable[Sequence[int]]) -> set:
     """All sums of the given elements, built one coset at a time."""
-    return _extend(ambient, {ambient.zero()}, gens)
+    return _extend(ambient, {ambient.zero()}, map(ambient.reduce, gens))
 
 
 def _factorize(n: int) -> dict:
@@ -218,8 +220,10 @@ class BracketTable:
     |g|^2 calls of ``g.bracket``. Every relation family of a q-square except
     the brace one lives on the n^2 pure slots x (x) y and depends on g
     alone, so the table also holds those instances (``pure_instances``),
-    built on first use by one walk of the Jacobi-type families. The (q, kind)
-    products of one algebra share one table, and with it that walk.
+    built on first use by one walk of the Jacobi-type families, and the
+    subgroup they generate (``pure_closure``), built on first use per kind.
+    The (q, kind) products of one algebra share one table, and with it that
+    walk and those closures.
     """
 
     def __init__(self, g: LieAlgebra):
@@ -234,6 +238,7 @@ class BracketTable:
         n = g.rank
         self.pure_orders = tuple(gcd(g.orders[i], g.orders[j])
                                  for i in range(n) for j in range(n))
+        self._closures = {}
 
     def pure_tensor(self, x, y) -> tuple:
         """x (x) y on the n^2 pure slots."""
@@ -266,6 +271,18 @@ class BracketTable:
                                       for x in range(len(self.elems))},
                 "tensor": jacobi | {tensors[ten[b][b]] for b in brackets}}
 
+    def pure_closure(self, kind: str) -> set:
+        """The subgroup of the pure slots that ``pure_instances[kind]``
+        generates: the relation subgroup of the q = 0 square of that kind.
+
+        Products share the set; none may change it.
+        """
+        closed = self._closures.get(kind)
+        if closed is None:
+            closed = self._closures[kind] = subgroup_closure(
+                FiniteEnumeration(self.pure_orders), self.pure_instances[kind])
+        return closed
+
 
 class BruteProduct:
     """Element-level model of a q-tensor/exterior square of a finite algebra.
@@ -275,9 +292,10 @@ class BruteProduct:
     over every element pair/triple and closed by enumeration. All but the
     brace family come from the ``BracketTable`` of g, which also holds the
     tables over element pairs: pass one to share it, and the instances with
-    it, between the products of one algebra. A product pads those instances
-    with n zero brace slots when q >= 1 and adds only its own brace family
-    {[x,y]} - q (x (x) y).
+    it, between the products of one algebra. At q = 0 the relation subgroup
+    is the table's ``pure_closure`` itself; when q >= 1 a product pads that
+    subgroup with n zero brace slots and extends it by its own brace family
+    {[x,y]} - q (x (x) y) alone.
     """
 
     def __init__(self, g: LieAlgebra, q: int, kind: str, table=None):
@@ -294,7 +312,13 @@ class BruteProduct:
         self.brace = q >= 1
         orders = list(table.pure_orders) + (list(g.orders) if self.brace else [])
         self.ambient = FiniteEnumeration(orders)
-        self.sub = subgroup_closure(self.ambient, self._relation_instances())
+        pure = table.pure_closure(kind)
+        if self.brace:
+            pad = (0,) * self.n
+            self.sub = _extend(self.ambient, {v + pad for v in pure},
+                               self._brace_instances())
+        else:
+            self.sub = pure
 
     def tensor_elt(self, x, y) -> tuple:
         vec = self.table.pure_tensor(x, y)
@@ -307,20 +331,23 @@ class BruteProduct:
     def _bracket(self, x, y) -> tuple:
         return self.gmod.reduce(self.g.bracket(x, y))
 
-    def _relation_instances(self):
+    def _brace_instances(self) -> set:
+        """{[x,y]} - q (x (x) y), once per distinct (x (x) y, [x,y])."""
         table = self.table
-        pure = table.pure_instances[self.kind]
+        q, orders, elems = self.q, table.pure_orders, table.elems
+        tensors, ten = table.tensor_ids
+        pairs = {p for tx, bx in zip(ten, table.br) for p in zip(tx, bx)}
+        return {tuple(-q * a % o for a, o in zip(tensors[t], orders))
+                + elems[b] for t, b in pairs}
+
+    def _relation_instances(self):
+        """Every relation instance that generates ``sub``, zero dropped."""
+        pure = self.table.pure_instances[self.kind]
         if not self.brace:
             seen = set(pure)
         else:
             pad = (0,) * self.n
-            seen = {v + pad for v in pure}
-            q, orders, elems = self.q, table.pure_orders, table.elems
-            tensors, ten = table.tensor_ids
-            # {[x,y]} - q (x (x) y), once per distinct (x (x) y, [x,y])
-            pairs = {p for tx, bx in zip(ten, table.br) for p in zip(tx, bx)}
-            seen.update(tuple(-q * a % o for a, o in zip(tensors[t], orders))
-                        + elems[b] for t, b in pairs)
+            seen = {v + pad for v in pure} | self._brace_instances()
         seen.discard(self.ambient.zero())
         return seen
 
@@ -369,37 +396,54 @@ def gamma_relation_rows(A: FiniteEnumeration):
     summed. The defining families, for a, b, c in A and every scalar
     lam >= 0, are
       1. [lam a] - lam^2 [a];
-      2. [a+b+c] - [a+b] - [a+c] - [b+c] + [a] + [b] + [c];
+      2. F(a, b, c) = [a+b+c] - [a+b] - [a+c] - [b+c] + [a] + [b] + [c];
       3. [lam a + b] - [lam a] + lam [a] + (lam - 1) [b] - lam [a+b].
-    With the cross-effect c(x, y) = [x+y] - [x] - [y], family 2 is
-    c(a+b, c) - c(a, c) - c(b, c), so c is additive in each slot modulo
-    family 2. At a = 0 the row is -c(0, c) = [0], so [0] and every c(0, y)
-    lie in the lattice. Family 3 is c(lam a, b) - lam c(a, b), which follows
-    from additivity by induction on lam.
+    With the cross-effect c(x, y) = [x+y] - [x] - [y], symmetric in x and y,
+    F(a, b, c) is c(a+b, c) - c(a, c) - c(b, c), so c is additive in each
+    slot modulo family 2. F is symmetric in (a, b, c), and F(a, 0, c) is
+    [0], so [0] and every c(0, y) lie in the lattice. Family 3 is
+    c(lam a, b) - lam c(a, b), which follows from additivity by induction on
+    lam.
 
     The same induction, with [(k+1) a] = [k a] + [a] + c(k a, a) and
     c(k a, a) = k c(a, a), gives [k a] = k [a] + C(k, 2) c(a, a) for every
-    k >= 0. So the family-1 row at lam is C(lam, 2) ([2a] - 4 [a]), a
-    multiple of the family-1 row at lam = 2. The rows are therefore: [0],
-    the family-1 row at lam = 2 for each nonzero a (at a = 0 it is -3 [0]),
-    and family 2 over index-ordered triples a <= b <= c of nonzero
-    elements. A family-2 row is symmetric in (a, b, c), and one with a zero
-    entry is [0], so no other instance adds to the lattice.
+    k >= 0. So the family-1 row at lam is C(lam, 2) phi(a), with
+    phi(a) = [2a] - 4 [a] = c(a, a) - 2 [a], the family-1 row at lam = 2.
+
+    The rows kept are [0]; phi(e_i) for each generator e_i of A; and F over
+    the index-ordered triples a <= b <= c of nonzero elements that contain
+    a generator. They span every instance, in two steps.
+      - Family 2. With D(x) = c(x, c), F(a, b, c) = D(a+b) - D(a) - D(b),
+        and expanding each term gives
+        F(a, b' + g, c) = F(a + b', g, c) + F(a, b', c) - F(b', g, c).
+        Every b is a sum of generators, so induction on their number, from
+        F(a, 0, c) = [0], writes F(a, b, c) through rows whose middle
+        argument is a generator. By symmetry those are kept rows, or [0]
+        when a or c is zero.
+      - Family 1. phi is additive modulo family 2: c is bilinear and
+        symmetric there, so phi(a+b) - phi(a) - phi(b)
+        = c(a+b, a+b) - c(a, a) - c(b, b) - 2 c(a, b) = 0. Hence phi(a) is
+        the sum of the phi(e_i) over a's generator expansion, and every
+        family-1 row, C(lam, 2) phi(a), lies in the span.
     """
     elems = list(A.elements())
     index = {e: i for i, e in enumerate(elems)}
     nsym = len(elems)
     add = [[index[A.add(a, b)] for b in elems] for a in elems]
+    rank = len(A.orders)
+    gens = {index[A.reduce(tuple(int(i == j) for j in range(rank)))]
+            for i in range(rank)} - {0}
     yield ((0, 1),)
-    for ia in range(1, nsym):
+    for ia in sorted(gens):
         yield ((add[ia][ia], 1), (ia, -4))
     for ia in range(1, nsym):
         add_a = add[ia]
         for ib in range(ia, nsym):
             iab, add_b = add_a[ib], add[ib]
             for ic in range(ib, nsym):
-                yield ((add[iab][ic], 1), (ia, 1), (ib, 1), (ic, 1),
-                       (iab, -1), (add_a[ic], -1), (add_b[ic], -1))
+                if ia in gens or ib in gens or ic in gens:
+                    yield ((add[iab][ic], 1), (ia, 1), (ib, 1), (ic, 1),
+                           (iab, -1), (add_a[ic], -1), (add_b[ic], -1))
 
 
 def brute_gamma(orders: Sequence[int]) -> tuple:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from lieq.cli import main
 from lieq.io_catalog import Catalog, serialize
 
@@ -86,6 +88,13 @@ def test_validate_certifies_once(capsys, tmp_path, monkeypatch):
     assert code == 0 and calls == ["h3"]
     payload = json.loads(out)
     assert payload["ok"] is True and payload["issues"] == []
+
+
+def test_negative_q_is_exit_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["product", "heisenberg", "--q", "0,-1"])
+    assert exc.value.code == 2
+    assert "argument --q: q must be non-negative" in capsys.readouterr().err
 
 
 def test_syntax_error_is_exit_two(capsys, tmp_path):

@@ -350,6 +350,35 @@ def test_ideal_rejects_non_ideal():
         ideal_from_gens(g, [terms((1, 0, 0))])  # span(e1) is not bracket-closed
 
 
+def test_whole_ideal_and_hash_products_are_built_once_per_algebra():
+    """Whole-algebra ideals, products and q-abelianizations share one object
+    per algebra (and per q); those over a proper ideal are built anew."""
+    g, twin = (lie_algebra([0, 0, 0], {(0, 1): (0, 0, 1)}, 0, "h3")
+               for _ in range(2))
+    whole = Ideal.whole(g)
+    assert Ideal.whole(g) is whole and Ideal.whole(twin) is not whole
+    assert q_tensor_product(g, None, 2).ideal is whole
+    assert q_exterior_product(g, None, 0).ideal is whole
+    hashes = [hash_product(g, None, q) for q in (0, 2)]
+    assert all(hash_product(g, None, q) is hp for q, hp in zip((0, 2), hashes))
+    assert hashes[0] is not hashes[1] and derived_ideal(g) is hashes[0]
+    assert hash_product(twin, None, 0) is not hashes[0]
+    cen = Ideal(g, center(g))
+    assert hash_product(g, cen, 2) is not hash_product(g, cen, 2)
+    assert q_tensor_product(g, cen, 2) is not q_tensor_product(g, cen, 2)
+
+
+def test_input_checks_raise():
+    g, other = h3(), Catalog.get("sl2@Z/5")
+    with pytest.raises(ValueError,
+                       match="submodule does not live in the parent's module"):
+        Ideal(g, center(other))
+    with pytest.raises(NotAnIdeal, match="ideal does not belong to this algebra"):
+        quotient_algebra(g, Ideal.whole(other))
+    with pytest.raises(ValueError, match="mixed base rings"):
+        direct_sum_algebras(g, other)
+
+
 def test_quotient_algebra_examples():
     g = h3()
     q0, _ = quotient_algebra(g, ideal_from_gens(g, []))

@@ -251,6 +251,23 @@ def test_curly_literal_image_counterexample_is_pinned():
     assert rep0.details["literal_image_exact"] is True
 
 
+def test_input_checks_raise():
+    g, other = Catalog.get("heisenberg"), Catalog.get("sl2@Z/5")
+    with pytest.raises(ValueError, match="no brace symbols at q = 0"):
+        q_tensor_product(g, None, 0).sym_brace(0)
+    with pytest.raises(ValueError, match="ideal does not belong to the algebra"):
+        q_tensor_product(g, Ideal.whole(other), 2)
+    with pytest.raises(ValueError, match="q must be non-negative"):
+        q_exterior_product(g, None, -1)
+    tensor, exterior = q_tensor_product(g, None, 2), q_exterior_product(g, None, 2)
+    with pytest.raises(ValueError, match=r"expected a \(tensor, exterior\) pair"):
+        tensor_to_exterior(exterior, tensor)
+    with pytest.raises(ValueError, match="products are not comparable"):
+        tensor_to_exterior(tensor, q_exterior_product(g, None, 0))
+    with pytest.raises(ValueError, match="kind must be 'exterior' or 'curly'"):
+        right_exact_check(g, ideal_from_gens(g, []), 0, "tensor")
+
+
 def test_abelian_square_check():
     z = Catalog.get("Z")
     for q in (0, 1, 2, 3, 4, 6):

@@ -330,6 +330,21 @@ def test_oracle_sweep_walks_the_jacobi_families_once_per_algebra(monkeypatch):
     assert len(walks) == len(verify.oracle_rank2_algebras()) == 15
 
 
+def test_oracle_sweep_closes_the_pure_instances_once_per_algebra_and_kind(
+        monkeypatch):
+    closures = []
+    closure = testkit.subgroup_closure
+
+    def counted(ambient, gens):
+        closures.append(ambient.orders)
+        return closure(ambient, gens)
+
+    monkeypatch.setattr(testkit, "subgroup_closure", counted)
+    results = verify.check_oracle_products()
+    assert len(results) == 150 and all(r.ok for r in results)
+    assert len(closures) == 2 * len(verify.oracle_rank2_algebras()) == 30
+
+
 def test_relation_instances_match_reference_past_size_cap(monkeypatch):
     """Filiform L4 over Z/2, where the two Jacobi-type families differ.
 
@@ -412,15 +427,16 @@ def test_gamma_rows_span_the_reference_lattice():
 def test_gamma_rows_span_the_dropped_instances_past_exponent_8():
     """The groups of order <= 16 too wide for the reference lattice.
 
-    The rows of ``gamma_relation_rows`` must span what they leave out: the
-    family-1 rows at every lam in [0, 3e), e the exponent, and the family-2
-    rows with a = 0. A row lies in the lattice when adding it leaves the
-    Hermite form unchanged; the form of the new rows stands for the rows.
+    The rows of ``gamma_relation_rows`` must span every instance they leave
+    out: the family-1 rows at every a and every lam in [0, 3e), e the
+    exponent, and the family-2 rows at every triple (a, b, c). Rows lie in
+    the lattice when adding them leaves the Hermite form unchanged; the form
+    of the kept rows stands for them.
     """
     groups = list(verify._abelian_groups_up_to(16))
     assert len(groups) == 25
     assert sum(1 for orders in groups
-               for _ in gamma_relation_rows(FiniteEnumeration(orders))) == 6605
+               for _ in gamma_relation_rows(FiniteEnumeration(orders))) == 2209
     wide = [orders for orders in groups if lcm(*orders) > 8]
     assert len(wide) == 8
     for orders in wide:
@@ -432,12 +448,11 @@ def test_gamma_rows_span_the_dropped_instances_past_exponent_8():
         rows = [terms(r) for r in hermite]
         dropped = [((index[A.scale(lam, a)], 1), (index[a], -lam * lam))
                    for a in elems for lam in range(3 * lcm(*orders))]
-        dropped += [((index[A.add(b, c)], 1), (0, 1), (index[b], 1),
-                     (index[c], 1), (index[b], -1), (index[c], -1),
-                     (index[A.add(b, c)], -1))
-                    for b in elems for c in elems]
-        for row in dropped:
-            assert hnf_rows(rows + [row], n) == hermite, (orders, row)
+        dropped += [((index[A.add(A.add(a, b), c)], 1), (index[a], 1),
+                     (index[b], 1), (index[c], 1), (index[A.add(a, b)], -1),
+                     (index[A.add(a, c)], -1), (index[A.add(b, c)], -1))
+                    for a in elems for b in elems for c in elems]
+        assert hnf_rows(rows + dropped, n) == hermite, orders
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +475,25 @@ def random_rank3_mod2():
             continue
         algs.append(g)
     return algs
+
+
+def test_shared_closures_match_the_closure_of_every_instance():
+    """Each product's subgroup, the table's pure closure padded and extended
+    by the brace family, against one closure of all its relation instances:
+    the 150 oracle cases and the seeded rank-3 tables, with one table per
+    algebra."""
+    cases = [(g, range(5)) for g in verify.oracle_rank2_algebras()]
+    cases += [(g, range(5)) for g in random_rank3_mod2()]
+    count = 0
+    for g, qs in cases:
+        table = testkit.BracketTable(g)
+        for q in qs:
+            for kind in ("tensor", "exterior"):
+                prod = BruteProduct(g, q, kind, table)
+                assert prod.sub == subgroup_closure(
+                    prod.ambient, prod._relation_instances()), (g.name, q, kind)
+                count += 1
+    assert count == 150 + 80
 
 
 def test_random_rank3_mod2_matches_pipeline():
