@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from lieq.exactlin import Submodule, block_kernel, is_free_over, terms, unit_vec
+from lieq.exactlin import Submodule, block_kernel, is_free_over
 from lieq.liealg import LieAlgebra, center as algebra_center, q_abelianization, q_center
 from lieq.qtensor import (QProduct, brace_terms, q_exterior_product, q_tensor_product,
                           tensor_terms)
@@ -43,7 +43,7 @@ def _annihilator_kernel(prod: QProduct, include_brace: bool) -> Submodule:
     """Kernel of x -> (x*e_1, ..., x*e_n [, {x}]) through a product."""
     g = prod.algebra
     n = g.rank
-    coords = [terms(prod.ideal.coords(unit_vec(n, a))) for a in range(n)]
+    coords = [prod.ideal.coords(((a, 1),)) for a in range(n)]
     blocks = [(prod.module, [tensor_terms(n, c, ((j, 1),)) for c in coords])
               for j in range(n)]
     if include_brace and prod.has_braces:

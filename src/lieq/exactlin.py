@@ -17,16 +17,20 @@ given by the term rows of its generators' images, ``h(v) = sum v_i images[i]``.
 Every list of rows is a list of term rows: a homomorphism's images, a
 submodule's generators (``Submodule.gens``), kernel bases, relations,
 lattice and Hermite rows, Smith columns and lifts; ``combination`` sums
-them. A single element that a query takes or returns is a dense tuple
-(``contains_vec``, ``solve``, ``canon``, ``lift_pruned``,
-``Submodule.basis``). ``hnf_rows`` returns dense rows, and each caller here
-converts them to term rows once.
+them, and so are the single elements that ``hermite_coords``, ``canon``,
+``lift_pruned`` and ``Submodule.solve`` take and return. Dense vectors stay
+at the edges: ``FpModule(n, rows)``, ``witness``, ``ModuleHom.__call__``
+and the test-facing ``contains_vec``, ``is_lattice_member``,
+``same_element`` and ``Submodule.basis``. ``hnf_rows`` returns dense rows;
+each caller converts them to terms once.
 Dense matrices (``IntMatrix``) appear only in ``snf`` and ``det``, the
 Smith-form reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from heapq import heappop, heappush
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -206,25 +210,37 @@ def augmented_kernel(stack: Iterable, left: int, width: int) -> list:
     return [terms(r[left:]) for r in hnf_rows(stack, width) if not any(r[:left])]
 
 
-def hermite_coords(rows: Sequence, v: Sequence[int]) -> Optional[tuple]:
+def hermite_coords(rows: Sequence, v) -> Optional[tuple]:
     """The alpha with ``alpha @ rows == v`` for Hermite ``rows``, or None.
 
     ``rows`` are merged term rows in echelon order, each led by its pivot;
-    ``v`` is a dense vector. Back-substitution: divide exactly at each
-    pivot; nothing may be left.
+    ``v`` is (k, c) terms, alpha merged terms over row indices. The least
+    column of the running support must be a pivot (found by bisection)
+    that divides it exactly; that row is subtracted, and nothing may be left.
     """
-    r = list(v)
-    alpha = []
-    for row in rows:
-        c, p = row[0]
-        a, rem = divmod(r[c], p)
-        if rem:
+    r = {}
+    add_terms(r, 1, v)
+    heap, alpha, i = sorted(r), [], 0
+    while heap:
+        c = heappop(heap)
+        if not (x := r.pop(c)):
+            continue
+        i = bisect_left(rows, c, i, key=lambda row: row[0][0])
+        if i == len(rows) or rows[i][0][0] != c or x % rows[i][0][1]:
             return None
-        if a:
-            for k, x in row:
-                r[k] -= a * x
-        alpha.append(a)
-    return None if any(r) else tuple(alpha)
+        a = x // rows[i][0][1]
+        for k, y in rows[i][1:]:
+            if k not in r:
+                heappush(heap, k)
+            r[k] = r.get(k, 0) - a * y
+        alpha.append((i, a))
+    return tuple(alpha)
+
+
+def _reduced_terms(acc: Sequence[int], orders: Sequence[int]) -> tuple:
+    """The nonzero (j, acc[j] mod orders[j]) terms; order 0 leaves acc[j]."""
+    return tuple((j, y) for j, (x, d) in enumerate(zip(acc, orders))
+                 if (y := x % d if d else x))
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +281,10 @@ class FpModule:
     def __init__(self, ambient_rank: int, relations: Iterable[Sequence[int]],
                  base_modulus: int = 0):
         n = int(ambient_rank)
-        rels = []
-        for r in relations:
-            vec = [int(x) for x in r]
-            if len(vec) != n:
-                raise ValueError("relation length does not match ambient rank")
-            rels.append(terms(vec))
-        self._present(n, rels, base_modulus)
+        rels = [tuple(int(x) for x in r) for r in relations]
+        if any(len(r) != n for r in rels):
+            raise ValueError("relation length does not match ambient rank")
+        self._present(n, [terms(r) for r in rels], base_modulus)
 
     @classmethod
     def from_terms(cls, ambient_rank: int, relations: Iterable,
@@ -282,13 +295,9 @@ class FpModule:
         must lie in [0, ambient_rank).
         """
         n = int(ambient_rank)
-        rels = []
-        for r in relations:
-            r = tuple(r)
-            for k, _ in r:
-                if not 0 <= k < n:
-                    raise ValueError("relation index out of ambient range")
-            rels.append(r)
+        rels = [tuple(r) for r in relations]
+        if any(not 0 <= k < n for r in rels for k, _ in r):
+            raise ValueError("relation index out of ambient range")
         module = cls.__new__(cls)
         module._present(n, rels, base_modulus)
         return module
@@ -369,10 +378,9 @@ class FpModule:
             return None
         return dense(acc.items(), self.ambient_rank)
 
-    def canon(self, v: Sequence[int]) -> tuple:
-        """Canonical reduced coordinates (one per invariant factor)."""
-        acc = self._smith_coords(enumerate(v))
-        return tuple(x % d if d else x for x, d in zip(acc, self.invariant_factors))
+    def canon(self, v) -> tuple:
+        """Reduced coordinates of the terms v, merged terms over the factors."""
+        return _reduced_terms(self._smith_coords(v), self.invariant_factors)
 
     def is_lattice_member(self, v: Sequence[int]) -> bool:
         return self.is_lattice_sum(enumerate(v))
@@ -389,9 +397,9 @@ class FpModule:
     def same_element(self, a: Sequence[int], b: Sequence[int]) -> bool:
         return self.is_lattice_member(vec_sub(a, b))
 
-    def lift_pruned(self, coords: Sequence[int]) -> tuple:
-        """Ambient vector representing canonical coordinates."""
-        return dense(combination(enumerate(coords), self._lifts).items(), self.ambient_rank)
+    def lift_pruned(self, coords) -> tuple:
+        """Ambient merged terms representing the canonical coordinates coords."""
+        return merged(combination(coords, self._lifts).items())
 
     def canonical_basis(self) -> list:
         """Ambient representatives of the canonical generators, as term rows."""
@@ -496,9 +504,9 @@ class Submodule:
     and every index must lie in [0, ambient_rank). The rows are kept as
     given. Keeps the ambient module, the generators, and (lazily) Hermite term
     rows and an abstract presentation with a canonical generating basis, so
-    a submodule doubles as a module-with-embedding. The single elements that
-    queries take and return (``contains_vec``, ``solve``, ``basis``) are
-    dense tuples.
+    a submodule doubles as a module-with-embedding. ``solve`` takes and
+    returns term rows and ``basis_rows`` gives the basis as term rows;
+    ``contains_vec`` and ``basis`` are the dense, test-facing views.
     """
 
     def __init__(self, ambient: FpModule, gens: Iterable):
@@ -524,17 +532,17 @@ class Submodule:
         sub = cls(ambient, [((i, 1),) for i in range(n)])
         if ambient.orders == ambient.invariant_factors:
             sub._is_full = True
-            sub._basis = [unit_vec(n, i) for i in range(n)]
+            sub._basis = list(sub.gens)
         return sub
 
     # -- membership ---------------------------------------------------------
 
     def contains_vec(self, v: Sequence[int]) -> bool:
-        return hermite_coords(self._hermite_rows(), v) is not None
+        return hermite_coords(self._hermite_rows(), terms(v)) is not None
 
     def contains(self, other: "Submodule") -> bool:
-        n = other.ambient.ambient_rank
-        return all(self.contains_vec(dense(g, n)) for g in other.gens)
+        rows = self._hermite_rows()
+        return all(hermite_coords(rows, g) is not None for g in other.gens)
 
     def same(self, other: "Submodule") -> bool:
         """Equality of Hermite rows; both must live in one ambient module."""
@@ -560,9 +568,9 @@ class Submodule:
             # Hermite rows are independent, so each ambient lattice row has
             # unique coordinates, and those span the relations.
             hermite = self._hermite_rows()
-            n = self.ambient.ambient_rank
-            rels = [hermite_coords(hermite, dense(r, n)) for r in self.ambient.lattice_rows]
-            self._abstract = FpModule(len(hermite), rels, self.ambient.base_modulus)
+            rels = [hermite_coords(hermite, r) for r in self.ambient.lattice_rows]
+            self._abstract = FpModule.from_terms(len(hermite), rels,
+                                                 self.ambient.base_modulus)
         return self._abstract
 
     @property
@@ -571,38 +579,41 @@ class Submodule:
             return self.ambient.invariant_factors
         return self.abstract.invariant_factors
 
-    def basis(self) -> list:
-        """Ambient vectors forming a canonical generating basis.
+    def basis_rows(self) -> list:
+        """A canonical generating basis, as merged term rows.
 
         A function of the submodule alone, not of its generators: the
         invariant-factor generators of the presentation on the Hermite rows,
-        each negated if its first nonzero entry is negative.
+        each negated if its first term is negative.
         """
         if self._basis is None:
-            n = self.ambient.ambient_rank
-            vecs = [dense(combination(alpha, self._hermite_rows()).items(), n)
+            rows = [merged(combination(alpha, self._hermite_rows()).items())
                     for alpha in self.abstract.canonical_basis()]
-            self._signs = [-1 if next(x for x in v if x) < 0 else 1 for v in vecs]
-            self._basis = [vec_scale(s, v) for s, v in zip(self._signs, vecs)]
+            self._signs = [-1 if r[0][1] < 0 else 1 for r in rows]
+            self._basis = [tuple((k, s * c) for k, c in r)
+                           for s, r in zip(self._signs, rows)]
         return self._basis
 
-    def solve(self, v: Sequence[int]) -> Optional[tuple]:
-        """Canonical coordinates of v over basis() (see canon), or None."""
+    def basis(self) -> list:
+        """``basis_rows`` as dense ambient vectors."""
+        return [dense(b, self.ambient.ambient_rank) for b in self.basis_rows()]
+
+    def solve(self, v) -> Optional[tuple]:
+        """Coordinates of the terms v over ``basis_rows``, as ``canon``'s, or None."""
         if self._is_full:
             return self.ambient.canon(v)
         alpha = hermite_coords(self._hermite_rows(), v)
         if alpha is None:
             return None
-        self.basis()  # sets the signs
-        return tuple((s * x) % d if d else s * x for x, s, d in
-                     zip(self.abstract.canon(alpha), self._signs,
-                         self.abstract.invariant_factors))
+        self.basis_rows()  # sets the signs
+        acc = self.abstract._smith_coords(alpha)
+        return _reduced_terms([s * x for s, x in zip(self._signs, acc)],
+                              self.abstract.invariant_factors)
 
     def as_module_with_embedding(self):
         """(diagonal FpModule, embedding ModuleHom into the ambient)."""
         mod = FpModule.diagonal(self.invariant_factors, self.ambient.base_modulus)
-        emb = ModuleHom(mod, self.ambient, [terms(b) for b in self.basis()])
-        return mod, emb
+        return mod, ModuleHom(mod, self.ambient, self.basis_rows())
 
     def __repr__(self):
         return (f"Submodule(factors={list(self.invariant_factors)} "

@@ -304,7 +304,7 @@ class LieAlgebra:
 def _transport(module0: FpModule, rows0: dict, br, name: str, check: bool):
     """Re-express sparse bracket rows on the pruned canonical basis.
 
-    The new row (a, b) is [lift_a, lift_b] in canonical coordinates. Returns
+    The new row (a, b) is ``canon`` of the term row [lift_a, lift_b]. Returns
     (algebra, projection_rows, lifts): projection_rows express the old
     ambient generators in new coordinates, as sparse term rows that
     ``LieHom`` takes; lifts are the term rows of ``canonical_basis``, ambient
@@ -314,20 +314,18 @@ def _transport(module0: FpModule, rows0: dict, br, name: str, check: bool):
     ``br`` is the ``bracket_lookup`` of ``rows0``; the algebra keeps it when
     its rows come out unchanged.
     """
-    n0 = module0.ambient_rank
     k = module0.rank
     lifts = module0.canonical_basis()
     rows = {}
     for a in range(k):
         for b in range(a + 1, k):
-            w = bracket_terms(br, lifts[a], lifts[b])
-            w = terms(module0.canon(dense(w, n0)))
+            w = module0.canon(bracket_terms(br, lifts[a], lifts[b]))
             if w:
                 rows[(a, b)] = w
     module = FpModule.diagonal(module0.invariant_factors, module0.base_modulus)
     alg = LieAlgebra(module, rows, name, check=check,
                      lookup=br if rows == rows0 else None)
-    proj_rows = [terms(module0.canon(unit_vec(n0, i))) for i in range(n0)]
+    proj_rows = [module0.canon(((i, 1),)) for i in range(module0.ambient_rank)]
     return alg, proj_rows, lifts
 
 
@@ -406,10 +404,10 @@ def q_center(g: LieAlgebra, q: int) -> Submodule:
 class Ideal:
     """A bracket-closed submodule with precomputed induced coordinates.
 
-    ``basis`` lists the ambient vectors of the chosen generating basis
-    b_1..b_p (diagonal orders); ``gb[j][i]`` holds [e_j, b_i] and
-    ``bb[i][k]`` holds [b_i, b_k], both as sparse terms in ideal
-    coordinates. Construction fails loudly when closure does not hold.
+    ``basis`` lists the term rows of the chosen generating basis b_1..b_p
+    (diagonal orders); ``gb[j][i]`` holds [e_j, b_i] and ``bb[i][k]`` holds
+    [b_i, b_k], as the terms in ideal coordinates that ``coords`` returns.
+    Construction fails loudly when closure does not hold.
     """
 
     def __init__(self, parent: LieAlgebra, sub: Submodule):
@@ -417,31 +415,25 @@ class Ideal:
             raise ValueError("submodule does not live in the parent's module")
         self.parent = parent
         self.sub = sub
-        self.basis = [tuple(b) for b in sub.basis()]
+        self.basis = sub.basis_rows()
         self.orders = tuple(sub.invariant_factors)
         p = len(self.basis)
         n = parent.rank
         self.gb = [[None] * p for _ in range(n)]
         for j in range(n):
-            ej = unit_vec(n, j)
             for i in range(p):
-                w = parent.bracket(ej, self.basis[i])
+                w = bracket_terms(parent.bracket_sym, ((j, 1),), self.basis[i])
                 coords = sub.solve(w)
                 if coords is None:
-                    raise NotAnIdeal(
-                        f"[e{j + 1}, b{i + 1}] = {w} falls outside the submodule")
-                self.gb[j][i] = terms(coords)
-        # [b_i, b_k] = sum_j (b_i)_j [e_j, b_k] by bilinearity, reduced like
-        # the coordinates ``solve`` returns
-        orders = self.orders
+                    raise NotAnIdeal(f"[e{j + 1}, b{i + 1}] = {dense(w, n)} "
+                                     "falls outside the submodule")
+                self.gb[j][i] = coords
+        # [b_i, b_k] lies in the span of the [e_j, b_k], so solve finds it
         self.bb = [[()] * p for _ in range(p)]
         for i in range(p):
             for k in range(i + 1, p):
-                acc = {}
-                for j, c in terms(self.basis[i]):
-                    add_terms(acc, c, self.gb[j][k])
-                row = merged((t, x % orders[t] if orders[t] else x)
-                             for t, x in acc.items())
+                row = sub.solve(bracket_terms(parent.bracket_sym, self.basis[i],
+                                              self.basis[k]))
                 self.bb[i][k] = row
                 self.bb[k][i] = tuple((t, -x) for t, x in row)
 
@@ -457,7 +449,7 @@ class Ideal:
     def p(self) -> int:
         return len(self.basis)
 
-    def coords(self, v: Sequence[int]) -> Optional[tuple]:
+    def coords(self, v) -> Optional[tuple]:
         return self.sub.solve(v)
 
     def __repr__(self):
@@ -479,11 +471,10 @@ def hash_rows(g: LieAlgebra, h: Ideal, q: int) -> list:
     g, i major, then q b_i for each i when q >= 1: the images of the symbols
     b_i(x)e_j and {b_i} under xi.
     """
-    basis = [terms(b) for b in h.basis]
-    rows = [bracket_terms(g.bracket_sym, b, ((j, 1),)) for b in basis
+    rows = [bracket_terms(g.bracket_sym, b, ((j, 1),)) for b in h.basis
             for j in range(g.rank)]
     if q >= 1:
-        rows += [tuple((k, q * c) for k, c in b) for b in basis]
+        rows += [tuple((k, q * c) for k, c in b) for b in h.basis]
     return rows
 
 
@@ -519,9 +510,7 @@ def q_abelianization(g: LieAlgebra, q: int):
 
 
 def is_q_perfect(g: LieAlgebra, q: int) -> bool:
-    hp = hash_product(g, None, q)
-    n = g.rank
-    return all(hp.sub.contains_vec(unit_vec(n, i)) for i in range(n))
+    return hash_product(g, None, q).sub.contains(Submodule.full(g.module))
 
 
 def quotient_algebra(g: LieAlgebra, h: Ideal):
@@ -827,11 +816,11 @@ def derivations(m: LieAlgebra) -> DerivationAlgebra:
             comm = vec_sub(
                 tuple(x for row in _compose_matrices(mats[s], mats[t], n) for x in row),
                 tuple(x for row in _compose_matrices(mats[t], mats[s], n) for x in row))
-            coords = sub.solve(comm)
+            coords = sub.solve(terms(comm))
             if coords is None:
                 raise ValidationError(ValidationReport(
                     "derivations", [ValidationIssue("commutator-closure", (s, t), comm)]))
-            rows[(s, t)] = terms(coords)
+            rows[(s, t)] = coords
     module = FpModule.diagonal(sub.invariant_factors, m.base_modulus)
     return DerivationAlgebra(module, rows, mats, sub, f"Der({m.name})")
 

@@ -206,10 +206,9 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
 
     # sparse inputs: the ideal basis and [b_i, e_j] in parent coordinates;
     # [e_j, b_i], [b_i, e_j] and [b_i, b_k] in ideal coordinates
-    basis = [terms(b) for b in h.basis]
+    basis, gb, bb = h.basis, h.gb, h.bb
     be_g = [[bracket_terms(g.bracket_sym, basis[i], _unit(j)) for j in range(n)]
             for i in range(p)]
-    gb, bb = h.gb, h.bb
     be_h = [[tuple((k, -c) for k, c in gb[j][i]) for j in range(n)]
             for i in range(p)]
 
@@ -335,14 +334,13 @@ def check_brace_identity(prod: QProduct):
         raise ValueError("brace identity needs q >= 1")
     witnesses = []
     for s, row in enumerate(prod.xi().hom.images):
-        img = dense(row, prod.n)
-        coords = prod.ideal.coords(img)
+        coords = prod.ideal.coords(row)
         if coords is None:
-            witnesses.append((s, img))
+            witnesses.append((s, dense(row, prod.n)))
             continue
         # {xi(s)} - q s, summed: s may itself be a brace of the sum
         acc = {s: -prod.q}
-        add_terms(acc, 1, brace_terms(prod.p, prod.n, terms(coords)))
+        add_terms(acc, 1, brace_terms(prod.p, prod.n, coords))
         w = prod.module.witness(acc)
         if w is not None:
             witnesses.append((s, w))
@@ -553,18 +551,20 @@ def right_exact_check(g: LieAlgebra, h: Ideal, q: int,
     """h-product -> g-product -> quotient-product -> 0, middle-exact and onto.
 
     ``kind`` "exterior" checks the full q-exterior products; "curly" checks
-    the brace-free (pure-symbol) parts with the same induced maps.
+    the brace-free (pure-symbol) parts with the same induced maps; any other
+    ``kind`` raises ``ValueError`` before anything is built.
     """
+    if kind not in ("exterior", "curly"):
+        raise ValueError("kind must be 'exterior' or 'curly'")
     p1 = q_exterior_product(g, h, q)
     p2 = q_exterior_product(g, None, q)
     gbar, pi = quotient_algebra(g, h)
     p3 = q_exterior_product(gbar, None, q)
 
     # h-symbols into g-symbols: b_i(x)e_j to (b_i as a vector of g)(x)e_j
-    emb = [terms(b) for b in h.basis]
-    rows1 = [tensor_terms(p2.n, b, _unit(j)) for b in emb for j in range(p1.n)]
+    rows1 = [tensor_terms(p2.n, b, _unit(j)) for b in h.basis for j in range(p1.n)]
     if p1.has_braces:
-        rows1 += [brace_terms(p2.p, p2.n, b) for b in emb]
+        rows1 += [brace_terms(p2.p, p2.n, b) for b in h.basis]
     m1 = ModuleHom(p1.module, p2.module, rows1, check=True)
 
     # g-symbols into gbar-symbols through the projection on both slots
@@ -586,7 +586,7 @@ def right_exact_check(g: LieAlgebra, h: Ideal, q: int,
         exact = img.same(ker)
         surj = m2.is_surjective()
         label = "right-exact(exterior)"
-    elif kind == "curly":
+    else:
         # Brace-free slice of the same two induced maps: the kernel of the
         # restriction must match the brace-free part of the full image.
         pure2 = p2.pure_units()
@@ -602,8 +602,6 @@ def right_exact_check(g: LieAlgebra, h: Ideal, q: int,
         image3 = Submodule(p3.module, [m2.images[s] for ((s, _),) in pure2])
         surj = image3.contains(Submodule(p3.module, p3.pure_units()))
         label = "right-exact(curly)"
-    else:
-        raise ValueError("kind must be 'exterior' or 'curly'")
 
     return SequenceReport(
         label=label,

@@ -22,6 +22,7 @@ from lieq.exactlin import (
     hermite_coords,
     is_free_over,
     lambda_q_modulus,
+    merged,
     merged_factors,
     quotient,
     snf,
@@ -137,8 +138,8 @@ def test_modulus_divides_factors(m, n):
 def test_roundtrip_coordinates():
     m = FpModule(3, [[2, 4, 0], [0, 6, 3]])
     for v in [(1, 0, 0), (0, 1, 0), (3, -2, 5)]:
-        w = m.canon(v)
-        lifted = m.lift_pruned(w)
+        w = m.canon(terms(v))
+        lifted = dense(m.lift_pruned(w), m.ambient_rank)
         assert m.same_element(v, lifted)
 
 
@@ -149,9 +150,72 @@ def _check_core_smith(m, vectors):
     d, _, _ = snf(IntMatrix([dense(r, n) for r in rows], ncols=n))
     assert m.orders == tuple(d[i][i] if i < len(rows) else 0 for i in range(n))
     for t, lift in enumerate(m.canonical_basis()):
-        assert m.canon(dense(lift, n)) == unit_vec(m.rank, t)
+        assert dense(m.canon(lift), m.rank) == unit_vec(m.rank, t)
     for v in vectors:
-        assert m.is_lattice_member(v) == (hermite_coords(rows, v) is not None)
+        assert m.is_lattice_member(v) == (hermite_coords(rows, terms(v)) is not None)
+
+
+def reference_hermite_coords(rows, v):
+    """The dense back-substitution that ``hermite_coords`` replaced, kept verbatim.
+
+    ``rows`` are merged term rows in echelon order, each led by its pivot;
+    ``v`` is a dense vector. Back-substitution: divide exactly at each
+    pivot; nothing may be left.
+    """
+    r = list(v)
+    alpha = []
+    for row in rows:
+        c, p = row[0]
+        a, rem = divmod(r[c], p)
+        if rem:
+            return None
+        if a:
+            for k, x in row:
+                r[k] -= a * x
+        alpha.append(a)
+    return None if any(r) else tuple(alpha)
+
+
+def _split_terms(rng, v):
+    """v as shuffled (k, c) terms: entries split in two, zeros, cancelling pairs."""
+    row = []
+    for k, x in enumerate(v):
+        if x or rng.random() < 0.3:
+            part = rng.randint(-3, 3)
+            row += [(k, part), (k, x - part)]
+        if rng.random() < 0.2:
+            y = rng.randint(1, 5)
+            row += [(k, y), (k, -y)]
+        if rng.random() < 0.2:
+            row.append((k, 0))
+    rng.shuffle(row)
+    return row
+
+
+def test_hermite_coords_on_terms_matches_the_dense_reference():
+    """Members and non-members of random lattices over Z, Z/4 and Z/6."""
+    rng = random.Random(20261020)
+    members = strangers = 0
+    for base in (0, 4, 6):
+        for _ in range(120):
+            n = rng.randint(1, 7)
+            rels = [[rng.choice((0, 0, 0, 1, 2, 3, -2, 6)) for _ in range(n)]
+                    for _ in range(rng.randint(0, n + 2))]
+            rows = FpModule.from_terms(n, map(terms, rels), base).lattice_rows
+            dense_rows = [dense(r, n) for r in rows]
+            for _ in range(4):
+                coeffs = [rng.randint(-3, 3) for _ in rows]
+                inside = tuple(sum(c * r[k] for c, r in zip(coeffs, dense_rows))
+                               for k in range(n))
+                anywhere = tuple(rng.randint(-7, 7) for _ in range(n))
+                for v in (inside, anywhere):
+                    want = reference_hermite_coords(rows, v)
+                    got = hermite_coords(rows, _split_terms(rng, v))
+                    assert got is None or got == merged(got)
+                    assert (None if got is None else dense(got, len(rows))) == want
+                    members += want is not None
+                    strangers += want is None
+    assert members >= 1500 and strangers >= 1000
 
 
 def _lattice_and_random_vectors(rng, m):
@@ -222,14 +286,14 @@ def test_submodule_solve_and_embedding():
     mod, emb = s.as_module_with_embedding()
     for t, b in enumerate(s.basis()):
         assert emb(unit_vec(mod.ambient_rank, t)) == b
-    coords = s.solve((3, 1))
+    coords = s.solve(terms((3, 1)))
     assert coords is not None
     acc = [0, 0]
-    for c, b in zip(coords, s.basis()):
+    for c, b in zip(dense(coords, len(s.basis())), s.basis()):
         acc[0] += c * b[0]
         acc[1] += c * b[1]
     assert z4sq.same_element(tuple(acc), (3, 1))
-    assert s.solve((0, 1)) is None or s.contains_vec((0, 1))
+    assert s.solve(terms((0, 1))) is None or s.contains_vec((0, 1))
 
 
 def _divisors_or_free(m):
@@ -449,9 +513,10 @@ def test_submodule_solve_recombines_over_the_basis(data):
         vectors, min_size=len(spanning), max_size=len(spanning))), spanning, n)
     anywhere = tuple(data.draw(st.lists(vectors, min_size=n, max_size=n)))
     for v in (inside, anywhere):
-        coords = sub.solve(v)
+        coords = sub.solve(terms(v))
         assert (coords is not None) == oracle.is_lattice_member(v)
         if coords is not None:
+            coords = dense(coords, len(sub.basis()))
             assert ambient.same_element(_combination(coords, sub.basis(), n), v)
 
 

@@ -4,17 +4,21 @@
 ``exactlin.det``. No module map, product or algebra holds one: homomorphisms
 keep sparse (k, c) term rows, like every other layer. So do modules and
 submodules: their lattice and Hermite rows, Smith columns and lifts are
-merged term rows, while a single element a query takes or returns stays a
-dense tuple.
+merged term rows, and so are the single elements that ``canon``,
+``lift_pruned``, ``Submodule.solve`` and ``Ideal.coords`` return, and an
+ideal's basis and brackets. Dense vectors stay at the edges: the dense
+``FpModule`` constructor, which no library code calls, and the test-facing
+``contains_vec``, ``is_lattice_member``, ``same_element`` and
+``Submodule.basis()``.
 """
 
 import ast
 from pathlib import Path
 
 import lieq
-from lieq.exactlin import merged
+from lieq.exactlin import FpModule, merged
 from lieq.io_catalog import heisenberg, strictly_upper
-from lieq.liealg import center
+from lieq.liealg import Ideal, center, derived_ideal
 from lieq.qtensor import q_exterior_product
 
 SRC = Path(lieq.__file__).resolve().parent
@@ -89,5 +93,36 @@ def test_modules_and_submodules_keep_term_rows():
         assert _merged_term_rows(m._w_cols, nonzero=False)
     hermite = z._hermite_rows()
     assert hermite and _merged_term_rows(hermite, nonzero=True)
-    # a single element stays dense
+    # so are an ideal's basis and brackets, and what the queries return
+    g = strictly_upper(5)
+    ideals = [derived_ideal(g), Ideal(g, center(g)), Ideal.whole(g)]
+    brackets = [r for h in ideals for row in h.gb for r in row]
+    assert any(brackets) and _merged_term_rows(brackets, nonzero=False)
+    for h in ideals:
+        assert h.basis and _merged_term_rows(h.basis, nonzero=True)
+        assert [h.coords(b) for b in h.basis] == [((i, 1),) for i in range(h.p)]
+        solved = [h.sub.solve(((k, 1), (k, 2), (k, -2))) for k in range(g.rank)]
+        assert _merged_term_rows([c for c in solved if c is not None], nonzero=False)
+    m = prod.module
+    canon = [m.canon(((k, 3), (k, -1))) for k in range(m.ambient_rank)]
+    assert any(canon) and _merged_term_rows(canon, nonzero=False)
+    lifts = [m.lift_pruned(c) for c in canon]
+    assert any(lifts) and _merged_term_rows(lifts, nonzero=False)
+    # the test-facing basis stays dense
     assert all(isinstance(x, int) for v in z.basis() for x in v)
+
+
+def test_no_library_path_presents_dense_rows(monkeypatch):
+    """ker xi of a q = 2 exterior square, down to its invariant factors,
+    presents every module from term rows: the dense constructor never runs."""
+    calls = []
+    dense_init = FpModule.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        dense_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FpModule, "__init__", spy)
+    ker = q_exterior_product(strictly_upper(5), None, 2).xi().kernel()
+    assert ker.invariant_factors
+    assert calls == []

@@ -251,7 +251,7 @@ def test_curly_literal_image_counterexample_is_pinned():
     assert rep0.details["literal_image_exact"] is True
 
 
-def test_input_checks_raise():
+def test_input_checks_raise(monkeypatch):
     g, other = Catalog.get("heisenberg"), Catalog.get("sl2@Z/5")
     with pytest.raises(ValueError, match="no brace symbols at q = 0"):
         q_tensor_product(g, None, 0).sym_brace(0)
@@ -264,6 +264,11 @@ def test_input_checks_raise():
         tensor_to_exterior(exterior, tensor)
     with pytest.raises(ValueError, match="products are not comparable"):
         tensor_to_exterior(tensor, q_exterior_product(g, None, 0))
+    # a bad kind is rejected before any product is built
+    def no_build(*args):
+        raise AssertionError("a product was built before the kind was checked")
+
+    monkeypatch.setattr(qtensor, "_build_product", no_build)
     with pytest.raises(ValueError, match="kind must be 'exterior' or 'curly'"):
         right_exact_check(g, ideal_from_gens(g, []), 0, "tensor")
 
@@ -958,6 +963,6 @@ def test_left_slot_family_on_derived_ideal():
     """
     g = lie_algebra([2, 2, 2], {(0, 2): (1, 0, 0), (1, 2): (0, 1, 0)}, 2)
     h = derived_ideal(g)
-    assert sorted(h.basis) == [(0, 1, 0), (1, 0, 0)]
+    assert sorted(h.basis) == [((0, 1),), ((1, 1),)]
     for q in (0, 2):
         assert q_tensor_product(g, h, q).invariant_factors() == (2, 2, 2)
