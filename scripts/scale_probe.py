@@ -8,12 +8,13 @@ Each argument names one algebra built in code: ``L<n>`` is filiform L_n,
 ``h<n>`` (n odd) is Heisenberg h_n and ``n<k>`` is ``strictly_upper(k)``.
 The builders are those of ``perfbench/workloads.py``. For each algebra the
 script builds the four q-tensor and q-exterior squares at q in {0, 2}, each
-followed by xi, then runs ``center_report`` at q in {0, 2}.
+followed by xi and ker xi, then runs ``center_report`` at q in {0, 2}.
 
 stdout is one JSON object: per algebra, the invariant factors of each square,
 the invariant factors of ker xi, and the canonical center results. It holds
 no timing, so two checkouts can be compared with ``diff``. stderr gets the
-time of each step and the peak resident set size of the process.
+time of each step (a square, its xi and ker xi are three steps) and the
+peak resident set size of the process.
 """
 
 import json
@@ -52,12 +53,13 @@ def probe(name: str) -> dict:
     squares = {}
     for q in QS:
         for kind in ("tensor", "exterior"):
-            def square(q=q, kind=kind):
-                prod = getattr(qtensor, f"q_{kind}_product")(g, None, q)
-                ker = prod.xi().kernel()
-                return {"factors": list(prod.invariant_factors()),
-                        "xi_kernel": list(ker.invariant_factors)}
-            squares[f"{kind} q={q}"] = _timed(f"{name} {kind} q={q}", square)
+            label = f"{name} {kind} q={q}"
+            build_square = getattr(qtensor, f"q_{kind}_product")
+            prod = _timed(label, lambda: build_square(g, None, q))
+            xi = _timed(f"{label} xi", prod.xi)
+            ker_factors = _timed(f"{label} ker xi", lambda: xi.kernel().invariant_factors)
+            squares[f"{kind} q={q}"] = {"factors": list(prod.invariant_factors()),
+                                        "xi_kernel": list(ker_factors)}
     centers = {f"q={q}": _timed(f"{name} centers q={q}",
                                 lambda q=q: canon_centers(capability.center_report(g, q)))
                for q in QS}

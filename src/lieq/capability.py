@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from lieq.exactlin import Submodule, block_kernel, is_free_over
+from lieq.exactlin import Submodule, block_kernel, is_free_over, ring_name
 from lieq.liealg import LieAlgebra, center as algebra_center, q_abelianization, q_center
 from lieq.qtensor import (QProduct, brace_terms, q_exterior_product, q_tensor_product,
                           tensor_terms)
@@ -53,12 +53,9 @@ def _annihilator_kernel(prod: QProduct, include_brace: bool) -> Submodule:
 
 def _center(g: LieAlgebra, q: int, kind: str, brace: bool) -> Submodule:
     """The (kind, brace) center of the whole-algebra product, memoized on g."""
-    key = (kind, q, brace)
-    sub = g._memo.get(key)
-    if sub is None:
-        build = q_tensor_product if kind == "tensor" else q_exterior_product
-        sub = g._memo[key] = _annihilator_kernel(build(g, None, q), brace)
-    return sub
+    build = q_tensor_product if kind == "tensor" else q_exterior_product
+    return g.cached((kind, q, brace),
+                    lambda: _annihilator_kernel(build(g, None, q), brace))
 
 
 def tensor_center(g: LieAlgebra, q: int) -> Submodule:
@@ -218,11 +215,10 @@ def center_report(g: LieAlgebra, q: int) -> CenterReport:
     zt, ze_ellis = ellis_centers(g, q)
     zw = exterior_center(g, q)
     zo = tensor_center(g, q)
-    ring = "Z" if not g.base_modulus else f"Z/{g.base_modulus}"
     torsion_free = lambda_q_torsion_free(g.base_modulus, q)
     return CenterReport(
         algebra=g.name,
-        ring=ring,
+        ring=ring_name(g.base_modulus),
         q=q,
         center=algebra_center(g),
         q_center=q_center(g, q),

@@ -13,7 +13,7 @@ import sys
 
 from lieq.capability import center_report, coincidence_check
 from lieq.errors import LieqError, ValidationError
-from lieq.exactlin import dense, describe_factors
+from lieq.exactlin import dense, describe_factors, ring_name
 from lieq.io_catalog import Catalog, report_json, resolve_input, serialize
 from lieq.qtensor import q_exterior_product, q_tensor_product
 from lieq.verify import SuiteReport, run_suite, single_algebra_pairs
@@ -43,7 +43,7 @@ def cmd_validate(args) -> int:
     g = resolve_input(args.input)
     lines = [
         f"algebra: {g.name}",
-        f"ring: {'Z' if not g.base_modulus else f'Z/{g.base_modulus}'}",
+        f"ring: {ring_name(g.base_modulus)}",
         f"invariant factors: {list(g.orders)}",
         "validation: ok",
     ]
@@ -168,7 +168,7 @@ def cmd_catalog(args) -> int:
     payload = []
     for name in Catalog.names():
         g = Catalog.get(name)
-        ring = "Z" if not g.base_modulus else f"Z/{g.base_modulus}"
+        ring = ring_name(g.base_modulus)
         lines.append(f"{name:16s} rank={g.rank} over {ring} "
                      f"factors={list(g.orders)}")
         payload.append({"name": name, "ring": ring, "rank": g.rank,

@@ -406,8 +406,7 @@ class FpModule:
         return list(self._lifts)
 
     def __repr__(self):
-        ring = "Z" if not self.base_modulus else f"Z/{self.base_modulus}"
-        return (f"FpModule(rank={self.ambient_rank}, over {ring}, "
+        return (f"FpModule(rank={self.ambient_rank}, over {ring_name(self.base_modulus)}, "
                 f"factors={list(self.invariant_factors)})")
 
 
@@ -687,8 +686,13 @@ def lambda_q_modulus(base_modulus: int, q: int) -> int:
     return gcd(q, base_modulus)
 
 
+def ring_name(m: int) -> str:
+    """The text of Z/m: "Z" when m is 0, else "Z/m"."""
+    return "Z" if m == 0 else f"Z/{m}"
+
+
 def describe_factors(factors: Sequence[int]) -> str:
     """Human form of an invariant factor list, e.g. 'Z/2 + Z'."""
     if not factors:
         return "0"
-    return " + ".join("Z" if d == 0 else f"Z/{d}" for d in factors)
+    return " + ".join(ring_name(d) for d in factors)

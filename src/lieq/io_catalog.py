@@ -20,6 +20,7 @@ import re
 from typing import Optional
 
 from lieq.errors import AlgebraSyntaxError, DuplicateBracket
+from lieq.exactlin import ring_name
 from lieq.liealg import LieAlgebra, direct_sum_algebras, lie_algebra
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
@@ -163,7 +164,7 @@ def serialize(g: LieAlgebra) -> str:
     """Canonical text form; ``parse(serialize(g))`` is isomorphic to g."""
     names = g.generator_names()
     lines = [
-        f"ring: {'Z' if not g.base_modulus else f'Z/{g.base_modulus}'}",
+        f"ring: {ring_name(g.base_modulus)}",
         f"generators: {' '.join(names)}",
         f"orders: {' '.join(str(o) for o in g.orders)}",
     ]
@@ -191,17 +192,15 @@ def abelian(orders, modulus: int = 0, name: Optional[str] = None) -> LieAlgebra:
 
 def heisenberg(modulus: int = 0) -> LieAlgebra:
     """Strictly upper triangular 3x3 matrices: [e1,e2] = e3."""
-    o = 0 if modulus == 0 else modulus
     ring = "" if modulus == 0 else f"@Z/{modulus}"
-    return lie_algebra([o, o, o], {(0, 1): (0, 0, 1)}, modulus,
+    return lie_algebra([modulus] * 3, {(0, 1): (0, 0, 1)}, modulus,
                        f"heisenberg{ring}")
 
 
 def sl2(modulus: int) -> LieAlgebra:
     """Basis (e, f, h) with [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
-    o = 0 if modulus == 0 else modulus
     ring = "" if modulus == 0 else f"@Z/{modulus}"
-    return lie_algebra([o, o, o],
+    return lie_algebra([modulus] * 3,
                        {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)},
                        modulus, f"sl2{ring}")
 
@@ -211,7 +210,6 @@ def strictly_upper(size: int, modulus: int = 0) -> LieAlgebra:
     pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
     index = {p: k for k, p in enumerate(pairs)}
     nn = len(pairs)
-    o = 0 if modulus == 0 else modulus
     brackets = {}
     for a, (i, j) in enumerate(pairs):
         for b, (k, l) in enumerate(pairs):
@@ -225,7 +223,7 @@ def strictly_upper(size: int, modulus: int = 0) -> LieAlgebra:
             if any(vec):
                 brackets[(a, b)] = tuple(vec)
     ring = "" if modulus == 0 else f"@Z/{modulus}"
-    return lie_algebra([o] * nn, brackets, modulus, f"n{size}{ring}")
+    return lie_algebra([modulus] * nn, brackets, modulus, f"n{size}{ring}")
 
 
 def zero_algebra() -> LieAlgebra:

@@ -47,6 +47,7 @@ from lieq.exactlin import (
     lambda_q_modulus,
     merged,
     quotient,
+    ring_name,
     terms,
     unit_vec,
     vec_scale,
@@ -252,15 +253,24 @@ class LieAlgebra:
         self.name = name
         self._br = _checked_rows(rows, n)
         self._sym = bracket_lookup(self._br) if lookup is None else lookup
-        # g as an ideal of itself keyed "whole", whole-algebra products keyed
-        # (kind, q), their centers keyed (kind, q, brace) and g #_q g keyed
-        # ("hash", q); products and hash products over proper ideals are
-        # not kept.
         self._memo = {}
         if check:
             report = _certify(self.module, self._br, self._sym, name)
             if not report.ok:
                 raise ValidationError(report)
+
+    def cached(self, key, build):
+        """``build()``, made once per key and kept in the algebra's one memo.
+
+        No other code reads or writes the memo. Keys: ``"whole"`` (g as an
+        ideal of itself), ``(kind, q)`` (the whole-algebra products),
+        ``(kind, q, brace)`` (their centers) and ``("hash", q)`` (g #_q g);
+        nothing over a proper ideal is kept.
+        """
+        obj = self._memo.get(key)
+        if obj is None:
+            obj = self._memo[key] = build()
+        return obj
 
     # -- structure ----------------------------------------------------------
 
@@ -297,23 +307,28 @@ class LieAlgebra:
         return [f"e{i + 1}" for i in range(self.rank)]
 
     def __repr__(self):
-        ring = "Z" if not self.base_modulus else f"Z/{self.base_modulus}"
-        return f"LieAlgebra({self.name!r}, factors={list(self.orders)}, over {ring})"
+        return (f"LieAlgebra({self.name!r}, factors={list(self.orders)}, "
+                f"over {ring_name(self.base_modulus)})")
 
 
-def _transport(module0: FpModule, rows0: dict, br, name: str, check: bool):
-    """Re-express sparse bracket rows on the pruned canonical basis.
+def _transport(module0: FpModule, rows0: dict, br, name: str):
+    """Certify bracket rows on a presentation, then move them to its pruned
+    canonical basis.
 
-    The new row (a, b) is ``canon`` of the term row [lift_a, lift_b]. Returns
-    (algebra, projection_rows, lifts): projection_rows express the old
-    ambient generators in new coordinates, as sparse term rows that
-    ``LieHom`` takes; lifts are the term rows of ``canonical_basis``, ambient
-    elements representing the new generators. Transport through a module
-    isomorphism keeps closure and Jacobi, so ``check`` is off when ``rows0``
-    is certified.
-    ``br`` is the ``bracket_lookup`` of ``rows0``; the algebra keeps it when
-    its rows come out unchanged.
+    ``rows0`` are ``_checked_rows`` on the ambient generators of ``module0``
+    and ``br`` their ``bracket_lookup``, kept by the algebra when its rows
+    come out unchanged. Closure and Jacobi are certified on ``module0``, so a
+    ``ValidationError``'s witness is in its coordinates. Transport through a
+    module isomorphism keeps both, so the new algebra, whose row (a, b) is
+    ``canon`` of [lift_a, lift_b], is built unchecked. Returns (algebra,
+    projection_rows, lifts): projection_rows express the old ambient
+    generators in new coordinates, as term rows that ``LieHom`` takes; lifts
+    are the term rows of ``canonical_basis``, ambient elements representing
+    the new generators.
     """
+    report = _certify(module0, rows0, br, name)
+    if not report.ok:
+        raise ValidationError(report)
     k = module0.rank
     lifts = module0.canonical_basis()
     rows = {}
@@ -323,7 +338,7 @@ def _transport(module0: FpModule, rows0: dict, br, name: str, check: bool):
             if w:
                 rows[(a, b)] = w
     module = FpModule.diagonal(module0.invariant_factors, module0.base_modulus)
-    alg = LieAlgebra(module, rows, name, check=check,
+    alg = LieAlgebra(module, rows, name, check=False,
                      lookup=br if rows == rows0 else None)
     proj_rows = [module0.canon(((i, 1),)) for i in range(module0.ambient_rank)]
     return alg, proj_rows, lifts
@@ -333,14 +348,10 @@ def from_module_data(module0: FpModule, rows0: dict, name: str = "g") -> LieAlge
     """Validate bracket rows on an arbitrary presentation, then canonize.
 
     ``rows0`` follows ``LieAlgebra``'s row contract on the ambient generators
-    of ``module0``.
+    of ``module0``: ``_checked_rows`` merges them, ``_transport`` does the rest.
     """
     rows0 = _checked_rows(rows0, module0.ambient_rank)
-    br = bracket_lookup(rows0)
-    report = _certify(module0, rows0, br, name)
-    if not report.ok:
-        raise ValidationError(report)
-    alg, _, _ = _transport(module0, rows0, br, name, check=False)
+    alg, _, _ = _transport(module0, rows0, bracket_lookup(rows0), name)
     return alg
 
 
@@ -405,9 +416,11 @@ class Ideal:
     """A bracket-closed submodule with precomputed induced coordinates.
 
     ``basis`` lists the term rows of the chosen generating basis b_1..b_p
-    (diagonal orders); ``gb[j][i]`` holds [e_j, b_i] and ``bb[i][k]`` holds
-    [b_i, b_k], as the terms in ideal coordinates that ``coords`` returns.
-    Construction fails loudly when closure does not hold.
+    (diagonal orders). ``be[i][j]`` holds [b_i, e_j] in parent coordinates,
+    computed here once for ``hash_rows`` and the product builder to read;
+    ``gb[j][i]`` holds [e_j, b_i] and ``bb[i][k]`` holds [b_i, b_k], as the
+    terms in ideal coordinates that ``coords`` returns. Construction fails
+    loudly when closure does not hold.
     """
 
     def __init__(self, parent: LieAlgebra, sub: Submodule):
@@ -419,10 +432,12 @@ class Ideal:
         self.orders = tuple(sub.invariant_factors)
         p = len(self.basis)
         n = parent.rank
+        self.be = [[bracket_terms(parent.bracket_sym, b, ((j, 1),)) for j in range(n)]
+                   for b in self.basis]
         self.gb = [[None] * p for _ in range(n)]
         for j in range(n):
             for i in range(p):
-                w = bracket_terms(parent.bracket_sym, ((j, 1),), self.basis[i])
+                w = tuple((k, -c) for k, c in self.be[i][j])
                 coords = sub.solve(w)
                 if coords is None:
                     raise NotAnIdeal(f"[e{j + 1}, b{i + 1}] = {dense(w, n)} "
@@ -440,10 +455,7 @@ class Ideal:
     @classmethod
     def whole(cls, g: LieAlgebra) -> "Ideal":
         """g as an ideal of itself, built once and kept in g's memo."""
-        whole = g._memo.get("whole")
-        if whole is None:
-            whole = g._memo["whole"] = cls(g, Submodule.full(g.module))
-        return whole
+        return g.cached("whole", lambda: cls(g, Submodule.full(g.module)))
 
     @property
     def p(self) -> int:
@@ -467,12 +479,11 @@ def ideal_from_gens(g: LieAlgebra, gens) -> Ideal:
 def hash_rows(g: LieAlgebra, h: Ideal, q: int) -> list:
     """Term rows generating h #_q g, in the product's symbol order.
 
-    The rows [b_i, e_j] for every basis vector b_i of h and generator e_j of
-    g, i major, then q b_i for each i when q >= 1: the images of the symbols
-    b_i(x)e_j and {b_i} under xi.
+    The rows [b_i, e_j] for every basis vector b_i of the ideal h of g and
+    generator e_j of g, i major, read from ``h.be``, then q b_i for each i
+    when q >= 1: the images of the symbols b_i(x)e_j and {b_i} under xi.
     """
-    rows = [bracket_terms(g.bracket_sym, b, ((j, 1),)) for b in h.basis
-            for j in range(g.rank)]
+    rows = [row for be_i in h.be for row in be_i]
     if q >= 1:
         rows += [tuple((k, q * c) for k, c in b) for b in h.basis]
     return rows
@@ -487,11 +498,7 @@ def hash_product(g: LieAlgebra, h: Optional[Ideal], q: int) -> Ideal:
     """
     if h is not None:
         return Ideal(g, Submodule(g.module, hash_rows(g, h, q)))
-    hp = g._memo.get(("hash", q))
-    if hp is None:
-        hp = g._memo[("hash", q)] = Ideal(
-            g, Submodule(g.module, hash_rows(g, Ideal.whole(g), q)))
-    return hp
+    return g.cached(("hash", q), lambda: hash_product(g, Ideal.whole(g), q))
 
 
 def derived_ideal(g: LieAlgebra) -> Ideal:
@@ -517,10 +524,8 @@ def quotient_algebra(g: LieAlgebra, h: Ideal):
     """Quotient by an ideal; returns (algebra, projection LieHom)."""
     if h.parent is not g:
         raise NotAnIdeal("ideal does not belong to this algebra")
-    module0 = FpModule.from_terms(g.rank, g.module.lattice_rows + h.sub.gens,
-                                  g.base_modulus)
-    alg, proj_rows, lifts = _transport(module0, g._br, g._sym, f"{g.name}/h",
-                                       check=True)
+    module0, _ = quotient(g.module, h.sub)
+    alg, proj_rows, lifts = _transport(module0, g._br, g._sym, f"{g.name}/h")
     hom = LieHom(g, alg, proj_rows)
     hom.section_vectors = lifts
     return alg, hom

@@ -204,11 +204,10 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
     braces = q >= 1
     nsym = p * n + (p if braces else 0)
 
-    # sparse inputs: the ideal basis and [b_i, e_j] in parent coordinates;
-    # [e_j, b_i], [b_i, e_j] and [b_i, b_k] in ideal coordinates
-    basis, gb, bb = h.basis, h.gb, h.bb
-    be_g = [[bracket_terms(g.bracket_sym, basis[i], _unit(j)) for j in range(n)]
-            for i in range(p)]
+    # sparse inputs, read from the ideal: its basis and [b_i, e_j] in parent
+    # coordinates, [e_j, b_i] and [b_i, b_k] in ideal coordinates; be_h holds
+    # [b_i, e_j] in ideal coordinates
+    basis, be_g, gb, bb = h.basis, h.be, h.gb, h.bb
     be_h = [[tuple((k, -c) for k, c in gb[j][i]) for j in range(n)]
             for i in range(p)]
 
@@ -298,10 +297,7 @@ def _product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QProduct:
     """Build a product; the whole-algebra ones (h None) are memoized on g."""
     if h is not None:
         return _build_product(g, h, q, kind)
-    prod = g._memo.get((kind, q))
-    if prod is None:
-        prod = g._memo[(kind, q)] = _build_product(g, None, q, kind)
-    return prod
+    return g.cached((kind, q), lambda: _build_product(g, None, q, kind))
 
 
 def q_tensor_product(g: LieAlgebra, h: Optional[Ideal] = None, q: int = 0) -> QProduct:

@@ -368,6 +368,20 @@ def test_whole_ideal_and_hash_products_are_built_once_per_algebra():
     assert q_tensor_product(g, cen, 2) is not q_tensor_product(g, cen, 2)
 
 
+
+def test_ideal_brackets_with_g_are_kept_once_in_parent_coordinates():
+    """``h.be[i][j]`` is [b_i, e_j] in g's coordinates, and ``hash_rows``
+    reads it: every [b_i, e_j] of an ideal is computed once."""
+    for name in Catalog.names():
+        g = Catalog.get(name)
+        for h in (Ideal.whole(g), Ideal(g, center(g)), derived_ideal(g)):
+            assert h.be == [[liealg.bracket_terms(g.bracket_sym, b, ((j, 1),))
+                             for j in range(g.rank)] for b in h.basis], name
+            flat = [row for be_i in h.be for row in be_i]
+            assert liealg.hash_rows(g, h, 0) == flat, name
+            assert liealg.hash_rows(g, h, 2) == flat + [
+                tuple((k, 2 * c) for k, c in b) for b in h.basis], name
+
 def test_input_checks_raise():
     g, other = h3(), Catalog.get("sl2@Z/5")
     with pytest.raises(ValueError,

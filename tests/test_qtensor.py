@@ -565,6 +565,27 @@ def test_product_module_runs_one_smith_form_on_its_hermite_core(monkeypatch):
     assert len(prod.module.spanning_generators()) == 27
 
 
+
+def test_a_square_and_its_xi_bracket_each_basis_pair_once(monkeypatch):
+    """The ideal owns [b_i, e_j]: building the whole-algebra q=2 tensor
+    square of n5 (rank n = 10) and its xi computes the n^2 brackets
+    [b_i, e_j] and the n(n-1)/2 brackets [b_i, b_k] once each, and the
+    product builder and ``hash_rows`` compute none again."""
+    g = strictly_upper(5)
+    calls = []
+    real = liealg.bracket_terms
+
+    def counting(bracket_sym, u, v):
+        calls.append((u, v))
+        return real(bracket_sym, u, v)
+
+    monkeypatch.setattr(liealg, "bracket_terms", counting)
+    monkeypatch.setattr(qtensor, "bracket_terms", counting)
+    q_tensor_product(g, None, 2).xi()
+    n = g.rank
+    assert n == 10
+    assert len(calls) == n * n + n * (n - 1) // 2 == 145
+
 def test_product_relations_reach_the_hermite_form_as_terms(monkeypatch):
     g = strictly_upper(5)
     calls = []
