@@ -13,8 +13,9 @@ followed by xi and ker xi, then runs ``center_report`` at q in {0, 2}.
 stdout is one JSON object: per algebra, the invariant factors of each square,
 the invariant factors of ker xi, and the canonical center results. It holds
 no timing, so two checkouts can be compared with ``diff``. stderr gets the
-time of each step (a square, its xi and ker xi are three steps) and the
-peak resident set size of the process.
+time of each step (a square, its xi and ker xi are three steps), the number
+of relation rows each square handed to ``FpModule.from_terms`` next to its
+time, and the peak resident set size of the process.
 """
 
 import json
@@ -41,10 +42,13 @@ def build(name: str):
     return BUILDERS[kind](int(size))
 
 
-def _timed(label: str, fn):
+def _timed(label: str, fn, note=None):
+    """fn(), with its time on stderr, followed by ``note(result)`` if given."""
     start = time.perf_counter()
     out = fn()
-    print(f"{label}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
+    elapsed = time.perf_counter() - start
+    extra = f", {note(out)}" if note else ""
+    print(f"{label}: {elapsed:.3f} s{extra}", file=sys.stderr)
     return out
 
 
@@ -55,7 +59,8 @@ def probe(name: str) -> dict:
         for kind in ("tensor", "exterior"):
             label = f"{name} {kind} q={q}"
             build_square = getattr(qtensor, f"q_{kind}_product")
-            prod = _timed(label, lambda: build_square(g, None, q))
+            prod = _timed(label, lambda: build_square(g, None, q),
+                          lambda p: f"{len(p.module.relations)} relation rows")
             xi = _timed(f"{label} xi", prod.xi)
             ker_factors = _timed(f"{label} ker xi", lambda: xi.kernel().invariant_factors)
             squares[f"{kind} q={q}"] = {"factors": list(prod.invariant_factors()),

@@ -389,10 +389,13 @@ class FpModule:
         """Whether the sum of c * e_i over the (i, c) terms is in the lattice.
 
         The sparse form of ``is_lattice_member``: a term may repeat an index,
-        and only the listed generators are visited.
+        only the listed generators are visited, and only the Smith
+        coordinates their columns touch are summed and tested; the others
+        are 0.
         """
-        return all((x % d == 0) if d else (x == 0)
-                   for x, d in zip(self._smith_coords(terms), self.invariant_factors))
+        facs = self.invariant_factors
+        return all((x % facs[j] == 0) if facs[j] else (x == 0)
+                   for j, x in combination(terms, self._w_cols).items())
 
     def same_element(self, a: Sequence[int], b: Sequence[int]) -> bool:
         return self.is_lattice_member(vec_sub(a, b))

@@ -183,30 +183,38 @@ def jacobi_defects(module: FpModule, rows: dict, br) -> list:
     identity once ``closure_defects`` is empty (the module docstring says
     why): the Jacobi sum is alternating, since with [x, x] = 0 it reads
     [[x, z], x] + [[z, x], x] = 0 on (x, x, z), and invariant under cyclic
-    shifts. Only triples containing a nonzero pair can fail, since every
-    term of the sum has an inner bracket of two of them. They are streamed
-    in lexicographic order: all r > t when [s, t] is nonzero, else the
-    neighbours of s or t beyond t.
+    shifts.
+
+    For s < t the third generator r runs over the spanning generators beyond
+    t in nbrs(s), nbrs(t) and nbrs(k) for each k in the support of [s, t],
+    nbrs(x) being the generators with a nonzero bracket with x; triples are
+    streamed in lexicographic order. No triple that can fail is skipped.
+    Each term of the sum [[s, t], r] + [[t, r], s] - [[s, r], t] has the
+    form [[x, y], z], the sum of c [k, z] over the terms (k, c) of [x, y],
+    so it is zero unless z is in nbrs(k) for some k in the support of
+    [x, y]. [[t, r], s] thus needs [t, r] nonzero, r in nbrs(t);
+    [[s, r], t] needs r in nbrs(s); and [[s, t], r] needs r in nbrs(k) for
+    a k in the support of [s, t]. Off these candidates the sum is the zero
+    vector, not only zero modulo the lattice, so it has no witness.
     """
     gens = module.spanning_generators()
     keep = set(gens)
     nbrs = [nb & keep for nb in _neighbours(rows, module.ambient_rank)]
     out = []
     for a, s in enumerate(gens):
-        for b in range(a + 1, len(gens)):
-            t = gens[b]
-            st = rows.get((s, t))
-            if st:
-                third = gens[b + 1:]
-            else:
-                third = sorted(r for r in nbrs[s] | nbrs[t] if r > t)
-            for r in third:
+        for t in gens[a + 1:]:
+            st = rows.get((s, t), ())
+            near = nbrs[s] | nbrs[t]
+            for k, _ in st:
+                near |= nbrs[k]
+            for r in sorted(r for r in near if r > t):
                 acc = {}
-                # [[s,t],r] + [[t,r],s] - [[s,r],t], over the nonzero inner rows
-                for row, z, sign in ((st, r, 1), (rows.get((t, r)), s, 1),
-                                     (rows.get((s, r)), t, -1)):
-                    if row:
-                        add_bracket(acc, sign, br, row, ((z, 1),))
+                # [[s,t],r] + [[t,r],s] - [[s,r],t], each [x, z] read as a
+                # signed row of br
+                for row, z, sign in ((st, r, 1), (rows.get((t, r), ()), s, 1),
+                                     (rows.get((s, r), ()), t, -1)):
+                    for k, c in row:
+                        add_terms(acc, sign * c, br(k, z))
                 w = module.witness(acc)
                 if w is not None:
                     out.append(((s, t, r), w))

@@ -10,7 +10,8 @@ finite instantiation spans the whole lattice; the brute-force oracle in
 * slot-linearity: the module relations of h in the left slot, of g in the
   right slot, and of h on braces;
 * the two mixed-bracket expansion families (bracket in the left slot, and a
-  bracket in the right slot re-expressed through the ideal);
+  bracket in the right slot re-expressed through the ideal), instantiated
+  only where some bracket in the instance is nonzero;
 * the brace-of-a-bracket collapse {[b, e]} = q * (b(x)e);
 * for the exterior kind, vanishing of b(x)b on the ideal diagonal together
   with its polarization;
@@ -19,7 +20,12 @@ finite instantiation spans the whole lattice; the brute-force oracle in
 Every relation and every bracket constant is a sparse term list, written
 family by family with the two layout helpers below. The relations reach
 ``FpModule.from_terms``, and its Hermite form, as these term lists; no
-relation is ever a dense row.
+relation is ever a dense row. Each term of a mixed-bracket instance carries
+one bracket of g or of h, so an instance whose brackets all vanish has no
+terms and adds nothing to the lattice. The builder never makes one: it walks
+the supports of the bracket rows of g and of the ideal and emits, in family
+order, the instances where some bracket is nonzero. The bracket constants
+are expanded on the same supports, over the pairs where they can be nonzero.
 
 The Lie bracket on symbols follows the product formulas (pure*pure,
 brace*pure, brace*brace), expanded bilinearly through structure constants;
@@ -29,10 +35,11 @@ The bracket constants are stored once, as sparse rows: each symbol pair with
 a nonzero bracket maps to its nonzero (symbol, coefficient) terms. This is
 the representation ``LieAlgebra`` keeps, and a product is certified by the
 same walks in ``liealg`` that certify an algebra: bracket closure pairs each
-lattice row with the neighbours of its support, Jacobi visits only the
-triples that contain a bracketing pair, and sums are tested for lattice
-membership term by term (``FpModule.is_lattice_sum``), so no check builds a
-dense vector until it has a witness to report. A product is certified once,
+lattice row with the neighbours of its support, Jacobi completes each pair
+only with the neighbours of the pair and of its bracket's support, and sums
+are tested for lattice membership term by term, on the Smith coordinates
+the terms touch (``FpModule.is_lattice_sum``), so no check builds a dense
+vector until it has a witness to report. A product is certified once,
 when it is built, and a defect raises ``BracketNotWellDefined`` with its
 witness. After closure passes, the build walks Jacobi on triples of the
 module's ``spanning_generators`` only (the symbols that are no unit pivot of
@@ -223,14 +230,30 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
              for j, d in enumerate(g.orders) if d for i in range(p)]
     if braces:
         rels += [brace(((i, o),)) for i, o in enumerate(h.orders) if o]
-    # bracket in the left slot: [b_i, b_k](x)e_j = b_i(x)[b_k,e_j] - b_k(x)[b_i,e_j]
+    # Each term of a mixed-bracket instance carries one bracket of g or h,
+    # so an instance whose brackets are all zero has no terms and adds
+    # nothing to the lattice. Instances are emitted only where some bracket
+    # in them is nonzero, read off the supports below, in family order.
+    be_supp = [{j for j in range(n) if be_g[i][j]} for i in range(p)]
+    gb_supp = [{j for j in range(n) if gb[j][i]} for i in range(p)]
+    g_above = [set() for _ in range(n)]
+    for j, l in g._br:
+        g_above[j].add(l)
+    # bracket in the left slot: [b_i, b_k](x)e_j = b_i(x)[b_k,e_j] - b_k(x)[b_i,e_j],
+    # for every e_j when [b_i, b_k] is nonzero, else where [b_i, e_j] or
+    # [b_k, e_j] is
     rels += [tensor(bb[i][k], _unit(j)) + tensor(_unit(i), be_g[k][j], -1)
              + tensor(_unit(k), be_g[i][j])
-             for i in range(p) for k in range(i + 1, p) for j in range(n)]
-    # bracket in the right slot: b_i(x)[e_j,e_l] = [e_l,b_i](x)e_j - [e_j,b_i](x)e_l
+             for i in range(p) for k in range(i + 1, p)
+             for j in (range(n) if bb[i][k] else sorted(be_supp[i] | be_supp[k]))]
+    # bracket in the right slot: b_i(x)[e_j,e_l] = [e_l,b_i](x)e_j - [e_j,b_i](x)e_l,
+    # for every l > j when [e_j, b_i] is nonzero, else where [e_j, e_l] or
+    # [e_l, b_i] is
     rels += [tensor(_unit(i), g.bracket_sym(j, l)) + tensor(gb[l][i], _unit(j), -1)
              + tensor(gb[j][i], _unit(l))
-             for i in range(p) for j in range(n) for l in range(j + 1, n)]
+             for i in range(p) for j in range(n)
+             for l in (range(j + 1, n) if j in gb_supp[i]
+                       else sorted(l for l in g_above[j] | gb_supp[i] if l > j))]
     # brace of a bracket collapses: {[b_i, e_j]} = q * (b_i(x)e_j)
     if braces:
         rels += [brace(be_h[i][j]) + tensor(_unit(i), _unit(j), -q)
@@ -263,20 +286,26 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
 
     pure = [(i, j, tensor(_unit(i), _unit(j))[0][0])
             for i in range(p) for j in range(n)]
-    # [b_i(x)e_j, b_k(x)e_l] = [b_i,e_j](x)[b_k,e_l] for s < t
+    # [b_i(x)e_j, b_k(x)e_l] = [b_i,e_j](x)[b_k,e_l] for s < t, on the pairs
+    # where both brackets are nonzero
+    right = [(k, l, t) for k, l, t in pure if be_g[k][l]]
     for i, j, s in pure:
         if be_h[i][j]:
-            for k, l, t in pure:
-                if t > s and be_g[k][l]:
+            for k, l, t in right:
+                if t > s:
                     set_bracket(s, t, tensor(be_h[i][j], be_g[k][l]))
     if braces:
         q2 = q * q
         for i in range(p):
             s = brace(_unit(i))[0][0]
-            # [{b_i}, b_k(x)e_l] = q[b_i,b_k](x)e_l + b_k(x)q[b_i,e_l]
-            for k, l, t in pure:
-                set_bracket(s, t, tensor(bb[i][k], _unit(l), q)
-                            + tensor(_unit(k), be_g[i][l], q))
+            # [{b_i}, b_k(x)e_l] = q[b_i,b_k](x)e_l + b_k(x)q[b_i,e_l], for
+            # every e_l when [b_i, b_k] is nonzero, else where [b_i, e_l] is
+            ls = sorted(be_supp[i])
+            for k in range(p):
+                for l in (range(n) if bb[i][k] else ls):
+                    set_bracket(s, tensor(_unit(k), _unit(l))[0][0],
+                                tensor(bb[i][k], _unit(l), q)
+                                + tensor(_unit(k), be_g[i][l], q))
             # [{b_i}, {b_k}] = q b_i (x) q b_k
             for k in range(i + 1, p):
                 set_bracket(s, brace(_unit(k))[0][0],

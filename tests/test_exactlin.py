@@ -218,6 +218,42 @@ def test_hermite_coords_on_terms_matches_the_dense_reference():
     assert members >= 1500 and strangers >= 1000
 
 
+def reference_is_lattice_sum(module, row):
+    """The dense membership rule that ``is_lattice_sum`` replaced, kept verbatim:
+    every Smith coordinate is summed and tested against its factor."""
+    return all((x % d == 0) if d else (x == 0)
+               for x, d in zip(module._smith_coords(row), module.invariant_factors))
+
+
+def test_sparse_lattice_membership_matches_the_dense_rule():
+    """Random modules over Z, Z/4 and Z/6; the term lists repeat indices, hold
+    zero coefficients and cancelling pairs, and touch unit-pivot columns."""
+    rng = random.Random(20261021)
+    members = strangers = on_units = 0
+    for base in (0, 4, 6):
+        for _ in range(120):
+            n = rng.randint(1, 7)
+            rels = [[rng.choice((0, 0, 0, 1, 2, 3, -2, 6)) for _ in range(n)]
+                    for _ in range(rng.randint(0, n + 2))]
+            m = FpModule.from_terms(n, map(terms, rels), base)
+            rows = [dense(r, n) for r in m.lattice_rows]
+            units = {r[0][0] for r in m.lattice_rows if r[0][1] == 1}
+            for _ in range(4):
+                coeffs = [rng.randint(-3, 3) for _ in rows]
+                inside = tuple(sum(c * r[k] for c, r in zip(coeffs, rows))
+                               for k in range(n))
+                anywhere = tuple(rng.randint(-7, 7) for _ in range(n))
+                for v in (inside, anywhere):
+                    row = _split_terms(rng, v)
+                    want = reference_is_lattice_sum(m, row)
+                    assert m.is_lattice_sum(row) == want
+                    assert m.is_lattice_sum(iter(row)) == want
+                    members += want
+                    strangers += not want
+                    on_units += any(c and k in units for k, c in row)
+    assert members >= 1500 and strangers >= 1000 and on_units >= 1000
+
+
 def _lattice_and_random_vectors(rng, m):
     n = m.ambient_rank
     rows = [dense(r, n) for r in m.lattice_rows]

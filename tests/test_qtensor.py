@@ -604,7 +604,8 @@ def test_product_relations_reach_the_hermite_form_as_terms(monkeypatch):
     assert all(isinstance(r, tuple) and all(
         isinstance(t, tuple) and len(t) == 2 for t in r) for r in rows)
     assert rows == list(prod.module.relations)
-    assert len(rows) == 1075
+    assert len(rows) == 605
+    assert all(rows)
     assert max(len(r) for r in rows) == 2
 
 
@@ -987,3 +988,126 @@ def test_left_slot_family_on_derived_ideal():
     assert sorted(h.basis) == [((0, 1),), ((1, 1),)]
     for q in (0, 2):
         assert q_tensor_product(g, h, q).invariant_factors() == (2, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# assembly on the bracket support
+
+def full_family_assembly(g, h, q, kind):
+    """(relations, brackets) of a product, each family on every generator tuple.
+
+    The reference for the builder's support walk: the two mixed-bracket
+    families get an instance for every (i < k, j) and (i, j < l), empty or
+    not, and the bracket loops visit every symbol pair.
+    """
+    h = Ideal.whole(g) if h is None else h
+    p, n = h.p, g.rank
+    basis, be_g, gb, bb = h.basis, h.be, h.gb, h.bb
+    be_h = [[tuple((k, -c) for k, c in gb[j][i]) for j in range(n)] for i in range(p)]
+    unit = qtensor._unit
+
+    def tensor(u, v, c=1):
+        return qtensor.tensor_terms(n, u, v, c)
+
+    def brace(u):
+        return qtensor.brace_terms(p, n, u)
+
+    rels = [tensor(((i, o),), unit(j)) for i, o in enumerate(h.orders) if o
+            for j in range(n)]
+    rels += [tensor(unit(i), ((j, d),)) for j, d in enumerate(g.orders) if d
+             for i in range(p)]
+    if q:
+        rels += [brace(((i, o),)) for i, o in enumerate(h.orders) if o]
+    rels += [tensor(bb[i][k], unit(j)) + tensor(unit(i), be_g[k][j], -1)
+             + tensor(unit(k), be_g[i][j])
+             for i in range(p) for k in range(i + 1, p) for j in range(n)]
+    rels += [tensor(unit(i), g.bracket_sym(j, l)) + tensor(gb[l][i], unit(j), -1)
+             + tensor(gb[j][i], unit(l))
+             for i in range(p) for j in range(n) for l in range(j + 1, n)]
+    if q:
+        rels += [brace(be_h[i][j]) + tensor(unit(i), unit(j), -q)
+                 for i in range(p) for j in range(n)]
+    if kind == "exterior":
+        rels += [tensor(unit(i), basis[i]) for i in range(p)]
+        rels += [tensor(unit(i), basis[k]) + tensor(unit(k), basis[i])
+                 for i in range(p) for k in range(i + 1, p)]
+    rels += [tensor(be_h[i][j], be_g[i][j]) for i in range(p) for j in range(n)
+             if be_h[i][j]]
+
+    brackets = {}
+
+    def set_bracket(s, t, row):
+        sign = 1 if s < t else -1
+        row = exactlin.merged((k, sign * c) for k, c in row)
+        if row:
+            brackets[(min(s, t), max(s, t))] = row
+
+    pure = [(i, j, i * n + j) for i in range(p) for j in range(n)]
+    for i, j, s in pure:
+        for k, l, t in pure:
+            if t > s:
+                set_bracket(s, t, tensor(be_h[i][j], be_g[k][l]))
+    if q:
+        for i in range(p):
+            s = p * n + i
+            for k, l, t in pure:
+                set_bracket(s, t, tensor(bb[i][k], unit(l), q)
+                            + tensor(unit(k), be_g[i][l], q))
+            for k in range(i + 1, p):
+                set_bracket(s, p * n + k, tensor(unit(i), basis[k], q * q))
+    return rels, brackets
+
+
+def _h5():
+    return lie_algebra([0] * 5, {(0, 2): unit_vec(5, 4), (1, 3): unit_vec(5, 4)}, 0, "h5")
+
+
+def _l6():
+    return lie_algebra([0] * 6, {(0, i): unit_vec(6, i + 1) for i in range(1, 5)}, 0, "L6")
+
+
+def test_assembly_on_the_bracket_support_matches_the_full_families():
+    """Each product's relations are the full families' rows with the empty
+    ones removed, in order; its brackets and lattice are the full ones."""
+    algs = [Catalog.get(name) for name in Catalog.names()]
+    algs += [strictly_upper(5), _l6(), _h5()]
+    algs += [a for a in random_valid_algebras() if a.base_modulus == 2 and a.rank == 3]
+    assert len(algs) == 22
+    dropped = 0
+    for g in algs:
+        for h in (None, Ideal(g, center(g)), derived_ideal(g)):
+            for q in range(4):
+                for build in (q_tensor_product, q_exterior_product):
+                    prod = build(g, h, q)
+                    rels, brackets = full_family_assembly(g, h, q, prod.kind)
+                    kept = [tuple(r) for r in rels if r]
+                    where = (g.name, q, prod.kind)
+                    assert list(prod.module.relations) == kept, where
+                    assert prod._br == brackets, where
+                    full = FpModule.from_terms(prod.nsym, rels, g.base_modulus)
+                    assert prod.module.lattice_rows == full.lattice_rows, where
+                    dropped += len(rels) - len(kept)
+    assert dropped > 0
+
+
+def _jacobi_visits(prod, monkeypatch):
+    """How many sums ``prod.jacobi_defects()`` tests for lattice membership."""
+    visits = []
+    witness = FpModule.witness
+
+    def counting_witness(self, acc):
+        visits.append(1)
+        return witness(self, acc)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FpModule, "witness", counting_witness)
+        assert prod.jacobi_defects() == []
+    return len(visits)
+
+
+def test_jacobi_visits_the_neighbours_of_each_bracket_support(monkeypatch):
+    """The q=2 squares of n5: for s < t the third symbol is a neighbour of
+    s, of t or of the support of [s, t], not every symbol beyond t."""
+    g = strictly_upper(5)
+    assert _jacobi_visits(q_tensor_product(g, None, 2), monkeypatch) == 4268
+    assert _jacobi_visits(q_exterior_product(g, None, 2), monkeypatch) == 1964
