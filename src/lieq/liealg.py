@@ -28,12 +28,24 @@ alternating, so it walks every ordered pair, the diagonal included. Inputs
 must be certified: the algebras and products an identity brackets in are
 closed, and a crossed module's mu is a ``LieHom``. Without the lattice checks
 the walks prove nothing, so a report lists those failures and is not ok.
+
+Each walk then visits only the tuples whose sum has a term (the support
+rule). Every part of an identity chains structure constants -- bracket rows,
+images, action constants -- and has a term only where each constant it
+chains is nonzero: [[x, y], z] needs z to bracket nontrivially with some k in
+the support of [x, y]. So a walk enumerates its tuples from the nonzero
+structure it reads: the neighbours of each generator (``BracketLookup``),
+the supports of images and constants, and the rows, images or constants
+whose support holds a given index. Off those tuples the sum is empty, the
+zero vector, and is never tested; each walk names the parts it reads, and
+``jacobi_defects`` proves its enumeration complete. The lattice checks stay
+walks over every generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from lieq.errors import NotAnIdeal, ValidationError
@@ -116,20 +128,37 @@ def _checked_rows(rows: dict, n: int) -> dict:
     return out
 
 
-def bracket_lookup(rows: dict):
-    """The ``bracket_sym`` of sparse rows: (s, t) -> [s, t] as sparse terms.
+_NO_BRACKETS = MappingProxyType({})
 
-    Rows hold s < t; the negated rows for s > t are built once here. The
-    result pickles, so algebras and products holding it do too.
+
+class BracketLookup:
+    """[s, t] of two generators as sparse terms, read off bracket rows.
+
+    ``bracket_lookup`` builds one per algebra or product, and the holder
+    keeps it. ``brackets_of(s)`` maps each generator t with [s, t] nonzero to
+    [s, t], the row of (s, t) or, for s > t, that of (t, s) negated; its keys
+    are the neighbours of s, which every certification walk reads. The
+    lookup pickles, so algebras and products holding it do too.
     """
-    both = dict(rows)
-    for (s, t), row in rows.items():
-        both[(t, s)] = tuple((k, -c) for k, c in row)
-    return partial(_row_of, both)
+
+    def __init__(self, rows: dict):
+        at = {}
+        for (s, t), row in rows.items():
+            at.setdefault(s, {})[t] = row
+            at.setdefault(t, {})[s] = tuple((k, -c) for k, c in row)
+        self._at = at
+
+    def __call__(self, s: int, t: int) -> tuple:
+        return self._at.get(s, _NO_BRACKETS).get(t, ())
+
+    def brackets_of(self, s: int):
+        """{t: [s, t]} over the generators t with [s, t] nonzero."""
+        return self._at.get(s, _NO_BRACKETS)
 
 
-def _row_of(both: dict, s: int, t: int) -> tuple:
-    return both.get((s, t), ())
+def bracket_lookup(rows: dict) -> BracketLookup:
+    """The ``bracket_sym`` of sparse rows: (s, t) -> [s, t] as sparse terms."""
+    return BracketLookup(rows)
 
 
 def add_bracket(acc: dict, c: int, bracket_sym, u, v) -> None:
@@ -147,26 +176,33 @@ def bracket_terms(bracket_sym, u, v) -> tuple:
     return merged(acc.items())
 
 
-def _neighbours(rows: dict, n: int) -> list:
-    """Per generator, the set of generators it has a nonzero bracket with."""
-    nbrs = [set() for _ in range(n)]
-    for s, t in rows:
-        nbrs[s].add(t)
-        nbrs[t].add(s)
-    return nbrs
+def _holders(items) -> dict:
+    """{k: [key, ...]} over the (key, term row) items: for each index k, the
+    keys whose row has k in its support, in item order."""
+    out = {}
+    for key, row in items:
+        for k, _ in row:
+            out.setdefault(k, []).append(key)
+    return out
 
 
-def closure_defects(module: FpModule, rows: dict, br) -> list:
+def _moved(constants) -> list:
+    """Per actor generator i, the set of acted generators j with e_i.h_j != 0."""
+    return [{j for j, c in enumerate(row) if c} for row in constants]
+
+
+def closure_defects(module: FpModule, br) -> list:
     """((r, s), witness) for lattice rows r and generators s with [r, s] outside.
 
-    ``br`` is the ``bracket_lookup`` of ``rows``, which the caller keeps.
+    ``br`` is the ``bracket_lookup`` of the bracket rows, which the caller
+    keeps.
     [r, s] can be nonzero only for generators s bracketing nontrivially with
     some generator in the support of r; those are visited in increasing order.
     """
-    nbrs = _neighbours(rows, module.ambient_rank)
+    nbrs = br.brackets_of
     out = []
     for r in module.lattice_rows:
-        for s in sorted({s for u, _ in r for s in nbrs[u]}):
+        for s in sorted({s for u, _ in r for s in nbrs(u)}):
             acc = {}
             add_bracket(acc, 1, br, r, ((s, 1),))
             w = module.witness(acc)
@@ -183,41 +219,51 @@ def jacobi_defects(module: FpModule, rows: dict, br) -> list:
     identity once ``closure_defects`` is empty (the module docstring says
     why): the Jacobi sum is alternating, since with [x, x] = 0 it reads
     [[x, z], x] + [[z, x], x] = 0 on (x, x, z), and invariant under cyclic
-    shifts.
+    shifts. Triples are visited on the support, by the module docstring's
+    rule, in lexicographic order.
 
-    For s < t the third generator r runs over the spanning generators beyond
-    t in nbrs(s), nbrs(t) and nbrs(k) for each k in the support of [s, t],
-    nbrs(x) being the generators with a nonzero bracket with x; triples are
-    streamed in lexicographic order. No triple that can fail is skipped.
-    Each term of the sum [[s, t], r] + [[t, r], s] - [[s, r], t] has the
-    form [[x, y], z], the sum of c [k, z] over the terms (k, c) of [x, y],
-    so it is zero unless z is in nbrs(k) for some k in the support of
-    [x, y]. [[t, r], s] thus needs [t, r] nonzero, r in nbrs(t);
-    [[s, r], t] needs r in nbrs(s); and [[s, t], r] needs r in nbrs(k) for
-    a k in the support of [s, t]. Off these candidates the sum is the zero
-    vector, not only zero modulo the lattice, so it has no witness.
+    Why no skipped triple fails. The sum is
+    [[s, t], r] + [[t, r], s] - [[s, r], t], and each part [[x, y], z] is the
+    sum of c [k, z] over the terms (k, c) of [x, y]. So it has a term only if
+    z is in reach(x, y), the union of nbrs(k) over the support of [x, y]
+    (empty when [x, y] = 0), nbrs(k) being the generators with a nonzero
+    bracket with k. A triple with a term is therefore sorted(x, y, z) for a
+    nonzero row (x, y) and some z in reach(x, y) other than x and y: z = r
+    for the first part, z = s for the second, z = t for the third. For each
+    least index s the walk collects those triples: z beyond s in the reach
+    of each row (s, y), and each row (x, y) with s < x whose support meets
+    nbrs(s), that is, with s in its reach. Every other triple's sum is the
+    empty sum, the zero vector, so it has no witness. Only the pairs
+    completing one s are held at a time.
     """
     gens = module.spanning_generators()
     keep = set(gens)
-    nbrs = [nb & keep for nb in _neighbours(rows, module.ambient_rank)]
+    nbrs = br.brackets_of
+    holders = _holders(rows.items())
     out = []
-    for a, s in enumerate(gens):
-        for t in gens[a + 1:]:
-            st = rows.get((s, t), ())
-            near = nbrs[s] | nbrs[t]
-            for k, _ in st:
-                near |= nbrs[k]
-            for r in sorted(r for r in near if r > t):
-                acc = {}
-                # [[s,t],r] + [[t,r],s] - [[s,r],t], each [x, z] read as a
-                # signed row of br
-                for row, z, sign in ((st, r, 1), (rows.get((t, r), ()), s, 1),
-                                     (rows.get((s, r), ()), t, -1)):
-                    for k, c in row:
-                        add_terms(acc, sign * c, br(k, z))
-                w = module.witness(acc)
-                if w is not None:
-                    out.append(((s, t, r), w))
+    for s in gens:
+        pairs = set()
+        for y, row in nbrs(s).items():
+            if y > s and y in keep:
+                for z in set().union(*(nbrs(k) for k, _ in row)):
+                    if z > s and z != y and z in keep:
+                        pairs.add((y, z) if y < z else (z, y))
+        for k in nbrs(s):
+            for x, y in holders.get(k, ()):
+                if x > s and x in keep and y in keep:
+                    pairs.add((x, y))
+        for t, r in sorted(pairs):
+            acc = {}
+            # [[s,t],r] + [[t,r],s] - [[s,r],t], each [x, z] read as a
+            # signed row of br
+            for row, z, sign in ((rows.get((s, t), ()), r, 1),
+                                 (rows.get((t, r), ()), s, 1),
+                                 (rows.get((s, r), ()), t, -1)):
+                for k, c in row:
+                    add_terms(acc, sign * c, br(k, z))
+            w = module.witness(acc)
+            if w is not None:
+                out.append(((s, t, r), w))
     return out
 
 
@@ -227,7 +273,7 @@ def _certify(module: FpModule, rows: dict, br, subject: str) -> ValidationReport
     ``br`` is the ``bracket_lookup`` of ``rows``, which the caller keeps.
     """
     report = ValidationReport(subject)
-    for where, w in closure_defects(module, rows, br):
+    for where, w in closure_defects(module, br):
         report.add("torsion", where, w)
     for where, w in jacobi_defects(module, rows, br):
         report.add("jacobi", where, w)
@@ -545,9 +591,9 @@ def quotient_algebra(g: LieAlgebra, h: Ideal):
 class LieHom:
     """Bracket-preserving ModuleHom between bracketed objects.
 
-    Source and target only need ``.module`` and ``.bracket_sym``, the sparse
-    bracket of two generators; that covers both algebras and the
-    symbol-presented products. ``images`` holds one sparse (k, c) term row
+    Source and target are algebras or symbol-presented products: the walk
+    reads their ``.module``, ``.bracket_sym`` and the ``BracketLookup``
+    ``_sym`` both keep. ``images`` holds one sparse (k, c) term row
     per source generator, as ``ModuleHom`` takes them. The module map and the
     bracket are checked at construction, on sparse terms.
     """
@@ -572,19 +618,25 @@ class LieHom:
         i < j run over the source module's spanning generators, which
         certifies the bracket (the module docstring says why): the module map
         is checked first, and the difference of the two sides is alternating.
-        Both sides vanish unless [e_i, e_j] is nonzero or both images are, so
-        only those pairs are visited, in lexicographic order.
+        By the support rule a pair is visited only when some k in the support
+        of [e_i, e_j] has a nonzero image, or some generators u and v in the
+        supports of the two images have [u, v] nonzero, in lexicographic order.
         """
         source, target = self.source, self.target
         images = self.hom.images
         gens = source.module.spanning_generators()
+        keep = set(gens)
+        tnbrs = target._sym.brackets_of
+        holders = _holders(enumerate(images))  # v -> the j with v in hom(e_j)
         out = []
-        for a, i in enumerate(gens):
+        for i in gens:
             img_i = images[i]
-            for j in gens[a + 1:]:
+            near = {j for j, bij in source._sym.brackets_of(i).items()
+                    if j > i and any(images[k] for k, _ in bij)}
+            near.update(j for u, _ in img_i for v in tnbrs(u)
+                        for j in holders.get(v, ()) if j > i)
+            for j in sorted(near & keep):
                 bij, img_j = source.bracket_sym(i, j), images[j]
-                if not (bij or (img_i and img_j)):
-                    continue
                 acc = {}
                 for k, c in bij:
                     add_terms(acc, c, images[k])
@@ -611,16 +663,17 @@ class LieAction:
     object, given as sparse (k, c) terms: a repeated k is summed, a zero c is
     allowed, and an index k outside the acted rank raises ``ValueError``.
     Each constant is stored merged: the nonzero acted coordinates c by
-    increasing k. The acted object needs ``.module`` and ``.bracket_sym``,
-    like ``LieHom``'s source.
+    increasing k. The acted object is an algebra or a product, like
+    ``LieHom``'s source; the walks also read its rows ``_br``.
 
     Building one checks only the shape and the term indices. ``validate``,
     the action part of a ``QCrossedModule``'s certification, needs a
     certified actor and acted object (an algebra, or a product checked when
     built). It checks both relation lattices on every generator, then walks
     the axioms with acted generators among the acted module's spanning
-    generators (the module docstring says why). The walks visit only nonzero
-    constants and brackets and build a dense witness only for a defect.
+    generators (the module docstring says why). The axiom walks visit only
+    the tuples whose sum has a term, by the module docstring's support rule,
+    and build a dense witness only for a defect.
     """
 
     def __init__(self, actor: LieAlgebra, acted, constants):
@@ -653,7 +706,7 @@ class LieAction:
         g, hmod = self.actor, self.acted.module
         n = g.rank
         nh = hmod.ambient_rank
-        gens = hmod.spanning_generators()
+        keep = set(hmod.spanning_generators())
         C = self.constants
         for r in g.module.lattice_rows:
             for j in range(nh):
@@ -671,14 +724,19 @@ class LieAction:
                 w = hmod.witness(acc)
                 if w is not None:
                     report.add("action-acted-relations", (i, dense(s, nh)), w)
-        # [e_i, e_k].h_j - e_i.(e_k.h_j) + e_k.(e_i.h_j)
+        # [e_i, e_k].h_j - e_i.(e_k.h_j) + e_k.(e_i.h_j): a term needs h_j
+        # moved by some e_m, m in the support of [e_i, e_k], or e_k.h_j
+        # moved by e_i, or e_i.h_j moved by e_k
+        moved = _moved(C)
+        pre = [_holders(enumerate(row)) for row in C]  # l -> the j with l in e_i.h_j
         for i in range(n):
             for k in range(i + 1, n):
                 bik = g.bracket_sym(i, k)
-                for j in gens:
+                near = set().union(*(moved[m] for m, _ in bik))
+                near.update(j for l in moved[i] for j in pre[k].get(l, ()))
+                near.update(j for l in moved[k] for j in pre[i].get(l, ()))
+                for j in sorted(near & keep):
                     cij, ckj = C[i][j], C[k][j]
-                    if not (bik or cij or ckj):
-                        continue
                     acc = {}
                     for m, c in bik:
                         add_terms(acc, c, C[m][j])
@@ -689,24 +747,29 @@ class LieAction:
                     w = hmod.witness(acc)
                     if w is not None:
                         report.add("action-axiom-1", (i, k, j), w)
-        # e_i.[h_j, h_l] - [e_i.h_j, h_l] - [h_j, e_i.h_l]
+        # e_i.[h_j, h_l] - [e_i.h_j, h_l] - [h_j, e_i.h_l]: a term needs e_i
+        # to move a generator in the support of [h_j, h_l], or l to bracket
+        # with the support of e_i.h_j, or j with that of e_i.h_l
         br = self.acted.bracket_sym
+        nbrs = self.acted._sym.brackets_of
+        holders = _holders(self.acted._br.items())  # m -> the (j, l) with m in [h_j, h_l]
         for i in range(n):
             ci = C[i]
-            for a, j in enumerate(gens):
-                cij = ci[j]
-                for l in gens[a + 1:]:
-                    bjl, cil = br(j, l), ci[l]
-                    if not (bjl or cij or cil):
-                        continue
-                    acc = {}
-                    for m, c in bjl:
-                        add_terms(acc, c, ci[m])
-                    add_bracket(acc, -1, br, cij, ((l, 1),))
-                    add_bracket(acc, -1, br, ((j, 1),), cil)
-                    w = hmod.witness(acc)
-                    if w is not None:
-                        report.add("action-axiom-2", (i, j, l), w)
+            pairs = {jl for m in moved[i] for jl in holders.get(m, ())}
+            for x in moved[i]:
+                for u, _ in ci[x]:
+                    pairs.update((x, y) if x < y else (y, x)
+                                 for y in nbrs(u) if y != x)
+            for j, l in sorted(jl for jl in pairs if keep.issuperset(jl)):
+                bjl, cij, cil = br(j, l), ci[j], ci[l]
+                acc = {}
+                for m, c in bjl:
+                    add_terms(acc, c, ci[m])
+                add_bracket(acc, -1, br, cij, ((l, 1),))
+                add_bracket(acc, -1, br, ((j, 1),), cil)
+                w = hmod.witness(acc)
+                if w is not None:
+                    report.add("action-axiom-2", (i, j, l), w)
         return report
 
 
@@ -742,21 +805,31 @@ def validate_q_crossed(mu: LieHom, action: LieAction, q: int) -> ValidationRepor
     n = g.rank
     nh = acted.module.ambient_rank
     gens = acted.module.spanning_generators()
+    keep = set(gens)
     images = mu.hom.images  # mu(h_j), sparse
-    # mu(e_i.h_j) - [e_i, mu(h_j)]
+    moved = _moved(C)
+    # mu(e_i.h_j) - [e_i, mu(h_j)]: a term needs e_i.h_j to have a support
+    # index with a nonzero image, or mu(h_j) a neighbour of e_i in its support
+    holders = _holders(enumerate(images))  # t -> the j with t in mu(h_j)
     for i in range(n):
-        for j in gens:
+        ci = C[i]
+        near = {j for j in moved[i] if any(images[k] for k, _ in ci[j])}
+        near.update(j for t in g._sym.brackets_of(i) for j in holders.get(t, ()))
+        for j in sorted(near & keep):
             acc = {}
-            for k, c in C[i][j]:
+            for k, c in ci[j]:
                 add_terms(acc, c, images[k])
             add_bracket(acc, -1, g.bracket_sym, ((i, 1),), images[j])
             w = g.module.witness(acc)
             if w is not None:
                 report.add("crossed-i", (i, j), w)
-    # mu(h_j).h_l - [h_j, h_l]
+    # mu(h_j).h_l - [h_j, h_l]: a term needs h_l moved by some e_m, m in the
+    # support of mu(h_j), or [h_j, h_l] nonzero
+    nbrs = acted._sym.brackets_of
     for j in gens:
         mj = images[j]
-        for l in gens:
+        near = set(nbrs(j)).union(*(moved[m] for m, _ in mj))
+        for l in sorted(near & keep):
             acc = {}
             for m, c in mj:
                 add_terms(acc, c, C[m][l])

@@ -35,9 +35,10 @@ The bracket constants are stored once, as sparse rows: each symbol pair with
 a nonzero bracket maps to its nonzero (symbol, coefficient) terms. This is
 the representation ``LieAlgebra`` keeps, and a product is certified by the
 same walks in ``liealg`` that certify an algebra: bracket closure pairs each
-lattice row with the neighbours of its support, Jacobi completes each pair
-only with the neighbours of the pair and of its bracket's support, and sums
-are tested for lattice membership term by term, on the Smith coordinates
+lattice row with the neighbours of its support, Jacobi visits only the
+triples sorted(x, y, z) of a nonzero row (x, y) and a symbol z bracketing
+with its support (the ``liealg`` support rule: every other triple sums to
+the zero vector), and sums are tested for lattice membership term by term, on the Smith coordinates
 the terms touch (``FpModule.is_lattice_sum``), so no check builds a dense
 vector until it has a witness to report. A product is certified once,
 when it is built, and a defect raises ``BracketNotWellDefined`` with its
@@ -178,7 +179,7 @@ class QProduct:
 
     def bracket_closure_defects(self) -> list:
         """Brackets of lattice generators with symbols that escape the lattice."""
-        return [w for _, w in closure_defects(self.module, self._br, self._sym)]
+        return [w for _, w in closure_defects(self.module, self._sym)]
 
     def validate_bracket_well_defined(self):
         """Raise unless the bracket descends to the presented quotient."""

@@ -1,12 +1,16 @@
 """Lie algebra layer: validation, centers, ideals, derivations, crossed modules."""
 
 import copy
+import inspect
 import random
+import re
+import sys
+from collections import Counter
 from math import gcd
 
 import pytest
 
-from lieq import liealg, verify
+from lieq import exactlin, liealg, verify
 from lieq.errors import NotAnIdeal, ValidationError
 from lieq.exactlin import (FpModule, ModuleHom, dense, terms, unit_vec, vec_add,
                             vec_addmul, vec_sub)
@@ -302,6 +306,143 @@ def test_each_table_is_certified_once(monkeypatch):
     calls.clear()
     quotient_algebra(g, central)
     assert calls == ["heisenberg/h"]
+
+
+def _filiform(n):
+    return lie_algebra([0] * n, {(0, i): unit_vec(n, i + 1) for i in range(1, n - 1)},
+                       0, f"L{n}")
+
+
+def _heisenberg_odd(k):
+    n = 2 * k + 1
+    return lie_algebra([0] * n, {(i, k + i): unit_vec(n, n - 1) for i in range(k)},
+                       0, f"h{n}")
+
+
+def neighbour_walk_jacobi(module, rows, br):
+    """Jacobi by the neighbour walk, kept as the reference for the support
+    rule: each pair s < t of spanning generators is completed by every
+    spanning r beyond t in nbrs(s), nbrs(t) or nbrs(k) for k in the support
+    of [s, t], whether or not the sum has a term."""
+    nbrs = [set() for _ in range(module.ambient_rank)]
+    for s, t in rows:
+        nbrs[s].add(t)
+        nbrs[t].add(s)
+    gens = module.spanning_generators()
+    nbrs = [nb & set(gens) for nb in nbrs]
+    out = []
+    for a, s in enumerate(gens):
+        for t in gens[a + 1:]:
+            st = rows.get((s, t), ())
+            near = nbrs[s] | nbrs[t]
+            for k, _ in st:
+                near |= nbrs[k]
+            for r in sorted(r for r in near if r > t):
+                acc = {}
+                for row, z, sign in ((st, r, 1), (rows.get((t, r), ()), s, 1),
+                                     (rows.get((s, r), ()), t, -1)):
+                    for k, c in row:
+                        exactlin.add_terms(acc, sign * c, br(k, z))
+                w = module.witness(acc)
+                if w is not None:
+                    out.append(((s, t, r), w))
+    return out
+
+
+def _corrupted_rows(rows, n, rng):
+    """Bracket rows with 1-3 random coefficients shifted, empty rows dropped."""
+    rows = dict(rows)
+    for _ in range(rng.randint(1, 3)):
+        s, t = sorted(rng.sample(range(n), 2))
+        row = dict(rows.get((s, t), ()))
+        k = rng.randrange(n)
+        row[k] = row.get(k, 0) + rng.choice((-2, -1, 1, 2))
+        rows[(s, t)] = tuple((k, c) for k, c in sorted(row.items()) if c)
+    return {key: row for key, row in rows.items() if row}
+
+
+def test_algebra_certification_matches_the_neighbour_walk():
+    """LieAlgebra(..., check=True) reports the defects of the old neighbour
+    walk, in its order, on seeded corruptions of n5, L8 and h7, over Z and on
+    a module with torsion, where closure can fail too."""
+    rng = random.Random(20261020)
+    jacobi = torsion = 0
+    for g in (strictly_upper(5), _filiform(8), _heisenberg_odd(3)):
+        n = g.rank
+        for orders in ([0] * n, [2] * (n // 2) + [0] * (n - n // 2)):
+            module = FpModule.diagonal(orders)
+            for _ in range(12):
+                rows = _corrupted_rows(g._br, n, rng)
+                try:
+                    LieAlgebra(module, rows, "bad")
+                    issues = []
+                except ValidationError as err:
+                    issues = err.report.issues
+                br = liealg.bracket_lookup(rows)
+                want = ValidationReport("bad")
+                for where, w in liealg.closure_defects(module, br):
+                    want.add("torsion", where, w)
+                for where, w in neighbour_walk_jacobi(module, rows, br):
+                    want.add("jacobi", where, w)
+                assert issues == want.issues, (g.name, orders, rows)
+                jacobi += sum(i.kind == "jacobi" for i in issues)
+                torsion += any(i.kind == "torsion" for i in issues)
+    assert jacobi >= 200 and torsion >= 10
+
+
+def _walk_witness_lines(fn, name):
+    """{line: kind} for the ``.witness(`` calls of an identity walk in fn.
+
+    A call's kind is that of the next ``report.add`` below it, or ``name``
+    when fn adds to no report; the calls of the action's lattice checks
+    (kinds ending in "-relations") are left out.
+    """
+    lines, start = inspect.getsourcelines(fn)
+    kinds, pending = {}, []
+    for no, text in enumerate(lines, start):
+        if ".witness(" in text:
+            pending.append(no)
+        added = re.search(r'report\.add\("([\w-]+)"', text)
+        if added:
+            kinds.update(dict.fromkeys(pending, added.group(1)))
+            pending = []
+    kinds.update(dict.fromkeys(pending, name))
+    return {line: kind for line, kind in kinds.items()
+            if not kind.endswith("-relations")}
+
+
+def test_no_identity_walk_tests_an_empty_sum(monkeypatch):
+    """Jacobi, bracket preservation, the action axioms and the crossed-module
+    identities visit only the tuples whose sum has a term: the squares of
+    n5, L6, L8, h5 and h7 at q in {0, 2} with their xi, and the crossed
+    modules of the catalog, pass no empty sum to ``FpModule.witness``."""
+    walks = {fn.__code__: _walk_witness_lines(fn, name) for fn, name in (
+        (liealg.jacobi_defects, "jacobi"), (LieHom.bracket_defects, "bracket"),
+        (LieAction.validate, None), (validate_q_crossed, None))}
+    visits, empty = Counter(), Counter()
+    witness = FpModule.witness
+
+    def spying(self, acc):
+        caller = sys._getframe(1)
+        kind = walks.get(caller.f_code, {}).get(caller.f_lineno)
+        if kind is not None:
+            visits[kind] += 1
+            empty[kind] += not acc
+        return witness(self, acc)
+
+    monkeypatch.setattr(FpModule, "witness", spying)
+    for g in (strictly_upper(5), _filiform(6), _filiform(8), _heisenberg_odd(2),
+              _heisenberg_odd(3)):
+        for q in (0, 2):
+            for build in (q_tensor_product, q_exterior_product):
+                build(g, None, q).xi()
+    entries = Catalog.default_entries()
+    results = (verify.check_crossed_modules(entries)
+               + verify.check_inner_derivations(entries))
+    assert all(r.ok for r in results)
+    assert set(visits) == {"jacobi", "bracket", "action-axiom-1", "action-axiom-2",
+                           "crossed-i", "crossed-ii"}
+    assert not +empty, (dict(empty), dict(visits))
 
 
 # -- centers ----------------------------------------------------------------------

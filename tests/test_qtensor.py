@@ -1105,9 +1105,11 @@ def _jacobi_visits(prod, monkeypatch):
     return len(visits)
 
 
-def test_jacobi_visits_the_neighbours_of_each_bracket_support(monkeypatch):
-    """The q=2 squares of n5: for s < t the third symbol is a neighbour of
-    s, of t or of the support of [s, t], not every symbol beyond t."""
+def test_jacobi_visits_only_the_triples_reached_from_a_bracket_row(monkeypatch):
+    """The q=2 squares of n5: a triple is visited only when it is sorted
+    (x, y, z) for a nonzero row (x, y) and z in reach(x, y), the neighbours
+    of the support of [x, y], so that its Jacobi sum has a term. The
+    neighbour walk before this rule made 4,268 and 1,964 visits."""
     g = strictly_upper(5)
-    assert _jacobi_visits(q_tensor_product(g, None, 2), monkeypatch) == 4268
-    assert _jacobi_visits(q_exterior_product(g, None, 2), monkeypatch) == 1964
+    assert _jacobi_visits(q_tensor_product(g, None, 2), monkeypatch) == 515
+    assert _jacobi_visits(q_exterior_product(g, None, 2), monkeypatch) == 290
