@@ -15,7 +15,9 @@ the invariant factors of ker xi, and the canonical center results. It holds
 no timing, so two checkouts can be compared with ``diff``. stderr gets the
 time of each step (a square, its xi and ker xi are three steps), the number
 of relation rows each square handed to ``FpModule.from_terms`` next to its
-time, and the peak resident set size of the process.
+time (the rows of the echelon of the q-free families that every square of
+the algebra shares, then the square's own rows), and the peak resident set
+size of the process.
 """
 
 import json
@@ -60,7 +62,7 @@ def probe(name: str) -> dict:
             label = f"{name} {kind} q={q}"
             build_square = getattr(qtensor, f"q_{kind}_product")
             prod = _timed(label, lambda: build_square(g, None, q),
-                          lambda p: f"{len(p.module.relations)} relation rows")
+                          lambda p: f"{len(p.module.relations)} echelon and own relation rows")
             xi = _timed(f"{label} xi", prod.xi)
             ker_factors = _timed(f"{label} ker xi", lambda: xi.kernel().invariant_factors)
             squares[f"{kind} q={q}"] = {"factors": list(prod.invariant_factors()),

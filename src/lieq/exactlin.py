@@ -210,6 +210,16 @@ def augmented_kernel(stack: Iterable, left: int, width: int) -> list:
     return [terms(r[left:]) for r in hnf_rows(stack, width) if not any(r[:left])]
 
 
+def hermite_lattice(rels: Sequence, n: int, m: int = 0) -> tuple:
+    """The reduced Hermite form of the term rows ``rels`` over Z/m, as
+    merged term rows led by their pivots: over Z when m is 0, else with the
+    rows m*e_i of the n generators appended. ``FpModule`` takes its
+    ``lattice_rows`` from here.
+    """
+    rows = [*rels, *(((i, m),) for i in range(n))] if m else rels
+    return tuple(terms(r) for r in hnf_rows(rows, n))
+
+
 def hermite_coords(rows: Sequence, v) -> Optional[tuple]:
     """The alpha with ``alpha @ rows == v`` for Hermite ``rows``, or None.
 
@@ -311,9 +321,7 @@ class FpModule:
         self.ambient_rank = n
         self.base_modulus = m
         self.relations = tuple(rels)
-        if m:
-            rels += [((i, m),) for i in range(n)]
-        self.lattice_rows = tuple(terms(r) for r in hnf_rows(rels, n))
+        self.lattice_rows = hermite_lattice(rels, n, m)
         units, core = [], []
         for row in self.lattice_rows:
             (units if row[0][1] == 1 else core).append(row)

@@ -38,8 +38,11 @@ structure it reads: the neighbours of each generator (``BracketLookup``),
 the supports of images and constants, and the rows, images or constants
 whose support holds a given index. Off those tuples the sum is empty, the
 zero vector, and is never tested; each walk names the parts it reads, and
-``jacobi_defects`` proves its enumeration complete. The lattice checks stay
-walks over every generator.
+``jacobi_defects`` proves its enumeration complete. The action's two lattice
+checks follow the rule too: a lattice row r of the actor meets only the
+acted generators that some e_i, i in the support of r, moves, and a lattice
+row of the acted object only the actors that move some generator in its
+support.
 """
 
 from __future__ import annotations
@@ -318,6 +321,8 @@ class LieAlgebra:
 
         No other code reads or writes the memo. Keys: ``"whole"`` (g as an
         ideal of itself), ``(kind, q)`` (the whole-algebra products),
+        ``"q-free"`` (the half those products share: the Hermite form of
+        their q-free relation families and their pure bracket rows),
         ``(kind, q, brace)`` (their centers) and ``("hash", q)`` (g #_q g);
         nothing over a proper ideal is kept.
         """
@@ -669,11 +674,11 @@ class LieAction:
     Building one checks only the shape and the term indices. ``validate``,
     the action part of a ``QCrossedModule``'s certification, needs a
     certified actor and acted object (an algebra, or a product checked when
-    built). It checks both relation lattices on every generator, then walks
+    built). It checks both relation lattices on every lattice row, then walks
     the axioms with acted generators among the acted module's spanning
-    generators (the module docstring says why). The axiom walks visit only
-    the tuples whose sum has a term, by the module docstring's support rule,
-    and build a dense witness only for a defect.
+    generators (the module docstring says why). The lattice checks and the
+    axiom walks visit only the tuples whose sum has a term, by the module
+    docstring's support rule, and build a dense witness only for a defect.
     """
 
     def __init__(self, actor: LieAlgebra, acted, constants):
@@ -708,16 +713,20 @@ class LieAction:
         nh = hmod.ambient_rank
         keep = set(hmod.spanning_generators())
         C = self.constants
+        moved = _moved(C)
+        # r.h_j: a term needs h_j moved by some e_i, i in the support of r
         for r in g.module.lattice_rows:
-            for j in range(nh):
+            for j in sorted(set().union(*(moved[i] for i, _ in r))):
                 acc = {}
                 for i, ci in r:
                     add_terms(acc, ci, C[i][j])
                 w = hmod.witness(acc)
                 if w is not None:
                     report.add("action-actor-relations", (dense(r, n), j), w)
+        # e_i.s: a term needs e_i to move some h_j, j in the support of s
+        movers = _holders((i, ((j, 1) for j in js)) for i, js in enumerate(moved))
         for s in hmod.lattice_rows:
-            for i in range(n):
+            for i in sorted({i for j, _ in s for i in movers.get(j, ())}):
                 acc = {}
                 for j, cj in s:
                     add_terms(acc, cj, C[i][j])
@@ -727,7 +736,6 @@ class LieAction:
         # [e_i, e_k].h_j - e_i.(e_k.h_j) + e_k.(e_i.h_j): a term needs h_j
         # moved by some e_m, m in the support of [e_i, e_k], or e_k.h_j
         # moved by e_i, or e_i.h_j moved by e_k
-        moved = _moved(C)
         pre = [_holders(enumerate(row)) for row in C]  # l -> the j with l in e_i.h_j
         for i in range(n):
             for k in range(i + 1, n):

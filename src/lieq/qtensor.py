@@ -18,14 +18,25 @@ finite instantiation spans the whole lattice; the brute-force oracle in
 * alternating closure: [b, e](x)[b, e] = 0.
 
 Every relation and every bracket constant is a sparse term list, written
-family by family with the two layout helpers below. The relations reach
-``FpModule.from_terms``, and its Hermite form, as these term lists; no
-relation is ever a dense row. Each term of a mixed-bracket instance carries
-one bracket of g or of h, so an instance whose brackets all vanish has no
-terms and adds nothing to the lattice. The builder never makes one: it walks
-the supports of the bracket rows of g and of the ideal and emits, in family
-order, the instances where some bracket is nonzero. The bracket constants
-are expanded on the same supports, over the pairs where they can be nonzero.
+family by family with the two layout helpers below; no relation is ever a
+dense row. Each term of a mixed-bracket instance carries one bracket of g or
+of h, so an instance whose brackets all vanish has no terms and adds nothing
+to the lattice. The builder never makes one: it walks the supports of the
+bracket rows of g and of the ideal and emits, in family order, the instances
+where some bracket is nonzero. The bracket constants are expanded on the
+same supports, over the pairs where they can be nonzero.
+
+Only the brace families read q, and only the diagonal family reads the
+kind. Slot-linearity on both slots, the two mixed-bracket families and the
+alternating closure live on the p*n pure symbols and are shared by every
+(kind, q) square of g and h, as are the pure x pure bracket rows. They make
+the q-free half (``_q_free_half``): those families reduced once to Hermite
+form over the pure symbols, and the pure bracket rows. A square presents
+that echelon followed by its own rows -- brace slot-linearity and the brace
+collapse when q >= 1, the diagonal and its polarization for the exterior
+kind -- so ``module.relations`` holds the echelon rows, then the square's
+own. The whole-algebra squares share one half, kept in the algebra's memo;
+over a proper ideal each product builds its own.
 
 The Lie bracket on symbols follows the product formulas (pure*pure,
 brace*pure, brace*brace), expanded bilinearly through structure constants;
@@ -64,6 +75,7 @@ from lieq.exactlin import (
     add_terms,
     dense,
     exterior_square_ab,
+    hermite_lattice,
     is_free_over,
     lattice_intersection,
     merged,
@@ -201,36 +213,44 @@ class QProduct:
                 f"factors={list(self.invariant_factors())})")
 
 
-def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QProduct:
-    if h is None:
-        h = Ideal.whole(g)
-    if h.parent is not g:
-        raise ValueError("ideal does not belong to the algebra")
-    if q < 0:
-        raise ValueError("q must be non-negative")
+@dataclass(frozen=True)
+class _QFreeHalf:
+    """The part of a product of g and an ideal h that no (kind, q) reads.
+
+    ``echelon`` is the reduced Hermite form, as merged term rows over the p*n
+    pure symbols, of slot-linearity on both slots, the two mixed-bracket
+    families and the alternating closure (over Z/m with the m*e_s rows of the
+    pure symbols); ``brackets`` holds the pure x pure bracket rows. It holds
+    no reference to g, h or any product.
+    """
+
+    echelon: tuple
+    brackets: dict
+
+
+def _ideal_brackets(h: Ideal) -> list:
+    """be_h[i][j] = [b_i, e_j] in ideal coordinates, read off ``h.gb``."""
+    return [[tuple((k, -c) for k, c in h.gb[j][i]) for j in range(len(h.gb))]
+            for i in range(h.p)]
+
+
+def _q_free_half(g: LieAlgebra, h: Ideal) -> _QFreeHalf:
+    """The rows and bracket constants shared by every (kind, q) square."""
     p, n = h.p, g.rank
-    braces = q >= 1
-    nsym = p * n + (p if braces else 0)
-
-    # sparse inputs, read from the ideal: its basis and [b_i, e_j] in parent
-    # coordinates, [e_j, b_i] and [b_i, b_k] in ideal coordinates; be_h holds
-    # [b_i, e_j] in ideal coordinates
-    basis, be_g, gb, bb = h.basis, h.be, h.gb, h.bb
-    be_h = [[tuple((k, -c) for k, c in gb[j][i]) for j in range(n)]
-            for i in range(p)]
-
+    # sparse inputs, read from the ideal: [b_i, e_j] in parent coordinates,
+    # [e_j, b_i] and [b_i, b_k] in ideal coordinates; be_h holds [b_i, e_j]
+    # in ideal coordinates
+    be_g, gb, bb = h.be, h.gb, h.bb
+    be_h = _ideal_brackets(h)
     tensor = partial(tensor_terms, n)
-    brace = partial(brace_terms, p, n)
 
-    # each relation family as sparse term lists
+    # each q-free relation family as sparse term lists
     rels = []
     # slot-linearity carried by the module relations of each side
     rels += [tensor(((i, o),), _unit(j))
              for i, o in enumerate(h.orders) if o for j in range(n)]
     rels += [tensor(_unit(i), ((j, d),))
              for j, d in enumerate(g.orders) if d for i in range(p)]
-    if braces:
-        rels += [brace(((i, o),)) for i, o in enumerate(h.orders) if o]
     # Each term of a mixed-bracket instance carries one bracket of g or h,
     # so an instance whose brackets are all zero has no terms and adds
     # nothing to the lattice. Instances are emitted only where some bracket
@@ -255,8 +275,46 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
              for i in range(p) for j in range(n)
              for l in (range(j + 1, n) if j in gb_supp[i]
                        else sorted(l for l in g_above[j] | gb_supp[i] if l > j))]
-    # brace of a bracket collapses: {[b_i, e_j]} = q * (b_i(x)e_j)
+    # alternating closure: a symbol brackets to zero with itself, so the
+    # product formula's diagonal [b_i,e_j](x)[b_i,e_j] must die. (The
+    # polarized form and the brace diagonals are consequences of the
+    # families, the square's own included; the diagonal itself is not, e.g.
+    # for solvable algebras over Z/2.)
+    rels += [tensor(be_h[i][j], be_g[i][j])
+             for i in range(p) for j in range(n) if be_h[i][j]]
+
+    # [b_i(x)e_j, b_k(x)e_l] = [b_i,e_j](x)[b_k,e_l] for s < t, on the pairs
+    # where both brackets are nonzero
+    brackets = {}
+    pure = [(i, j, tensor(_unit(i), _unit(j))[0][0])
+            for i in range(p) for j in range(n)]
+    right = [(k, l, t) for k, l, t in pure if be_g[k][l]]
+    for i, j, s in pure:
+        if be_h[i][j]:
+            for k, l, t in right:
+                if t > s and (row := merged(tensor(be_h[i][j], be_g[k][l]))):
+                    brackets[(s, t)] = row
+    return _QFreeHalf(hermite_lattice(rels, p * n, g.base_modulus), brackets)
+
+
+def _build_product(g: LieAlgebra, h: Ideal, half: _QFreeHalf, q: int,
+                   kind: str) -> QProduct:
+    """The (kind, q) square of g and h on top of their shared ``half``."""
+    p, n = h.p, g.rank
+    braces = q >= 1
+    nsym = p * n + (p if braces else 0)
+    basis, be_g, bb = h.basis, h.be, h.bb
+    be_h = _ideal_brackets(h)
+
+    tensor = partial(tensor_terms, n)
+    brace = partial(brace_terms, p, n)
+
+    # the rows that read q or the kind, in family order
+    rels = []
     if braces:
+        # slot-linearity on braces
+        rels += [brace(((i, o),)) for i, o in enumerate(h.orders) if o]
+        # brace of a bracket collapses: {[b_i, e_j]} = q * (b_i(x)e_j)
         rels += [brace(be_h[i][j]) + tensor(_unit(i), _unit(j), -q)
                  for i in range(p) for j in range(n)]
     # exterior kind: the ideal diagonal dies, with polarization
@@ -264,20 +322,14 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
         rels += [tensor(_unit(i), basis[i]) for i in range(p)]
         rels += [tensor(_unit(i), basis[k]) + tensor(_unit(k), basis[i])
                  for i in range(p) for k in range(i + 1, p)]
-    # alternating closure: a symbol brackets to zero with itself, so the
-    # product formula's diagonal [b_i,e_j](x)[b_i,e_j] must die. (The
-    # polarized form and the brace diagonals are consequences of the
-    # families above; the diagonal itself is not, e.g. for solvable
-    # algebras over Z/2.)
-    rels += [tensor(be_h[i][j], be_g[i][j])
-             for i in range(p) for j in range(n) if be_h[i][j]]
 
-    # the relations go to the module, and on to its Hermite form, as the
-    # sparse term lists they are; no relation is ever a dense row
-    module = FpModule.from_terms(nsym, rels, g.base_modulus)
+    # the shared echelon and these rows go to the module, and on to its
+    # Hermite form, as sparse term lists; no relation is ever a dense row
+    module = FpModule.from_terms(nsym, [*half.echelon, *rels], g.base_modulus)
 
-    # bracket constants on symbols, each one sparse term list
-    brackets = {}
+    # bracket constants on symbols, each one sparse term list: the shared
+    # pure rows, which a square with braces extends in its own copy
+    brackets = dict(half.brackets) if braces else half.brackets
 
     def set_bracket(s, t, row):
         sign = 1 if s < t else -1
@@ -285,23 +337,13 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
         if row:
             brackets[(min(s, t), max(s, t))] = row
 
-    pure = [(i, j, tensor(_unit(i), _unit(j))[0][0])
-            for i in range(p) for j in range(n)]
-    # [b_i(x)e_j, b_k(x)e_l] = [b_i,e_j](x)[b_k,e_l] for s < t, on the pairs
-    # where both brackets are nonzero
-    right = [(k, l, t) for k, l, t in pure if be_g[k][l]]
-    for i, j, s in pure:
-        if be_h[i][j]:
-            for k, l, t in right:
-                if t > s:
-                    set_bracket(s, t, tensor(be_h[i][j], be_g[k][l]))
     if braces:
         q2 = q * q
         for i in range(p):
             s = brace(_unit(i))[0][0]
             # [{b_i}, b_k(x)e_l] = q[b_i,b_k](x)e_l + b_k(x)q[b_i,e_l], for
             # every e_l when [b_i, b_k] is nonzero, else where [b_i, e_l] is
-            ls = sorted(be_supp[i])
+            ls = [l for l in range(n) if be_g[i][l]]
             for k in range(p):
                 for l in (range(n) if bb[i][k] else ls):
                     set_bracket(s, tensor(_unit(k), _unit(l))[0][0],
@@ -324,10 +366,21 @@ def _build_product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QPro
 
 
 def _product(g: LieAlgebra, h: Optional[Ideal], q: int, kind: str) -> QProduct:
-    """Build a product; the whole-algebra ones (h None) are memoized on g."""
+    """Build a product. The whole-algebra ones (h None) are memoized on g,
+    with the q-free half they share; over a proper ideal nothing is kept."""
+    if h is not None and h.parent is not g:
+        raise ValueError("ideal does not belong to the algebra")
+    if q < 0:
+        raise ValueError("q must be non-negative")
     if h is not None:
-        return _build_product(g, h, q, kind)
-    return g.cached((kind, q), lambda: _build_product(g, None, q, kind))
+        return _build_product(g, h, _q_free_half(g, h), q, kind)
+
+    def build():
+        whole = Ideal.whole(g)
+        half = g.cached("q-free", lambda: _q_free_half(g, whole))
+        return _build_product(g, whole, half, q, kind)
+
+    return g.cached((kind, q), build)
 
 
 def q_tensor_product(g: LieAlgebra, h: Optional[Ideal] = None, q: int = 0) -> QProduct:

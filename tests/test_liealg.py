@@ -394,8 +394,7 @@ def _walk_witness_lines(fn, name):
     """{line: kind} for the ``.witness(`` calls of an identity walk in fn.
 
     A call's kind is that of the next ``report.add`` below it, or ``name``
-    when fn adds to no report; the calls of the action's lattice checks
-    (kinds ending in "-relations") are left out.
+    when fn adds to no report.
     """
     lines, start = inspect.getsourcelines(fn)
     kinds, pending = {}, []
@@ -407,15 +406,15 @@ def _walk_witness_lines(fn, name):
             kinds.update(dict.fromkeys(pending, added.group(1)))
             pending = []
     kinds.update(dict.fromkeys(pending, name))
-    return {line: kind for line, kind in kinds.items()
-            if not kind.endswith("-relations")}
+    return kinds
 
 
 def test_no_identity_walk_tests_an_empty_sum(monkeypatch):
-    """Jacobi, bracket preservation, the action axioms and the crossed-module
-    identities visit only the tuples whose sum has a term: the squares of
-    n5, L6, L8, h5 and h7 at q in {0, 2} with their xi, and the crossed
-    modules of the catalog, pass no empty sum to ``FpModule.witness``."""
+    """Jacobi, bracket preservation, the action's lattice checks and axioms
+    and the crossed-module identities visit only the tuples whose sum has a
+    term: the squares of n5, L6, L8, h5 and h7 at q in {0, 2} with their xi,
+    and the crossed modules of the catalog, pass no empty sum to
+    ``FpModule.witness``."""
     walks = {fn.__code__: _walk_witness_lines(fn, name) for fn, name in (
         (liealg.jacobi_defects, "jacobi"), (LieHom.bracket_defects, "bracket"),
         (LieAction.validate, None), (validate_q_crossed, None))}
@@ -440,8 +439,9 @@ def test_no_identity_walk_tests_an_empty_sum(monkeypatch):
     results = (verify.check_crossed_modules(entries)
                + verify.check_inner_derivations(entries))
     assert all(r.ok for r in results)
-    assert set(visits) == {"jacobi", "bracket", "action-axiom-1", "action-axiom-2",
-                           "crossed-i", "crossed-ii"}
+    assert set(visits) == {"jacobi", "bracket", "action-actor-relations",
+                           "action-acted-relations", "action-axiom-1",
+                           "action-axiom-2", "crossed-i", "crossed-ii"}
     assert not +empty, (dict(empty), dict(visits))
 
 

@@ -1,6 +1,7 @@
 """Products, xi maps, actions, the quadratic functor, and the sequence checks."""
 
 import copy
+import gc
 import random
 from math import comb, gcd
 
@@ -604,7 +605,7 @@ def test_product_relations_reach_the_hermite_form_as_terms(monkeypatch):
     assert all(isinstance(r, tuple) and all(
         isinstance(t, tuple) and len(t) == 2 for t in r) for r in rows)
     assert rows == list(prod.module.relations)
-    assert len(rows) == 605
+    assert len(rows) == 230
     assert all(rows)
     assert max(len(r) for r in rows) == 2
 
@@ -994,11 +995,16 @@ def test_left_slot_family_on_derived_ideal():
 # assembly on the bracket support
 
 def full_family_assembly(g, h, q, kind):
-    """(relations, brackets) of a product, each family on every generator tuple.
+    """(q-free relations, (kind, q) relations, brackets) of a product, each
+    family on every generator tuple.
 
     The reference for the builder's support walk: the two mixed-bracket
     families get an instance for every (i < k, j) and (i, j < l), empty or
-    not, and the bracket loops visit every symbol pair.
+    not, and the bracket loops visit every symbol pair. The q-free rows are
+    slot-linearity on both slots, the two mixed-bracket families and the
+    alternating closure; the (kind, q) rows are the brace slot-linearity,
+    the brace collapse and the exterior diagonal with its polarization, in
+    that family order.
     """
     h = Ideal.whole(g) if h is None else h
     p, n = h.p, g.rank
@@ -1016,23 +1022,23 @@ def full_family_assembly(g, h, q, kind):
             for j in range(n)]
     rels += [tensor(unit(i), ((j, d),)) for j, d in enumerate(g.orders) if d
              for i in range(p)]
-    if q:
-        rels += [brace(((i, o),)) for i, o in enumerate(h.orders) if o]
     rels += [tensor(bb[i][k], unit(j)) + tensor(unit(i), be_g[k][j], -1)
              + tensor(unit(k), be_g[i][j])
              for i in range(p) for k in range(i + 1, p) for j in range(n)]
     rels += [tensor(unit(i), g.bracket_sym(j, l)) + tensor(gb[l][i], unit(j), -1)
              + tensor(gb[j][i], unit(l))
              for i in range(p) for j in range(n) for l in range(j + 1, n)]
-    if q:
-        rels += [brace(be_h[i][j]) + tensor(unit(i), unit(j), -q)
-                 for i in range(p) for j in range(n)]
-    if kind == "exterior":
-        rels += [tensor(unit(i), basis[i]) for i in range(p)]
-        rels += [tensor(unit(i), basis[k]) + tensor(unit(k), basis[i])
-                 for i in range(p) for k in range(i + 1, p)]
     rels += [tensor(be_h[i][j], be_g[i][j]) for i in range(p) for j in range(n)
              if be_h[i][j]]
+    own = []
+    if q:
+        own += [brace(((i, o),)) for i, o in enumerate(h.orders) if o]
+        own += [brace(be_h[i][j]) + tensor(unit(i), unit(j), -q)
+                for i in range(p) for j in range(n)]
+    if kind == "exterior":
+        own += [tensor(unit(i), basis[i]) for i in range(p)]
+        own += [tensor(unit(i), basis[k]) + tensor(unit(k), basis[i])
+                for i in range(p) for k in range(i + 1, p)]
 
     brackets = {}
 
@@ -1055,7 +1061,7 @@ def full_family_assembly(g, h, q, kind):
                             + tensor(unit(k), be_g[i][l], q))
             for k in range(i + 1, p):
                 set_bracket(s, p * n + k, tensor(unit(i), basis[k], q * q))
-    return rels, brackets
+    return rels, own, brackets
 
 
 def _h5():
@@ -1067,27 +1073,98 @@ def _l6():
 
 
 def test_assembly_on_the_bracket_support_matches_the_full_families():
-    """Each product's relations are the full families' rows with the empty
-    ones removed, in order; its brackets and lattice are the full ones."""
+    """Each product's relations are the reduced Hermite form of the full
+    q-free families, empty instances included, followed by its (kind, q)
+    rows in family order; its brackets and lattice are the full ones."""
     algs = [Catalog.get(name) for name in Catalog.names()]
     algs += [strictly_upper(5), _l6(), _h5()]
     algs += [a for a in random_valid_algebras() if a.base_modulus == 2 and a.rank == 3]
     assert len(algs) == 22
-    dropped = 0
+    empty = 0
     for g in algs:
         for h in (None, Ideal(g, center(g)), derived_ideal(g)):
             for q in range(4):
                 for build in (q_tensor_product, q_exterior_product):
                     prod = build(g, h, q)
-                    rels, brackets = full_family_assembly(g, h, q, prod.kind)
-                    kept = [tuple(r) for r in rels if r]
+                    shared, own, brackets = full_family_assembly(g, h, q, prod.kind)
                     where = (g.name, q, prod.kind)
-                    assert list(prod.module.relations) == kept, where
+                    pure = FpModule.from_terms(prod.p * prod.n, shared, g.base_modulus)
+                    assert list(prod.module.relations) == \
+                        [*pure.lattice_rows, *map(tuple, own)], where
                     assert prod._br == brackets, where
-                    full = FpModule.from_terms(prod.nsym, rels, g.base_modulus)
+                    full = FpModule.from_terms(prod.nsym, shared + own, g.base_modulus)
                     assert prod.module.lattice_rows == full.lattice_rows, where
-                    dropped += len(rels) - len(kept)
-    assert dropped > 0
+                    empty += sum(1 for r in shared if not r)
+    assert empty > 0
+
+
+def test_the_q_free_families_reach_the_hermite_form_once_per_algebra(monkeypatch):
+    """n5's four squares at q in {0, 2}: the q-free families are reduced
+    once, by the first ``hnf_rows`` call, of width p*n. Each square then
+    presents its own rows on top of that echelon, which leads each of the
+    four later calls; the q=0 squares present on the p*n pure symbols too."""
+    g = strictly_upper(5)
+    calls = []
+    hermite = exactlin.hnf_rows
+
+    def recording_hermite(rows, ncols):
+        rows = list(rows)
+        calls.append((rows, ncols))
+        return hermite(rows, ncols)
+
+    monkeypatch.setattr(exactlin, "hnf_rows", recording_hermite)
+    squares = [build(g, None, q) for q in (0, 2)
+               for build in (q_tensor_product, q_exterior_product)]
+    pn = g.rank * g.rank
+    assert [ncols for _, ncols in calls] == [pn, pn, pn, pn + g.rank, pn + g.rank]
+    # the q=0 tensor square has no rows of its own: its relations are the echelon
+    echelon = list(squares[0].module.relations)
+    raw = calls[0][0]
+    assert raw != echelon and [terms(r) for r in hermite(raw, pn)] == echelon
+    assert [rows for rows, _ in calls[1:]] == [list(s.module.relations) for s in squares]
+    assert all(rows[:len(echelon)] == echelon for rows, _ in calls[1:])
+
+
+def _reachable(obj):
+    """Every object reachable from obj through ``gc.get_referents``, not
+    passing through classes."""
+    seen, todo = {}, [obj]
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen and not isinstance(x, type):
+            seen[id(x)] = x
+            todo.extend(gc.get_referents(x))
+    return list(seen.values())
+
+
+def test_a_product_over_a_proper_ideal_keeps_nothing_in_the_memo():
+    """Products over a proper ideal add no memo key; a whole-algebra square
+    adds its own key and the q-free half, which refers to no algebra, ideal
+    or product."""
+    g = strictly_upper(4)
+    h = derived_ideal(g)
+    before = dict(g._memo)
+    for q in (0, 2):
+        for build in (q_tensor_product, q_exterior_product):
+            build(g, h, q)
+    assert g._memo == before
+    q_tensor_product(g, None, 0)
+    assert set(g._memo) - set(before) == {("tensor", 0), "q-free"}
+    half = g.cached("q-free", lambda: pytest.fail("no q-free half kept"))
+    assert not any(isinstance(x, (LieAlgebra, Ideal, QProduct)) for x in _reachable(half))
+
+
+def test_the_squares_of_an_algebra_share_its_pure_bracket_rows():
+    """The q=0 squares of both kinds hold one dict of pure x pure bracket
+    rows; the q=2 squares hold the same rows below their brace rows."""
+    g = strictly_upper(5)
+    t0, e0 = q_tensor_product(g, None, 0), q_exterior_product(g, None, 0)
+    assert t0._br is e0._br and t0._br
+    pn = t0.p * t0.n
+    for build in (q_tensor_product, q_exterior_product):
+        prod = build(g, None, 2)
+        assert {key: row for key, row in prod._br.items() if key[1] < pn} == t0._br
+        assert any(key[1] >= pn for key in prod._br)
 
 
 def _jacobi_visits(prod, monkeypatch):
